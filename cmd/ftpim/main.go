@@ -72,10 +72,10 @@
 // per-row weight scales, activation scales calibrated on -calib
 // training images) and writes it as a single FTPM container file.
 // serve -model FILE.ftpm serves that file without touching training
-// or the gob cache: the file is mmap'd read-only and the int8 weights
+// or the model cache: the file is mmap'd read-only and the int8 weights
 // alias the mapped pages, so cold start is file-open fast. quantbench
 // measures the int8 path's three claims — accuracy parity with
-// float32, cold-start speedup over the gob cache, and serving
+// float32, cold-start speedup over the float model cache, and serving
 // throughput — into results/BENCH_quant.json.
 //
 // coordinator/worker distribute a defect sweep across processes: the
@@ -187,7 +187,7 @@ func run() int {
 	benchOut := fs.String("bench-out", "",
 		"serve -loadtest: write the load-test record (JSON) to FILE; quantbench: record path (default results/BENCH_quant.json)")
 	modelFile := fs.String("model", "",
-		"serve: serve a quantized FTPM model file zero-copy (skips training and the gob cache; Monte-Carlo endpoints answer 501)")
+		"serve: serve a quantized FTPM model file zero-copy (skips training and the model cache; Monte-Carlo endpoints answer 501)")
 	exportOut := fs.String("o", "", "export: output FTPM path (default model-DATASET.ftpm)")
 	calibN := fs.Int("calib", 256,
 		"export/quantbench: calibration images drawn from the train split for activation scales")
@@ -498,24 +498,18 @@ func runDevice(ctx context.Context, env *experiments.Env, verb, dataset string, 
 		}
 		rng := tensor.NewRNG(env.Scale.Seed).Stream("device-profile")
 		dm := sc.DrawMap(rng, weights, psa)
-		f, err := os.Create(profile)
-		if err != nil {
-			return fmt.Errorf("create %s: %v", profile, err)
-		}
-		defer f.Close()
-		if err := dm.Save(f); err != nil {
+		if err := ckpt.WriteFile(profile, dm.Encode()); err != nil {
 			return fmt.Errorf("save profile: %v", err)
 		}
 		fmt.Printf("drew device profile: %d stuck cells at Psa=%g -> %s\n", dm.NumFaults(), psa, profile)
 	case "eval", "retrain":
-		f, err := os.Open(profile)
+		file, err := os.ReadFile(profile)
 		if err != nil {
 			return fmt.Errorf("open %s: %v (run 'ftpim device draw' first)", profile, err)
 		}
-		dm, err := fault.LoadDeviceMap(f)
-		f.Close()
+		dm, err := fault.DecodeDeviceMap(file)
 		if err != nil {
-			return fmt.Errorf("load profile: %v", err)
+			return fmt.Errorf("load profile %s: %v", profile, err)
 		}
 		acc, err := core.EvalOnDevice(ctx, net, test, dm, 128)
 		if err != nil {
@@ -762,7 +756,7 @@ commands:
   export    quantize the trained model to int8 and write one
             mmap-able FTPM file (-o FILE.ftpm, -calib N)
   quantbench  measure int8 vs float32: accuracy parity, cold-start
-            speedup (mmap'd FTPM vs gob cache), serving throughput;
+            speedup (mmap'd FTPM vs float cache), serving throughput;
             writes results/BENCH_quant.json (-bench-out to override)
   coordinator  shard the defect sweep over TCP workers with lease-based
             failover (-addr, -dist-lease, -dist-lease-ttl,

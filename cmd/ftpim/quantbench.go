@@ -25,10 +25,10 @@ type quantBenchOpts struct {
 }
 
 // QuantBenchRecord is the persisted result of one quantbench run:
-// accuracy parity, cold-start latency (gob model cache vs mmap'd
+// accuracy parity, cold-start latency (float model cache vs mmap'd
 // FTPM), and serving throughput for the float32 and int8 paths.
 type QuantBenchRecord struct {
-	Schema  string `json:"schema"` // "ftpim.bench.quant/v1"
+	Schema  string `json:"schema"` // "ftpim.bench.quant/v2"
 	Created string `json:"created"`
 	Preset  string `json:"preset"`
 	Dataset string `json:"dataset"`
@@ -40,11 +40,12 @@ type QuantBenchRecord struct {
 	QuantAcc float64 `json:"quant_acc"`
 	DeltaPP  float64 `json:"delta_pp"`
 
-	// Cold start: median milliseconds to a ready model. GobMs rebuilds
-	// the float network and decodes the warm .cache gob entry (dataset
-	// generation excluded — both paths need the dataset equally);
-	// FTPMMs mmaps the exported file. Speedup = GobMs / FTPMMs.
-	GobMs   float64 `json:"cold_start_gob_ms"`
+	// Cold start: median milliseconds to a ready model. FloatMs
+	// rebuilds the float network and decodes the warm .cache entry
+	// (dataset generation excluded — both paths need the dataset
+	// equally); FTPMMs mmaps the exported file. Speedup = FloatMs /
+	// FTPMMs.
+	FloatMs float64 `json:"cold_start_float_ms"`
 	FTPMMs  float64 `json:"cold_start_ftpm_ms"`
 	Speedup float64 `json:"cold_start_speedup"`
 
@@ -84,20 +85,20 @@ func runQuantBench(ctx context.Context, env *experiments.Env, dataset string, o 
 		return err
 	}
 
-	// Cold start, gob side: a fresh Env per trial so the in-memory
+	// Cold start, float side: a fresh Env per trial so the in-memory
 	// model map is cold, dataset pre-generated so only build+decode is
 	// timed. quantizeFromEnv above guaranteed the disk cache is warm.
 	const trials = 5
-	gobMs := make([]float64, 0, trials)
+	floatMs := make([]float64, 0, trials)
 	for i := 0; i < trials; i++ {
 		cold := experiments.NewEnv(o.preset, o.cache, nil)
 		cold.Scale.Workers = env.Scale.Workers
 		cold.Dataset(dataset)
 		start := time.Now()
 		if _, err := cold.Pretrained(ctx, dataset); err != nil {
-			return fmt.Errorf("cold gob load: %v", err)
+			return fmt.Errorf("cold float load: %v", err)
 		}
-		gobMs = append(gobMs, float64(time.Since(start).Nanoseconds())/1e6)
+		floatMs = append(floatMs, float64(time.Since(start).Nanoseconds())/1e6)
 	}
 
 	ftpmMs := make([]float64, 0, trials)
@@ -143,7 +144,7 @@ func runQuantBench(ctx context.Context, env *experiments.Env, dataset string, o 
 	}
 
 	rec := QuantBenchRecord{
-		Schema:    "ftpim.bench.quant/v1",
+		Schema:    "ftpim.bench.quant/v2",
 		Created:   time.Now().UTC().Format(time.RFC3339),
 		Preset:    env.Scale.Name,
 		Dataset:   dataset,
@@ -151,7 +152,7 @@ func runQuantBench(ctx context.Context, env *experiments.Env, dataset string, o 
 		FloatAcc:  meta.FloatAcc,
 		QuantAcc:  meta.QuantAcc,
 		DeltaPP:   (meta.QuantAcc - meta.FloatAcc) * 100,
-		GobMs:     median(gobMs),
+		FloatMs:   median(floatMs),
 		FTPMMs:    median(ftpmMs),
 		FloatRPS:  floatRes.Throughput,
 		QuantRPS:  quantRes.Throughput,
@@ -159,7 +160,7 @@ func runQuantBench(ctx context.Context, env *experiments.Env, dataset string, o 
 		QuantLoad: quantRes,
 	}
 	if rec.FTPMMs > 0 {
-		rec.Speedup = rec.GobMs / rec.FTPMMs
+		rec.Speedup = rec.FloatMs / rec.FTPMMs
 	}
 	if rec.FloatRPS > 0 {
 		rec.ThroughputRatio = rec.QuantRPS / rec.FloatRPS
@@ -178,8 +179,8 @@ func runQuantBench(ctx context.Context, env *experiments.Env, dataset string, o 
 
 	fmt.Printf("accuracy: float32 %.2f%%  int8 %.2f%%  delta %+.2fpp\n",
 		rec.FloatAcc*100, rec.QuantAcc*100, rec.DeltaPP)
-	fmt.Printf("cold start: gob %.2fms  ftpm %.3fms  speedup %.0fx\n",
-		rec.GobMs, rec.FTPMMs, rec.Speedup)
+	fmt.Printf("cold start: float %.2fms  ftpm %.3fms  speedup %.0fx\n",
+		rec.FloatMs, rec.FTPMMs, rec.Speedup)
 	fmt.Printf("throughput: float32 %.1f req/s  int8 %.1f req/s  ratio %.2fx\n",
 		rec.FloatRPS, rec.QuantRPS, rec.ThroughputRatio)
 	fmt.Printf("wrote %s\n", o.out)

@@ -46,7 +46,7 @@ func runServe(ctx context.Context, env *experiments.Env, dataset string, o serve
 		Eval:        env.DefectEval(),
 		Sink:        env.Sink,
 	}
-	// With -model the process never touches training or the gob cache:
+	// With -model the process never touches training or the model cache:
 	// the exported FTPM file is mmap'd and its int8 weights serve
 	// directly from the page cache. Monte-Carlo endpoints need mutable
 	// float planes and answer 501 in this mode.

@@ -15,15 +15,17 @@
 // so a torn final write degrades to the previous good snapshot instead
 // of aborting or corrupting the experiment.
 //
-// The package stores opaque sections; what goes in them (network
-// snapshot, optimizer velocity, RNG cursor, epoch history) is the run
-// layer's business — see internal/core.
+// The same container also holds the model cache and device profiles
+// (one section each) and FTPM exports. Sections are opaque here: their
+// layouts belong to the writers, which decode them with Reader.
 package ckpt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -130,6 +132,7 @@ func DecodeContainer(f Format, b []byte) (map[string][]byte, error) {
 		return nil, fmt.Errorf("%s: implausible section count %d", f.Tag, count)
 	}
 	sections := make(map[string][]byte, count)
+	prev := ""
 	for i := 0; i < count; i++ {
 		nl, err := take(4)
 		if err != nil {
@@ -162,10 +165,14 @@ func DecodeContainer(f Format, b []byte) (map[string][]byte, error) {
 		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(ck); got != want {
 			return nil, fmt.Errorf("%s: section %q checksum mismatch (%08x != %08x)", f.Tag, nameB, got, want)
 		}
+		// Only the sorted order EncodeContainer writes is canonical;
+		// it also rules out duplicates. Names are non-empty, so the
+		// first one passes.
 		name := string(nameB)
-		if _, dup := sections[name]; dup {
-			return nil, fmt.Errorf("%s: duplicate section %q", f.Tag, name)
+		if name <= prev {
+			return nil, fmt.Errorf("%s: section %q out of order (after %q)", f.Tag, name, prev)
 		}
+		prev = name
 		sections[name] = payload
 	}
 	if off != len(b) {
@@ -186,6 +193,104 @@ func Encode(sections map[string][]byte) ([]byte, error) {
 // validation and aliasing contract.
 func Decode(b []byte) (map[string][]byte, error) {
 	return DecodeContainer(ckptFormat, b)
+}
+
+// Expect reports an error unless sections holds exactly the named
+// sections. The CRCs cover payloads only, so a bit flip inside a
+// section name passes DecodeContainer; a reader with a fixed section
+// set calls Expect to reject that flip too.
+func Expect(sections map[string][]byte, names ...string) error {
+	for _, name := range names {
+		if _, ok := sections[name]; !ok {
+			return fmt.Errorf("missing section %q", name)
+		}
+	}
+	if len(sections) != len(names) {
+		return fmt.Errorf("%d sections, want %d", len(sections), len(names))
+	}
+	return nil
+}
+
+// Reader decodes a section payload field by field, little-endian. A
+// read past the end, or a Bool byte other than 0 or 1, fails the
+// Reader and every later read returns zero, so a decoder reads straight
+// through and checks Done once, at the end.
+type Reader struct {
+	b    []byte
+	off  int
+	fail bool
+}
+
+// NewReader returns a Reader over b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+func (r *Reader) take(n int) []byte {
+	if r.fail || n > len(r.b)-r.off {
+		r.fail = true
+		return make([]byte, n)
+	}
+	s := r.b[r.off : r.off+n]
+	r.off += n
+	return s
+}
+
+// U8 reads one byte.
+func (r *Reader) U8() byte { return r.take(1)[0] }
+
+// U32 reads a uint32.
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+
+// U64 reads a uint64.
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+
+// F32 reads a float32 bit pattern.
+func (r *Reader) F32() float32 { return math.Float32frombits(r.U32()) }
+
+// F64 reads a float64 bit pattern, so NaN and ±Inf round-trip exactly.
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Bool reads a 0/1 byte; any other value fails the Reader, keeping the
+// encoding canonical.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.fail = true
+	}
+	return v == 1
+}
+
+// Remaining returns the number of unread bytes. Decoders bound a count
+// read from the payload by it before allocating.
+func (r *Reader) Remaining() int { return len(r.b) - r.off }
+
+// Done reports an error unless every read succeeded and the payload
+// was consumed exactly.
+func (r *Reader) Done() error {
+	if r.fail {
+		return errors.New("payload truncated or malformed")
+	}
+	if r.off != len(r.b) {
+		return fmt.Errorf("%d trailing payload bytes", len(r.b)-r.off)
+	}
+	return nil
+}
+
+// WriteFile writes data to path through a temp file and a rename, so a
+// crash mid-write leaves the old file or the new one, never a torn
+// file. It does not fsync: every file written this way is CRC-checked
+// when read and has a fallback — an earlier checkpoint, a retrain, or
+// an error — so a write lost to power failure costs a redo, not a
+// wrong result.
+func WriteFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Store roots a directory of per-run checkpoint subdirectories.
@@ -341,11 +446,10 @@ func (r *Run) list() []int {
 	return seqs
 }
 
-// Save writes sections as the run's next checkpoint: encode, write to
-// a temp file, fsync-free rename into place, prune beyond the
-// retention depth. A run created without resume discards any stale
-// checkpoint files from a previous attempt before its first write.
-// Returns the checkpoint's path and encoded size.
+// Save writes sections as the run's next checkpoint: encode, write
+// with WriteFile, prune beyond the retention depth. A run created
+// without resume discards any stale checkpoint files from a previous
+// attempt before its first write. Returns the path and encoded size.
 func (r *Run) Save(sections map[string][]byte) (path string, size int, err error) {
 	if !r.resume && !r.cleared {
 		// Fresh (non-resuming) run: a stale sequence from a previous
@@ -369,12 +473,7 @@ func (r *Run) Save(sections map[string][]byte) (path string, size int, err error
 		r.scanned = true
 	}
 	path = filepath.Join(r.dir, seqName(r.nextSeq))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := WriteFile(path, data); err != nil {
 		return "", 0, err
 	}
 	r.nextSeq++

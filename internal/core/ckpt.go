@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/ftpim/ftpim/internal/ckpt"
 	"github.com/ftpim/ftpim/internal/data"
@@ -14,20 +14,20 @@ import (
 	"github.com/ftpim/ftpim/internal/tensor"
 )
 
-// Checkpoint section names. "meta" carries the gob-encoded trainMeta;
-// the rest carry the state blobs it describes.
+// Checkpoint section names. "train" carries the trainMeta binary
+// encoding; the rest carry the state it describes. Checkpoints without
+// a "train" section predate that encoding and are refused undecoded.
 const (
-	secMeta = "meta" // trainMeta (gob)
-	secNet  = "net"  // nn.Network snapshot (params, masks, BN stats)
-	secOpt  = "opt"  // SGD momentum buffers ([]*tensor.Tensor, gob)
-	secRNG  = "rng"  // shuffle/augmentation RNG cursor (tensor.RNG state)
-	secPerm = "perm" // loader shuffle permutation ([]int, gob)
-	secBest = "best" // KeepBest network snapshot (present iff HasBest)
-	secADMM = "admm" // prune.ADMMState (gob, present iff ADMM configured)
+	secMeta = "train" // trainMeta (marshalMeta)
+	secNet  = "net"   // nn.Network snapshot (params, masks, BN stats)
+	secOpt  = "opt"   // SGD momentum buffers (tensor list)
+	secRNG  = "rng"   // shuffle/augmentation RNG cursor (tensor.RNG state)
+	secBest = "best"  // KeepBest network snapshot (present iff HasBest)
+	secADMM = "admm"  // prune.ADMMState Z then U (tensor list, present iff ADMM configured)
 )
 
 // trainMeta identifies the training position a checkpoint captures and
-// carries the run bookkeeping that is not tensor state. A checkpoint
+// carries the run state that is not tensors or RNG state. A checkpoint
 // is only resumed when Seed, Stage, Epochs, and FaultRate all match
 // the configured run — otherwise it belongs to a different experiment
 // and is ignored.
@@ -40,11 +40,10 @@ type trainMeta struct {
 	Samples   int
 
 	// Numerics records the kernel numerics tier active when the
-	// snapshot was written ("" in pre-tier checkpoints means "exact",
-	// the only tier that existed). Resuming under a different tier
-	// would break the bit-identical-resume contract, so restore
-	// starts fresh instead.
-	Numerics string
+	// snapshot was written. Resuming under a different tier would
+	// break the bit-identical-resume contract, so restore starts fresh
+	// instead.
+	Numerics tensor.Numerics
 
 	BestEvalAcc float64
 	BestEpoch   int
@@ -55,6 +54,101 @@ type trainMeta struct {
 	// round-tripped so a resumed ladder reports the full history.
 	History []EpochStats
 	Prefix  []EpochStats
+
+	// Perm is the loader's shuffle permutation (data.Loader.PermState).
+	Perm []int
+}
+
+// marshalMeta encodes m as fixed little-endian binary — not JSON,
+// which cannot encode the NaN or ±Inf loss of a diverged run. Floats
+// are stored as bit patterns, ints as 64-bit two's complement:
+//
+//	u64 Seed; i64 Stage, Epochs, Epoch; f64 FaultRate; i64 Samples;
+//	u8 Numerics; f64 BestEvalAcc; i64 BestEpoch; u8 HasBest;
+//	History, Prefix: u32 count, then per epoch i64 Epoch and
+//	f64 LR, Loss, TrainAcc, EvalAcc, FaultRate;
+//	Perm: u32 count, then u32 indices
+func marshalMeta(m *trainMeta) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, m.Seed)
+	b = appendI64(b, m.Stage, m.Epochs, m.Epoch)
+	b = appendF64(b, m.FaultRate)
+	b = appendI64(b, m.Samples)
+	b = append(b, byte(m.Numerics))
+	b = appendF64(b, m.BestEvalAcc)
+	b = appendI64(b, m.BestEpoch)
+	b = append(b, boolByte(m.HasBest))
+	for _, h := range [][]EpochStats{m.History, m.Prefix} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(h)))
+		for _, e := range h {
+			b = appendI64(b, e.Epoch)
+			b = appendF64(b, e.LR, e.Loss, e.TrainAcc, e.EvalAcc, e.FaultRate)
+		}
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Perm)))
+	for _, p := range m.Perm {
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
+	}
+	return b
+}
+
+// epochStatsSize is the encoded size of one EpochStats record.
+const epochStatsSize = 6 * 8
+
+// unmarshalMeta decodes marshalMeta's output, accepting nothing else:
+// the tier byte must name a tier, HasBest must be 0 or 1, and the
+// payload must be consumed exactly. Loader.SetPermState validates Perm.
+func unmarshalMeta(b []byte) (*trainMeta, error) {
+	r := ckpt.NewReader(b)
+	i64 := func() int { return int(int64(r.U64())) }
+	m := &trainMeta{Seed: r.U64(), Stage: i64(), Epochs: i64(), Epoch: i64(), FaultRate: r.F64(), Samples: i64()}
+	m.Numerics = tensor.Numerics(r.U8())
+	m.BestEvalAcc, m.BestEpoch, m.HasBest = r.F64(), i64(), r.Bool()
+	if m.Numerics != tensor.NumericsExact && m.Numerics != tensor.NumericsFast {
+		return nil, fmt.Errorf("unknown numerics tier %d", m.Numerics)
+	}
+	for _, h := range []*[]EpochStats{&m.History, &m.Prefix} {
+		n := int(r.U32())
+		if n > r.Remaining()/epochStatsSize {
+			return nil, fmt.Errorf("history of %d epochs exceeds the payload", n)
+		}
+		*h = make([]EpochStats, n)
+		for i := range *h {
+			(*h)[i] = EpochStats{Epoch: i64(), LR: r.F64(), Loss: r.F64(), TrainAcc: r.F64(), EvalAcc: r.F64(), FaultRate: r.F64()}
+		}
+	}
+	n := int(r.U32())
+	if n > r.Remaining()/4 {
+		return nil, fmt.Errorf("permutation of %d entries exceeds the payload", n)
+	}
+	m.Perm = make([]int, n)
+	for i := range m.Perm {
+		m.Perm[i] = int(r.U32())
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func appendI64(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+	}
+	return b
+}
+
+func appendF64(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // ckptSaver threads crash-safe checkpointing through one Train call.
@@ -108,14 +202,6 @@ func newCkptSaver(cfg *Config, net *nn.Network, opt *optim.SGD, rng *tensor.RNG,
 	}
 }
 
-func gobEncode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("core: checkpoint gob encode: %v", err)) // in-memory encode of our own types cannot fail
-	}
-	return buf.Bytes()
-}
-
 // capture serializes the full training state at an epoch boundary:
 // epoch epochs are complete, the optimizer has applied its last step,
 // and the shuffle RNG sits exactly where the next epoch's reshuffle
@@ -124,27 +210,28 @@ func (c *ckptSaver) capture(epoch int, res *Result, bestState []byte, samples in
 	meta := trainMeta{
 		Seed: c.seed, Stage: c.stage, Epochs: c.epochs, Epoch: epoch + 1,
 		FaultRate: c.rate, Samples: samples,
-		Numerics: tensor.ActiveNumerics().String(),
+		Numerics:    tensor.ActiveNumerics(),
 		BestEvalAcc: res.BestEvalAcc, BestEpoch: res.BestEpoch,
 		HasBest: bestState != nil,
 		History: res.History, Prefix: c.prefix,
+		Perm: c.loader.PermState(),
 	}
 	rngState, err := c.rng.MarshalState()
 	if err != nil {
 		panic(fmt.Sprintf("core: RNG state capture: %v", err))
 	}
 	sections := map[string][]byte{
-		secMeta: gobEncode(&meta),
+		secMeta: marshalMeta(&meta),
 		secNet:  c.net.Snapshot(),
-		secOpt:  gobEncode(c.opt.ExportState()),
+		secOpt:  tensor.AppendTensors(nil, c.opt.ExportState()...),
 		secRNG:  rngState,
-		secPerm: gobEncode(c.loader.PermState()),
 	}
 	if bestState != nil {
 		sections[secBest] = bestState
 	}
 	if c.admm != nil {
-		sections[secADMM] = gobEncode(c.admm.ExportState())
+		st := c.admm.ExportState()
+		sections[secADMM] = tensor.AppendTensors(nil, append(st.Z, st.U...)...)
 	}
 	return sections
 }
@@ -209,9 +296,9 @@ func (c *ckptSaver) restore(res *Result) (startEpoch int, bestState []byte, samp
 	if !ok {
 		return 0, nil, 0
 	}
-	var meta trainMeta
-	if err := gob.NewDecoder(bytes.NewReader(sections[secMeta])).Decode(&meta); err != nil {
-		obs.Logf(c.sink, "checkpoint %s meta undecodable (%v); starting fresh", path, err)
+	meta, err := unmarshalMeta(sections[secMeta]) // nil for an older format, which lacks the section
+	if err != nil {
+		obs.Logf(c.sink, "checkpoint %s has no usable %q section (%v); starting fresh", path, secMeta, err)
 		return 0, nil, 0
 	}
 	if meta.Stage != c.stage {
@@ -224,36 +311,31 @@ func (c *ckptSaver) restore(res *Result) (startEpoch int, bestState []byte, samp
 		obs.Logf(c.sink, "checkpoint %s belongs to a different run (seed/budget/rate mismatch); starting fresh", path)
 		return 0, nil, 0
 	}
-	ckptTier := meta.Numerics
-	if ckptTier == "" {
-		ckptTier = tensor.NumericsExact.String() // pre-tier checkpoint
-	}
-	if active := tensor.ActiveNumerics().String(); ckptTier != active {
-		obs.Logf(c.sink, "checkpoint %s was written under %s numerics but the process tier is %s; starting fresh (resume must be bit-identical)", path, ckptTier, active)
+	if active := tensor.ActiveNumerics(); meta.Numerics != active {
+		obs.Logf(c.sink, "checkpoint %s was written under %s numerics but the process tier is %s; starting fresh (resume must be bit-identical)", path, meta.Numerics, active)
 		return 0, nil, 0
 	}
-	if c.admm != nil && sections[secADMM] == nil {
-		obs.Logf(c.sink, "checkpoint %s lacks ADMM state; starting fresh", path)
+	want := []string{secMeta, secNet, secOpt, secRNG}
+	if meta.HasBest {
+		want = append(want, secBest)
+	}
+	if c.admm != nil {
+		want = append(want, secADMM)
+	}
+	if err := ckpt.Expect(sections, want...); err != nil {
+		obs.Logf(c.sink, "checkpoint %s does not match this run (%v); starting fresh", path, err)
 		return 0, nil, 0
 	}
 	// Decode everything before mutating anything, so a half-bad
 	// checkpoint cannot leave the run in a mixed state.
-	var velocity []*tensor.Tensor
-	if err := gob.NewDecoder(bytes.NewReader(sections[secOpt])).Decode(&velocity); err != nil {
+	velocity, err := tensor.DecodeTensors(sections[secOpt])
+	var zu []*tensor.Tensor // ADMM Z then U
+	if err == nil && c.admm != nil {
+		zu, err = tensor.DecodeTensors(sections[secADMM])
+	}
+	if err != nil {
 		obs.Logf(c.sink, "checkpoint %s optimizer state undecodable (%v); starting fresh", path, err)
 		return 0, nil, 0
-	}
-	var perm []int
-	if err := gob.NewDecoder(bytes.NewReader(sections[secPerm])).Decode(&perm); err != nil {
-		obs.Logf(c.sink, "checkpoint %s loader state undecodable (%v); starting fresh", path, err)
-		return 0, nil, 0
-	}
-	var admmState *prune.ADMMState
-	if c.admm != nil {
-		if err := gob.NewDecoder(bytes.NewReader(sections[secADMM])).Decode(&admmState); err != nil {
-			obs.Logf(c.sink, "checkpoint %s ADMM state undecodable (%v); starting fresh", path, err)
-			return 0, nil, 0
-		}
 	}
 	orig := c.net.Snapshot()
 	apply := func() error {
@@ -264,14 +346,14 @@ func (c *ckptSaver) restore(res *Result) (startEpoch int, bestState []byte, samp
 			return fmt.Errorf("optimizer: %w", err)
 		}
 		if c.admm != nil {
-			if err := c.admm.ImportState(admmState); err != nil {
+			if err := c.admm.ImportState(&prune.ADMMState{Z: zu[:len(zu)/2], U: zu[len(zu)/2:]}); err != nil {
 				return fmt.Errorf("admm: %w", err)
 			}
 		}
 		if err := c.rng.UnmarshalState(sections[secRNG]); err != nil {
 			return fmt.Errorf("rng: %w", err)
 		}
-		if err := c.loader.SetPermState(perm); err != nil {
+		if err := c.loader.SetPermState(meta.Perm); err != nil {
 			return fmt.Errorf("loader: %w", err)
 		}
 		return nil
@@ -316,9 +398,9 @@ func peekCkptMeta(run *ckpt.Run) *trainMeta {
 	if !ok {
 		return nil
 	}
-	var meta trainMeta
-	if err := gob.NewDecoder(bytes.NewReader(sections[secMeta])).Decode(&meta); err != nil {
+	meta, err := unmarshalMeta(sections[secMeta])
+	if err != nil {
 		return nil
 	}
-	return &meta
+	return meta
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -335,5 +337,106 @@ func TestCkptDisabledAddsZeroAllocs(t *testing.T) {
 		cs.onCancel(3)
 	}); got != 0 {
 		t.Fatalf("disabled checkpointing allocates %.0f times per epoch, want 0", got)
+	}
+}
+
+// A diverged run's NaN or ±Inf loss must survive the checkpoint
+// metadata bit for bit, and the encoding must be canonical.
+func TestMetaRoundTripsNonFiniteBitForBit(t *testing.T) {
+	weird := []float64{math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	m := &trainMeta{
+		Seed: 1<<63 + 5, Stage: 2, Epochs: 7, Epoch: 3, FaultRate: 0.05, Samples: 960,
+		Numerics: tensor.NumericsFast, BestEvalAcc: 0.75, BestEpoch: -1, HasBest: true,
+		Prefix: []EpochStats{{Epoch: 0, LR: 0.1, Loss: 1.5}},
+		Perm:   []int{2, 0, 1},
+	}
+	for i, v := range weird {
+		m.History = append(m.History, EpochStats{Epoch: i, LR: v, Loss: v, TrainAcc: v, EvalAcc: v, FaultRate: v})
+	}
+	b := marshalMeta(m)
+	got, err := unmarshalMeta(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalMeta(got), b) {
+		t.Fatal("meta encoding is not canonical")
+	}
+	for i, v := range weird {
+		h := got.History[i]
+		for _, f := range []float64{h.LR, h.Loss, h.TrainAcc, h.EvalAcc, h.FaultRate} {
+			if math.Float64bits(f) != math.Float64bits(v) {
+				t.Fatalf("epoch %d: %x round-tripped as %x", i, math.Float64bits(v), math.Float64bits(f))
+			}
+		}
+	}
+	if got.Seed != m.Seed || got.BestEpoch != -1 || !got.HasBest || got.Numerics != tensor.NumericsFast ||
+		len(got.Prefix) != 1 || len(got.Perm) != 3 || got.Perm[0] != 2 {
+		t.Fatalf("meta fields changed: %+v", got)
+	}
+}
+
+// FuzzCheckpointMeta feeds arbitrary bytes to the metadata decoder: it
+// must never panic, and anything it accepts must re-encode to exactly
+// the input.
+func FuzzCheckpointMeta(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(marshalMeta(&trainMeta{}))
+	f.Add(marshalMeta(&trainMeta{Seed: 9, Epochs: 4, Epoch: 2, HasBest: true,
+		History: []EpochStats{{Epoch: 0, Loss: math.NaN()}, {Epoch: 1, Loss: math.Inf(1)}},
+		Perm:    []int{1, 0}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := unmarshalMeta(data)
+		if err != nil {
+			return
+		}
+		if re := marshalMeta(m); !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
+		}
+	})
+}
+
+// logCollector records every log line.
+type logCollector struct{ lines []string }
+
+func (c *logCollector) Enabled() bool { return true }
+func (c *logCollector) Emit(e obs.Event) {
+	if e.Kind == obs.KindLog {
+		c.lines = append(c.lines, e.Msg)
+	}
+}
+
+// A checkpoint from before the binary metadata — its sections carry
+// other encodings under the old names — must be refused with a log line
+// and never decoded: the resumed run matches a fresh one.
+func TestResumeRefusesOlderFormatCheckpoint(t *testing.T) {
+	train, _ := testTask()
+	cfg := ckptCfg()
+	dir := t.TempDir()
+	run := ckpt.NewStore(dir, 100, true, nil).Run("run")
+	garbage := bytes.Repeat([]byte{0xff}, 64)
+	if _, _, err := run.Save(map[string][]byte{
+		"meta": garbage, secNet: garbage, secOpt: garbage, secRNG: garbage, "perm": garbage,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	logs := &logCollector{}
+	rcfg := cfg
+	rcfg.Sink = logs
+	rcfg.Ckpt = ckpt.NewStore(dir, 100, true, nil).Run("run")
+	resumed := testModel(21)
+	if _, err := Train(bg, resumed, train, rcfg); err != nil {
+		t.Fatal(err)
+	}
+	fresh := testModel(21)
+	mustTrain(t, fresh, train, cfg)
+	if string(resumed.Snapshot()) != string(fresh.Snapshot()) {
+		t.Fatal("an older-format checkpoint must be ignored; the run must match a fresh one")
+	}
+	refused := false
+	for _, l := range logs.lines {
+		refused = refused || strings.Contains(l, `no usable "train" section`)
+	}
+	if !refused {
+		t.Fatalf("no refusal logged; log lines: %q", logs.lines)
 	}
 }

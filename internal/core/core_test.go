@@ -315,6 +315,29 @@ func TestEvalOnDeviceRestores(t *testing.T) {
 	}
 }
 
+// A profile read from disk may have been drawn for another model: the
+// device entry points must return an error rather than panic in Apply,
+// and leave the network untouched.
+func TestDeviceEntryPointsRejectForeignProfile(t *testing.T) {
+	train, test := testTask()
+	net := testModel(11)
+	other := models.BuildSimpleCNN(models.SimpleCNNConfig{InChannels: 3, Width: 8, Classes: 4, Seed: 11})
+	foreign := fault.DrawDeviceMap(tensor.NewRNG(6).Stream("d"), fault.ChenModel(), WeightTensors(other), 0.1)
+	short := fault.DrawDeviceMap(tensor.NewRNG(6).Stream("d"), fault.ChenModel(), WeightTensors(net)[1:], 0.1)
+	snap := net.Snapshot()
+	for _, dm := range []*fault.DeviceMap{foreign, short} {
+		if _, err := EvalOnDevice(bg, net, test, dm, 64); err == nil {
+			t.Fatal("EvalOnDevice accepted a profile drawn for another model")
+		}
+		if _, err := FaultAwareRetrain(bg, net, train, quickCfg(), dm); err == nil {
+			t.Fatal("FaultAwareRetrain accepted a profile drawn for another model")
+		}
+	}
+	if string(net.Snapshot()) != string(snap) {
+		t.Fatal("a rejected profile changed the network")
+	}
+}
+
 func TestADMMTrainingProducesSparseAccurateModel(t *testing.T) {
 	train, test := testTask()
 	net := testModel(11)

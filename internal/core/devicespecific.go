@@ -16,9 +16,13 @@ import (
 // other, which is the scalability problem the paper's stochastic
 // schemes remove: retraining must be repeated per manufactured unit.
 //
-// Cancellation behaves exactly as in Train: the partial Result and
-// ctx's error are returned.
+// A map drawn for a different model is an error, returned before any
+// training. Cancellation behaves exactly as in Train: the partial
+// Result and ctx's error are returned.
 func FaultAwareRetrain(ctx context.Context, net *nn.Network, ds *data.Dataset, cfg Config, dm *fault.DeviceMap) (*Result, error) {
+	if err := dm.Check(WeightTensors(net)); err != nil {
+		return nil, err
+	}
 	cfg.Pinned = dm
 	cfg.FaultRate = 0
 	return Train(ctx, net, ds, cfg)

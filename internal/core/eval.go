@@ -520,15 +520,20 @@ func EvalDefectSweep(ctx context.Context, net *nn.Network, ds *data.Dataset, rat
 }
 
 // EvalOnDevice deploys the network onto one fixed defective device and
-// returns the resulting accuracy (weights restored afterwards). A
-// pre-cancelled ctx returns before the lesion is applied; cancellation
-// is otherwise checked once up front — a single evaluation pass is the
-// finest abort granularity the metrics layer offers.
+// returns the resulting accuracy (weights restored afterwards). A map
+// drawn for a different model is an error. A pre-cancelled ctx returns
+// before the lesion is applied; cancellation is otherwise checked once
+// up front — a single evaluation pass is the finest abort granularity
+// the metrics layer offers.
 func EvalOnDevice(ctx context.Context, net *nn.Network, ds *data.Dataset, dm *fault.DeviceMap, batch int) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	lesion := dm.Apply(WeightTensors(net))
+	weights := WeightTensors(net)
+	if err := dm.Check(weights); err != nil {
+		return 0, err
+	}
+	lesion := dm.Apply(weights)
 	defer lesion.Undo()
 	return metrics.Evaluate(net, ds, batch), nil
 }

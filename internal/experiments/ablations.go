@@ -32,24 +32,23 @@ func AblationLadder(ctx context.Context, e *Env, ds string, target float64, maxR
 	for rungs := 1; rungs <= maxRungs; rungs++ {
 		rungs := rungs
 		key := fmt.Sprintf("abl-ladder-%s-%g-%d", ds, target, rungs)
-		net, err := e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-			func(net *nn.Network) error {
-				base, err := e.Pretrained(ctx, ds)
-				if err != nil {
-					return err
-				}
-				mustRestore(net, base)
-				cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
-				ladder := core.Ladder(target, rungs)
-				// Split the same total budget across stages for a
-				// compute-fair comparison.
-				per := e.Scale.FTEpochs / len(ladder)
-				if per < 1 {
-					per = 1
-				}
-				_, err = core.ProgressiveFT(ctx, net, train, cfg, ladder, per)
+		net, err := e.cached(key, ds, func(net *nn.Network) error {
+			base, err := e.Pretrained(ctx, ds)
+			if err != nil {
 				return err
-			})
+			}
+			mustRestore(net, base)
+			cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
+			ladder := core.Ladder(target, rungs)
+			// Split the same total budget across stages for a
+			// compute-fair comparison.
+			per := e.Scale.FTEpochs / len(ladder)
+			if per < 1 {
+				per = 1
+			}
+			_, err = core.ProgressiveFT(ctx, net, train, cfg, ladder, per)
+			return err
+		})
 		if err != nil {
 			return rows, err
 		}
@@ -85,18 +84,17 @@ func AblationResample(ctx context.Context, e *Env, ds string, rate float64) (Res
 
 	variant := func(perBatch bool) (clean, defect float64, err error) {
 		key := fmt.Sprintf("abl-resample-%s-%g-%v", ds, rate, perBatch)
-		net, err := e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-			func(net *nn.Network) error {
-				base, err := e.Pretrained(ctx, ds)
-				if err != nil {
-					return err
-				}
-				mustRestore(net, base)
-				cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
-				cfg.PerBatch = perBatch
-				_, err = core.OneShotFT(ctx, net, train, cfg, rate)
+		net, err := e.cached(key, ds, func(net *nn.Network) error {
+			base, err := e.Pretrained(ctx, ds)
+			if err != nil {
 				return err
-			})
+			}
+			mustRestore(net, base)
+			cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
+			cfg.PerBatch = perBatch
+			_, err = core.OneShotFT(ctx, net, train, cfg, rate)
+			return err
+		})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -134,11 +134,6 @@ func (e *Env) scaleHash() uint64 {
 	return h.Sum64()
 }
 
-// cached returns the model registered under key, training it with
-// train() (starting from build()) on a miss. Disk cache is consulted
-// when CacheDir is set; writes go through a temp file + rename so an
-// interrupt mid-write can never leave a corrupt cache entry, and a
-// canceled training run is never cached at all.
 // tierKey suffixes cache keys with the active numerics tier when it
 // is not exact: models trained under fast kernels must never be served
 // from (or poison) the exact cache, whose entries back byte-identity
@@ -150,7 +145,16 @@ func tierKey(key string) string {
 	return key
 }
 
-func (e *Env) cached(key string, build func() *nn.Network, train func(net *nn.Network) error) (*nn.Network, error) {
+// cacheSection names the one section of a cache file: an FTCK
+// container (internal/ckpt) holding the network's Snapshot.
+const cacheSection = "net"
+
+// cached returns the model registered under key, training it with
+// train() (starting from an untrained ds model) on a miss. The disk
+// cache is consulted when CacheDir is set. A file that fails any
+// check — CRC, section set, tensor shapes — is a miss that retrains;
+// writes are atomic, and a canceled training run is never cached.
+func (e *Env) cached(key, ds string, train func(net *nn.Network) error) (*nn.Network, error) {
 	key = tierKey(key)
 	if net, ok := e.nets[key]; ok {
 		return net, nil
@@ -158,11 +162,16 @@ func (e *Env) cached(key string, build func() *nn.Network, train func(net *nn.Ne
 	sink := e.sink()
 	path := ""
 	if e.CacheDir != "" {
-		path = filepath.Join(e.CacheDir, fmt.Sprintf("%s-%016x.gob", key, e.scaleHash()))
-		if f, err := os.Open(path); err == nil {
-			net := build()
-			err = net.Load(f)
-			f.Close()
+		path = filepath.Join(e.CacheDir, fmt.Sprintf("%s-%016x.ftck", key, e.scaleHash()))
+		if file, err := os.ReadFile(path); err == nil {
+			net := e.buildModel(ds)
+			sections, err := ckpt.Decode(file)
+			if err == nil {
+				err = ckpt.Expect(sections, cacheSection)
+			}
+			if err == nil {
+				err = net.Restore(sections[cacheSection])
+			}
 			if err == nil {
 				if sink.Enabled() {
 					sink.Emit(obs.Event{Kind: obs.KindCacheHit, Key: key})
@@ -173,7 +182,7 @@ func (e *Env) cached(key string, build func() *nn.Network, train func(net *nn.Ne
 			e.logf("cache for %s unreadable (%v); retraining", key, err)
 		}
 	}
-	net := build()
+	net := e.buildModel(ds)
 	if sink.Enabled() {
 		sink.Emit(obs.Event{Kind: obs.KindCacheMiss, Key: key})
 	}
@@ -193,28 +202,18 @@ func (e *Env) cached(key string, build func() *nn.Network, train func(net *nn.Ne
 	return net, nil
 }
 
-// writeCache persists net atomically: the gob is written to a temp
-// file in the cache directory and renamed into place only on success,
-// so readers never observe a truncated entry.
+// writeCache persists net with ckpt.WriteFile, so readers never observe
+// a torn entry. A failed write is logged; the run goes on uncached.
 func (e *Env) writeCache(path, key string, net *nn.Network) {
-	if err := os.MkdirAll(e.CacheDir, 0o755); err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return
-	}
-	err = net.Save(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	file, err := ckpt.Encode(map[string][]byte{cacheSection: net.Snapshot()})
+	if err == nil {
+		err = os.MkdirAll(e.CacheDir, 0o755)
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = ckpt.WriteFile(path, file)
 	}
 	if err != nil {
 		e.logf("cache write for %s failed: %v", key, err)
-		os.Remove(tmp)
 		return
 	}
 	if s := e.sink(); s.Enabled() {
@@ -263,11 +262,10 @@ func (e *Env) scenarioSuffix() string {
 func (e *Env) Pretrained(ctx context.Context, ds string) (*nn.Network, error) {
 	train, _ := e.Dataset(ds)
 	key := "pretrain-" + ds
-	return e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-		func(net *nn.Network) error {
-			_, err := core.Train(ctx, net, train, e.trainCfg(key, e.Scale.PretrainEpochs, e.Scale.LR, e.Scale.Seed))
-			return err
-		})
+	return e.cached(key, ds, func(net *nn.Network) error {
+		_, err := core.Train(ctx, net, train, e.trainCfg(key, e.Scale.PretrainEpochs, e.Scale.LR, e.Scale.Seed))
+		return err
+	})
 }
 
 // OneShot returns the one-shot stochastic FT model retrained from the
@@ -275,17 +273,16 @@ func (e *Env) Pretrained(ctx context.Context, ds string) (*nn.Network, error) {
 func (e *Env) OneShot(ctx context.Context, ds string, rate float64) (*nn.Network, error) {
 	train, _ := e.Dataset(ds)
 	key := fmt.Sprintf("oneshot-%s-%g%s", ds, rate, e.scenarioSuffix())
-	return e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-		func(net *nn.Network) error {
-			base, err := e.Pretrained(ctx, ds)
-			if err != nil {
-				return err
-			}
-			mustRestore(net, base)
-			cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
-			_, err = core.OneShotFT(ctx, net, train, cfg, rate)
+	return e.cached(key, ds, func(net *nn.Network) error {
+		base, err := e.Pretrained(ctx, ds)
+		if err != nil {
 			return err
-		})
+		}
+		mustRestore(net, base)
+		cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
+		_, err = core.OneShotFT(ctx, net, train, cfg, rate)
+		return err
+	})
 }
 
 // Progressive returns the progressive stochastic FT model retrained
@@ -293,18 +290,17 @@ func (e *Env) OneShot(ctx context.Context, ds string, rate float64) (*nn.Network
 func (e *Env) Progressive(ctx context.Context, ds string, rate float64) (*nn.Network, error) {
 	train, _ := e.Dataset(ds)
 	key := fmt.Sprintf("prog-%s-%g%s", ds, rate, e.scenarioSuffix())
-	return e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-		func(net *nn.Network) error {
-			base, err := e.Pretrained(ctx, ds)
-			if err != nil {
-				return err
-			}
-			mustRestore(net, base)
-			cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
-			ladder := core.Ladder(rate, e.Scale.ProgRungs)
-			_, err = core.ProgressiveFT(ctx, net, train, cfg, ladder, e.Scale.ProgEpochsPerStage)
+	return e.cached(key, ds, func(net *nn.Network) error {
+		base, err := e.Pretrained(ctx, ds)
+		if err != nil {
 			return err
-		})
+		}
+		mustRestore(net, base)
+		cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
+		ladder := core.Ladder(rate, e.Scale.ProgRungs)
+		_, err = core.ProgressiveFT(ctx, net, train, cfg, ladder, e.Scale.ProgEpochsPerStage)
+		return err
+	})
 }
 
 // PrunedMagnitude returns the one-shot magnitude-pruned (and
@@ -312,17 +308,16 @@ func (e *Env) Progressive(ctx context.Context, ds string, rate float64) (*nn.Net
 func (e *Env) PrunedMagnitude(ctx context.Context, ds string, sparsity float64) (*nn.Network, error) {
 	train, _ := e.Dataset(ds)
 	key := fmt.Sprintf("mag-%s-%g", ds, sparsity)
-	return e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-		func(net *nn.Network) error {
-			base, err := e.Pretrained(ctx, ds)
-			if err != nil {
-				return err
-			}
-			mustRestore(net, base)
-			prune.MagnitudePrune(net.WeightParams(), sparsity, false)
-			_, err = core.Train(ctx, net, train, e.trainCfg(key, e.Scale.FinetuneEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key)))
+	return e.cached(key, ds, func(net *nn.Network) error {
+		base, err := e.Pretrained(ctx, ds)
+		if err != nil {
 			return err
-		})
+		}
+		mustRestore(net, base)
+		prune.MagnitudePrune(net.WeightParams(), sparsity, false)
+		_, err = core.Train(ctx, net, train, e.trainCfg(key, e.Scale.FinetuneEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key)))
+		return err
+	})
 }
 
 // PrunedADMM returns the ADMM-pruned (and fine-tuned) model at the
@@ -330,24 +325,23 @@ func (e *Env) PrunedMagnitude(ctx context.Context, ds string, sparsity float64) 
 func (e *Env) PrunedADMM(ctx context.Context, ds string, sparsity float64) (*nn.Network, error) {
 	train, _ := e.Dataset(ds)
 	key := fmt.Sprintf("admm-%s-%g", ds, sparsity)
-	return e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-		func(net *nn.Network) error {
-			base, err := e.Pretrained(ctx, ds)
-			if err != nil {
-				return err
-			}
-			mustRestore(net, base)
-			admm := prune.NewADMM(net.WeightParams(), sparsity, e.Scale.ADMMRho)
-			cfg := e.trainCfg(key+".admm", e.Scale.ADMMEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
-			cfg.ADMM = admm
-			cfg.ADMMInterval = 2
-			if _, err := core.Train(ctx, net, train, cfg); err != nil {
-				return err
-			}
-			admm.Finalize()
-			_, err = core.Train(ctx, net, train, e.trainCfg(key+".ft", e.Scale.FinetuneEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key)+1))
+	return e.cached(key, ds, func(net *nn.Network) error {
+		base, err := e.Pretrained(ctx, ds)
+		if err != nil {
 			return err
-		})
+		}
+		mustRestore(net, base)
+		admm := prune.NewADMM(net.WeightParams(), sparsity, e.Scale.ADMMRho)
+		cfg := e.trainCfg(key+".admm", e.Scale.ADMMEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
+		cfg.ADMM = admm
+		cfg.ADMMInterval = 2
+		if _, err := core.Train(ctx, net, train, cfg); err != nil {
+			return err
+		}
+		admm.Finalize()
+		_, err = core.Train(ctx, net, train, e.trainCfg(key+".ft", e.Scale.FinetuneEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key)+1))
+		return err
+	})
 }
 
 // PrunedFT returns the ADMM-pruned model after stochastic FT
@@ -360,21 +354,20 @@ func (e *Env) PrunedFT(ctx context.Context, ds string, sparsity, rate float64, p
 		method = "prog"
 	}
 	key := fmt.Sprintf("admmft-%s-%g-%s-%g%s", ds, sparsity, method, rate, e.scenarioSuffix())
-	return e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-		func(net *nn.Network) error {
-			base, err := e.PrunedADMM(ctx, ds, sparsity)
-			if err != nil {
-				return err
-			}
-			mustRestore(net, base)
-			cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
-			if progressive {
-				_, err = core.ProgressiveFT(ctx, net, train, cfg, core.Ladder(rate, e.Scale.ProgRungs), e.Scale.ProgEpochsPerStage)
-			} else {
-				_, err = core.OneShotFT(ctx, net, train, cfg, rate)
-			}
+	return e.cached(key, ds, func(net *nn.Network) error {
+		base, err := e.PrunedADMM(ctx, ds, sparsity)
+		if err != nil {
 			return err
-		})
+		}
+		mustRestore(net, base)
+		cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
+		if progressive {
+			_, err = core.ProgressiveFT(ctx, net, train, cfg, core.Ladder(rate, e.Scale.ProgRungs), e.Scale.ProgEpochsPerStage)
+		} else {
+			_, err = core.OneShotFT(ctx, net, train, cfg, rate)
+		}
+		return err
+	})
 }
 
 // DropConnect returns the drop-connect FT model retrained from the
@@ -384,18 +377,17 @@ func (e *Env) PrunedFT(ctx context.Context, ds string, sparsity, rate float64, p
 func (e *Env) DropConnect(ctx context.Context, ds string, drop float64) (*nn.Network, error) {
 	train, _ := e.Dataset(ds)
 	key := fmt.Sprintf("dropconnect-%s-%g", ds, drop)
-	return e.cached(key, func() *nn.Network { return e.buildModel(ds) },
-		func(net *nn.Network) error {
-			base, err := e.Pretrained(ctx, ds)
-			if err != nil {
-				return err
-			}
-			mustRestore(net, base)
-			cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
-			cfg.Scenario = nil // DropConnectFT installs the drop scenario
-			_, err = core.DropConnectFT(ctx, net, train, cfg, drop)
+	return e.cached(key, ds, func(net *nn.Network) error {
+		base, err := e.Pretrained(ctx, ds)
+		if err != nil {
 			return err
-		})
+		}
+		mustRestore(net, base)
+		cfg := e.trainCfg(key, e.Scale.FTEpochs, e.Scale.FTLR, e.Scale.Seed+hash64(key))
+		cfg.Scenario = nil // DropConnectFT installs the drop scenario
+		_, err = core.DropConnectFT(ctx, net, train, cfg, drop)
+		return err
+	})
 }
 
 // DefectEval returns the evaluation protocol at this scale, under the

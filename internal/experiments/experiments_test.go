@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,7 +92,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := NewEnv("quick", dir, nil)
 	n1 := pretrained(t, e1, "c10")
-	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.ftck"))
 	if len(files) != 1 {
 		t.Fatalf("expected one cache file, got %v", files)
 	}
@@ -112,7 +113,7 @@ func TestDiskCacheInvalidatedByScaleChange(t *testing.T) {
 	e2 := NewEnv("quick", dir, nil)
 	e2.Scale.Seed++ // any scale change must miss the cache
 	pretrained(t, e2, "c10")
-	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.ftck"))
 	if len(files) != 2 {
 		t.Fatalf("expected two distinct cache files, got %v", files)
 	}
@@ -122,13 +123,76 @@ func TestDiskCacheCorruptFileRetrains(t *testing.T) {
 	dir := t.TempDir()
 	e1 := NewEnv("quick", dir, nil)
 	pretrained(t, e1, "c10")
-	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.gob"))
+	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.ftck"))
 	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	e2 := NewEnv("quick", dir, nil)
 	if pretrained(t, e2, "c10") == nil {
 		t.Fatal("corrupt cache must retrain, not fail")
+	}
+}
+
+// Every truncation and every single-bit flip of a cache file must be
+// a miss that retrains, never a load. Under a canceled context the
+// retrain returns at once, so Pretrained's error tells the two apart: a
+// load returns the network, a retrain the cancellation. The file is
+// damaged in place, one byte or one truncation at a time. Short mode
+// (the race leg) flips one bit per byte, bit i%8 of byte i.
+func TestDiskCacheRejectsEveryTruncationAndBitFlip(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEnv("smoke", dir, nil)
+	e.Scale.Width = 0.01 // the narrowest ResNet: the fewest bits to flip
+	pretrained(t, e, "c10")
+	files, _ := filepath.Glob(filepath.Join(dir, "*.ftck"))
+	if len(files) != 1 {
+		t.Fatalf("expected one cache file, got %v", files)
+	}
+	good, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(files[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	canceled, cancel := context.WithCancel(bg)
+	cancel()
+	loads := func() bool {
+		e.nets = map[string]*nn.Network{}
+		_, err := e.Pretrained(canceled, "c10")
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("Pretrained: %v", err)
+		}
+		return err == nil
+	}
+	if !loads() {
+		t.Fatal("an intact cache file must load")
+	}
+	for i := range good {
+		for bit := 0; bit < 8; bit++ {
+			if testing.Short() && bit != i%8 {
+				continue
+			}
+			if _, err := f.WriteAt([]byte{good[i] ^ 1<<bit}, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if loads() {
+				t.Fatalf("bit flip at byte %d bit %d loaded", i, bit)
+			}
+		}
+		if _, err := f.WriteAt(good[i:i+1], int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := len(good) - 1; n >= 0; n-- {
+		if err := f.Truncate(int64(n)); err != nil {
+			t.Fatal(err)
+		}
+		if loads() {
+			t.Fatalf("truncation to %d/%d bytes loaded", n, len(good))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ftpim/ftpim/internal/tensor"
 )
@@ -71,6 +72,21 @@ func (dm *DeviceMap) NumFaults() int {
 		n += len(fs)
 	}
 	return n
+}
+
+// Check reports an error unless tensors match, in count and in every
+// shape, the tensors the map was drawn for. Apply panics on a mismatch;
+// callers holding a profile read from disk call Check first.
+func (dm *DeviceMap) Check(tensors []*tensor.Tensor) error {
+	if len(tensors) != len(dm.shapes) {
+		return fmt.Errorf("fault: device map covers %d tensors, model has %d", len(dm.shapes), len(tensors))
+	}
+	for ti, t := range tensors {
+		if !slices.Equal(t.Shape(), dm.shapes[ti]) {
+			return fmt.Errorf("fault: device map tensor %d has shape %v, model has %v", ti, dm.shapes[ti], t.Shape())
+		}
+	}
+	return nil
 }
 
 // Apply pins the device's defects onto the given tensors (which must

@@ -7,44 +7,27 @@ import (
 	"github.com/ftpim/ftpim/internal/tensor"
 )
 
-func deviceMapBytes(dm *DeviceMap) []byte {
-	var buf bytes.Buffer
-	if err := dm.Save(&buf); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzLoadDeviceMap feeds arbitrary bytes to the profile decoder: it
-// must reject or accept without panicking, and accepted maps must
-// survive a save/load/save round-trip unchanged.
+// must reject or accept without panicking, and an accepted profile must
+// re-encode to exactly the input.
 func FuzzLoadDeviceMap(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
+	f.Add([]byte("not a device profile"))
 	r := tensor.NewRNG(3)
 	ts := []*tensor.Tensor{tensor.New(6, 9), tensor.New(20)}
 	for _, t := range ts {
 		tensor.FillNormal(t, r, 0, 1)
 	}
-	f.Add(deviceMapBytes(DrawDeviceMap(r.Stream("a"), ChenModel(), ts, 0.1)))
-	f.Add(deviceMapBytes(DrawDeviceMap(r.Stream("b"), Uniform(), ts, 0)))
+	f.Add(DrawDeviceMap(r.Stream("a"), ChenModel(), ts, 0.1).Encode())
+	f.Add(DrawDeviceMap(r.Stream("b"), Uniform(), ts, 0).Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dm, err := LoadDeviceMap(bytes.NewReader(data))
+		dm, err := DecodeDeviceMap(data)
 		if err != nil {
 			return
 		}
-		b1 := deviceMapBytes(dm)
-		dm2, err := LoadDeviceMap(bytes.NewReader(b1))
-		if err != nil {
-			t.Fatalf("re-load of accepted map failed: %v", err)
-		}
-		if dm2.NumFaults() != dm.NumFaults() || dm2.Psa != dm.Psa {
-			t.Fatalf("round-trip changed map: %d/%g vs %d/%g",
-				dm2.NumFaults(), dm2.Psa, dm.NumFaults(), dm.Psa)
-		}
-		if !bytes.Equal(b1, deviceMapBytes(dm2)) {
-			t.Fatal("device-map serialization is not stable")
+		if re := dm.Encode(); !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
 		}
 	})
 }
@@ -111,7 +94,7 @@ func FuzzDeviceMapRoundTrip(f *testing.F) {
 		ts := []*tensor.Tensor{w1, w2}
 
 		dm := DrawDeviceMap(r.Stream("draw"), ChenModel(), ts, psa)
-		loaded, err := LoadDeviceMap(bytes.NewReader(deviceMapBytes(dm)))
+		loaded, err := DecodeDeviceMap(dm.Encode())
 		if err != nil {
 			t.Fatalf("load of freshly saved map failed: %v", err)
 		}

@@ -12,11 +12,7 @@ func TestDeviceMapSaveLoadRoundTrip(t *testing.T) {
 	ts := randTensors(r, 300, 70)
 	dm := DrawDeviceMap(r.Stream("dev"), ChenModel(), ts, 0.08)
 
-	var buf bytes.Buffer
-	if err := dm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dm2, err := LoadDeviceMap(&buf)
+	dm2, err := DecodeDeviceMap(dm.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +34,7 @@ func TestDeviceMapSaveLoadEmpty(t *testing.T) {
 	r := tensor.NewRNG(32)
 	ts := randTensors(r, 50)
 	dm := DrawDeviceMap(r.Stream("dev"), ChenModel(), ts, 0) // no faults
-	var buf bytes.Buffer
-	if err := dm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dm2, err := LoadDeviceMap(&buf)
+	dm2, err := DecodeDeviceMap(dm.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +44,9 @@ func TestDeviceMapSaveLoadEmpty(t *testing.T) {
 	dm2.Apply(ts).Undo() // and still apply cleanly
 }
 
-// Serialize→deserialize→serialize must be a byte-identical fixed
-// point: archived defect profiles can be re-saved (e.g. migrated or
-// checkpointed) without ever drifting from the station's original
-// measurement.
+// Encode→decode→encode must be a byte-identical fixed point: archived
+// defect profiles can be re-saved (e.g. migrated or checkpointed)
+// without ever drifting from the station's original measurement.
 func TestDeviceMapSerializeFixedPoint(t *testing.T) {
 	for _, tc := range []struct {
 		seed  uint64
@@ -71,49 +62,53 @@ func TestDeviceMapSerializeFixedPoint(t *testing.T) {
 		ts := randTensors(r, tc.sizes...)
 		dm := DrawDeviceMap(r.Stream("dev"), ChenModel(), ts, tc.rate)
 
-		var b1 bytes.Buffer
-		if err := dm.Save(&b1); err != nil {
-			t.Fatal(err)
-		}
-		dm2, err := LoadDeviceMap(bytes.NewReader(b1.Bytes()))
+		b1 := dm.Encode()
+		dm2, err := DecodeDeviceMap(b1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b2 bytes.Buffer
-		if err := dm2.Save(&b2); err != nil {
-			t.Fatal(err)
+		if b2 := dm2.Encode(); !bytes.Equal(b1, b2) {
+			t.Fatalf("seed=%d rate=%v: encode∘decode∘encode changed the encoding (%d vs %d bytes)",
+				tc.seed, tc.rate, len(b1), len(b2))
 		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatalf("seed=%d rate=%v: save∘load∘save changed the encoding (%d vs %d bytes)",
-				tc.seed, tc.rate, b1.Len(), b2.Len())
+	}
+}
+
+// A profile comes from outside the program: every truncation and every
+// single-bit flip of a valid one must be an error, never a different
+// map.
+func TestDecodeDeviceMapRejectsEveryTruncationAndBitFlip(t *testing.T) {
+	r := tensor.NewRNG(45)
+	ts := []*tensor.Tensor{tensor.New(4, 5), tensor.New(6)}
+	for _, x := range ts {
+		tensor.FillNormal(x, r, 0, 1)
+	}
+	b := DrawDeviceMap(r.Stream("dev"), ChenModel(), ts, 0.3).Encode()
+	for n := 0; n < len(b); n++ {
+		if _, err := DecodeDeviceMap(b[:n]); err == nil {
+			t.Fatalf("truncation to %d/%d bytes decoded", n, len(b))
 		}
-		// One more round for good measure: the loaded-and-resaved bytes
-		// must themselves be a fixed point.
-		dm3, err := LoadDeviceMap(bytes.NewReader(b2.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b3 bytes.Buffer
-		if err := dm3.Save(&b3); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b2.Bytes(), b3.Bytes()) {
-			t.Fatalf("seed=%d rate=%v: second round trip not byte-identical", tc.seed, tc.rate)
+	}
+	for i := range b {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), b...)
+			mut[i] ^= 1 << bit
+			if _, err := DecodeDeviceMap(mut); err == nil {
+				t.Fatalf("bit flip at byte %d bit %d decoded", i, bit)
+			}
 		}
 	}
 }
 
 func TestLoadDeviceMapGarbage(t *testing.T) {
-	if _, err := LoadDeviceMap(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if _, err := DecodeDeviceMap([]byte("not a device profile")); err == nil {
 		t.Fatal("expected error on garbage")
 	}
 }
 
 func TestLoadDeviceMapOutOfRangeIndex(t *testing.T) {
-	// Hand-craft a wire struct with a bad index via the public API:
-	// save a valid map, then corrupt the payload is brittle; instead
-	// encode a wire with the same gob type name through Save's path by
-	// constructing a DeviceMap whose shape shrank.
+	// Encode does not validate, so a map whose shape shrank after the
+	// draw encodes fault indices the decoder must refuse.
 	r := tensor.NewRNG(33)
 	ts := randTensors(r, 100)
 	dm := DrawDeviceMap(r.Stream("dev"), ChenModel(), ts, 0.2)
@@ -121,11 +116,39 @@ func TestLoadDeviceMapOutOfRangeIndex(t *testing.T) {
 		t.Skip("no faults drawn")
 	}
 	dm.shapes[0] = []int{1} // pretend the tensor is tiny
-	var buf bytes.Buffer
-	if err := dm.Save(&buf); err != nil {
+	if _, err := DecodeDeviceMap(dm.Encode()); err == nil {
+		t.Fatal("expected out-of-range index error")
+	}
+}
+
+// Mask allocates one byte per element of a profile's shape, so the
+// decoder bounds rank and element count before anything trusts them.
+func TestDecodeDeviceMapBoundsShapes(t *testing.T) {
+	for _, shape := range [][]int{
+		{1 << 12, 1 << 12, 1 << 12}, // 2^36 elements
+		{1, 1, 1, 1, 1, 1, 1, 1, 1}, // rank 9
+	} {
+		dm := &DeviceMap{Psa: 0.1, shapes: [][]int{shape}, faults: [][]pinnedFault{nil}}
+		if _, err := DecodeDeviceMap(dm.Encode()); err == nil {
+			t.Fatalf("shape %v decoded", shape)
+		}
+	}
+}
+
+func TestDeviceMapCheck(t *testing.T) {
+	r := tensor.NewRNG(46)
+	ts := randTensors(r, 12, 7)
+	dm := DrawDeviceMap(r.Stream("dev"), ChenModel(), ts, 0.1)
+	if err := dm.Check(ts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDeviceMap(&buf); err == nil {
-		t.Fatal("expected out-of-range index error")
+	for _, other := range [][]*tensor.Tensor{
+		ts[:1],                        // fewer tensors
+		{ts[0], tensor.New(7, 1)},     // same size, different shape
+		{ts[0], ts[1], tensor.New(3)}, // more tensors
+	} {
+		if err := dm.Check(other); err == nil {
+			t.Fatalf("Check accepted %d mismatched tensors", len(other))
+		}
 	}
 }

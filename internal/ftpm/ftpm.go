@@ -74,36 +74,18 @@ type Meta struct {
 	Created  string  `json:"created,omitempty"`   // RFC 3339, informational
 }
 
-// archLayer is one layer of the topology, the in-memory form of one
-// arch-section record. Blob offsets are not stored: decode derives
-// them from the dims, walking each blob with a cursor in layer order.
-type archLayer struct {
-	Kind   string
-	InC    int
-	OutC   int
-	KH     int
-	KW     int
-	Stride int
-	Pad    int
-	In     int
-	Out    int
-	C      int
-	Bias   bool
-	XScale float32
-	// Sub is a residual block's internal sequence: conv, bn, conv, bn.
-	Sub []archLayer
-}
-
 // The arch section is a fixed little-endian binary encoding rather
 // than JSON: cold start is the format's reason to exist, and profiling
 // showed reflective JSON decoding of the layer list dominating Load
 // (~75% of its time on a ResNet-20). Layout: u32 layer count, then per
 // layer a kind byte followed by that kind's fields (u32 dims, a 0/1
 // bias byte, f32 activation scale; blocks carry a sub-count byte and
-// nested records). The encoding is canonical — exactly one byte string
-// per network — which the loader enforces (bias bytes must be 0 or 1,
-// sub-count must be 4, no trailing bytes) so decode∘encode stays the
-// identity the fuzz harness pins.
+// nested records). Blob offsets are not stored: decode derives them
+// from the dims, walking each blob with a cursor in layer order. The
+// encoding is canonical — exactly one byte string per network — which
+// the loader enforces (bias bytes must be 0 or 1, sub-count must be 4,
+// no trailing bytes) so decode∘encode stays the identity the fuzz
+// harness pins.
 const (
 	kindConv byte = iota + 1
 	kindLinear
@@ -115,61 +97,70 @@ const (
 	kindBlock
 )
 
-func marshalArch(layers []archLayer) ([]byte, error) {
-	dst := binary.LittleEndian.AppendUint32(nil, uint32(len(layers)))
-	var err error
-	for _, al := range layers {
-		if dst, err = appendArchLayer(dst, al); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
+// encoder accumulates the arch records and the consolidated blobs in
+// layer order.
+type encoder struct {
+	arch               []byte
+	weights            []int8
+	scales, biases, bn []float32
 }
 
-func appendArchLayer(dst []byte, al archLayer) ([]byte, error) {
-	switch al.Kind {
-	case "conv":
-		dst = append(dst, kindConv)
-		dst = appendU32s(dst, al.InC, al.OutC, al.KH, al.KW, al.Stride, al.Pad)
-		dst = append(dst, boolByte(al.Bias))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(al.XScale))
-	case "linear":
-		dst = append(dst, kindLinear)
-		dst = appendU32s(dst, al.In, al.Out)
-		dst = append(dst, boolByte(al.Bias))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(al.XScale))
-	case "bn":
-		dst = append(dst, kindBN)
-		dst = appendU32s(dst, al.C)
-	case "relu":
-		dst = append(dst, kindReLU)
-	case "gap":
-		dst = append(dst, kindGAP)
-	case "flatten":
-		dst = append(dst, kindFlatten)
-	case "identity":
-		dst = append(dst, kindIdentity)
-	case "block":
-		dst = append(dst, kindBlock)
-		dst = appendU32s(dst, al.InC, al.OutC, al.Stride)
-		dst = append(dst, byte(len(al.Sub)))
-		var err error
-		for _, sl := range al.Sub {
-			if dst, err = appendArchLayer(dst, sl); err != nil {
-				return nil, err
+func (e *encoder) u32s(vs ...int) {
+	for _, v := range vs {
+		e.arch = binary.LittleEndian.AppendUint32(e.arch, uint32(v))
+	}
+}
+
+// gemm writes a conv or linear record after its kind byte and dims:
+// the bias flag and activation scale, with the weights, row scales and
+// bias appended to their blobs.
+func (e *encoder) gemm(what string, wq []int8, ws, bias []float32, xScale float32) error {
+	if xScale <= 0 {
+		return fmt.Errorf("ftpm: %s layer not calibrated (XScale=%v)", what, xScale)
+	}
+	e.arch = append(e.arch, boolByte(bias != nil))
+	e.arch = binary.LittleEndian.AppendUint32(e.arch, math.Float32bits(xScale))
+	e.weights = append(e.weights, wq...)
+	e.scales = append(e.scales, ws...)
+	e.biases = append(e.biases, bias...)
+	return nil
+}
+
+func (e *encoder) layer(l nn.QLayer) error {
+	switch t := l.(type) {
+	case *nn.QConv2D:
+		e.arch = append(e.arch, kindConv)
+		e.u32s(t.InC, t.OutC, t.KH, t.KW, t.Stride, t.Pad)
+		return e.gemm("conv", t.WQ, t.WScale, t.Bias, t.XScale)
+	case *nn.QLinear:
+		e.arch = append(e.arch, kindLinear)
+		e.u32s(t.In, t.Out)
+		return e.gemm("linear", t.WQ, t.WScale, t.Bias, t.XScale)
+	case *nn.QBatchNorm:
+		e.arch = append(e.arch, kindBN)
+		e.u32s(t.C)
+		e.bn = append(append(e.bn, t.Scale...), t.Shift...)
+	case *nn.QReLU:
+		e.arch = append(e.arch, kindReLU)
+	case *nn.QGlobalAvgPool:
+		e.arch = append(e.arch, kindGAP)
+	case *nn.QFlatten:
+		e.arch = append(e.arch, kindFlatten)
+	case nn.QIdentity, *nn.QIdentity:
+		e.arch = append(e.arch, kindIdentity)
+	case *nn.QBasicBlock:
+		e.arch = append(e.arch, kindBlock)
+		e.u32s(t.InC, t.OutC, t.Stride)
+		e.arch = append(e.arch, 4) // sub-layers: conv, bn, conv, bn
+		for _, inner := range []nn.QLayer{t.Conv1, t.BN1, t.Conv2, t.BN2} {
+			if err := e.layer(inner); err != nil {
+				return err
 			}
 		}
 	default:
-		return nil, fmt.Errorf("ftpm: unknown layer kind %q", al.Kind)
+		return fmt.Errorf("ftpm: unsupported layer type %T", l)
 	}
-	return dst, nil
-}
-
-func appendU32s(dst []byte, vs ...int) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
+	return nil
 }
 
 func boolByte(b bool) byte {
@@ -177,120 +168,6 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// archReader walks the arch section with a sticky truncation flag, so
-// record parsing reads straight through and checks once per layer.
-type archReader struct {
-	b    []byte
-	off  int
-	fail bool
-}
-
-func (r *archReader) u8() byte {
-	if r.off >= len(r.b) {
-		r.fail = true
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *archReader) u32() int {
-	if r.off+4 > len(r.b) {
-		r.fail = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return int(v)
-}
-
-func (r *archReader) f32() float32 {
-	return math.Float32frombits(uint32(r.u32()))
-}
-
-// bool reads a canonical 0/1 byte; any other value is corruption (and
-// would break the decode∘encode identity).
-func (r *archReader) bool() bool {
-	v := r.u8()
-	if v > 1 {
-		r.fail = true
-	}
-	return v == 1
-}
-
-func readArchLayer(r *archReader, allowBlock bool) (archLayer, error) {
-	var al archLayer
-	switch kind := r.u8(); kind {
-	case kindConv:
-		al = archLayer{Kind: "conv", InC: r.u32(), OutC: r.u32(), KH: r.u32(),
-			KW: r.u32(), Stride: r.u32(), Pad: r.u32(), Bias: r.bool(), XScale: r.f32()}
-	case kindLinear:
-		al = archLayer{Kind: "linear", In: r.u32(), Out: r.u32(), Bias: r.bool(), XScale: r.f32()}
-	case kindBN:
-		al = archLayer{Kind: "bn", C: r.u32()}
-	case kindReLU:
-		al = archLayer{Kind: "relu"}
-	case kindGAP:
-		al = archLayer{Kind: "gap"}
-	case kindFlatten:
-		al = archLayer{Kind: "flatten"}
-	case kindIdentity:
-		al = archLayer{Kind: "identity"}
-	case kindBlock:
-		if !allowBlock {
-			return al, fmt.Errorf("ftpm: nested block")
-		}
-		al = archLayer{Kind: "block", InC: r.u32(), OutC: r.u32(), Stride: r.u32()}
-		if n := r.u8(); !r.fail && n != 4 {
-			return al, fmt.Errorf("ftpm: block sub-count %d, want 4", n)
-		}
-		for i := 0; i < 4 && !r.fail; i++ {
-			sl, err := readArchLayer(r, false)
-			if err != nil {
-				return al, err
-			}
-			al.Sub = append(al.Sub, sl)
-		}
-	default:
-		return al, fmt.Errorf("ftpm: unknown layer kind %d", kind)
-	}
-	if r.fail {
-		return al, fmt.Errorf("ftpm: truncated arch section")
-	}
-	return al, nil
-}
-
-func unmarshalArch(b []byte) ([]archLayer, error) {
-	r := &archReader{b: b}
-	n := r.u32()
-	if r.fail || n < 1 || n > maxLayers {
-		return nil, fmt.Errorf("ftpm: implausible layer count %d", n)
-	}
-	layers := make([]archLayer, 0, n)
-	for i := 0; i < n; i++ {
-		al, err := readArchLayer(r, true)
-		if err != nil {
-			return nil, err
-		}
-		layers = append(layers, al)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("ftpm: %d trailing bytes in arch section", len(b)-r.off)
-	}
-	return layers, nil
-}
-
-// blobs accumulates the consolidated sections during encode and walks
-// them with cursors during decode.
-type blobs struct {
-	weights                 []int8
-	scales                  []float32
-	biases                  []float32
-	bn                      []float32
-	wOff, sOff, bOff, bnOff int
 }
 
 // Encode serializes a calibrated quantized network into one FTPM
@@ -304,83 +181,24 @@ func Encode(q *nn.QuantizedNetwork, meta Meta) ([]byte, error) {
 	if len(q.Layers) > maxLayers {
 		return nil, fmt.Errorf("ftpm: %d layers exceeds limit %d", len(q.Layers), maxLayers)
 	}
-	var layers []archLayer
-	var bl blobs
+	e := &encoder{arch: binary.LittleEndian.AppendUint32(nil, uint32(len(q.Layers)))}
 	for _, l := range q.Layers {
-		al, err := encodeLayer(l, &bl)
-		if err != nil {
+		if err := e.layer(l); err != nil {
 			return nil, err
 		}
-		layers = append(layers, al)
-	}
-	archBin, err := marshalArch(layers)
-	if err != nil {
-		return nil, err
 	}
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("ftpm: encode meta: %w", err)
 	}
 	return ckpt.EncodeContainer(format, map[string][]byte{
-		"arch":    archBin,
-		"weights": bytesOfS8(bl.weights),
-		"scales":  appendF32(nil, bl.scales),
-		"biases":  appendF32(nil, bl.biases),
-		"bn":      appendF32(nil, bl.bn),
+		"arch":    e.arch,
+		"weights": bytesOfS8(e.weights),
+		"scales":  appendF32(nil, e.scales),
+		"biases":  appendF32(nil, e.biases),
+		"bn":      appendF32(nil, e.bn),
 		"meta":    metaJSON,
 	})
-}
-
-func encodeLayer(l nn.QLayer, bl *blobs) (archLayer, error) {
-	switch t := l.(type) {
-	case *nn.QConv2D:
-		if t.XScale <= 0 {
-			return archLayer{}, fmt.Errorf("ftpm: conv layer not calibrated (XScale=%v)", t.XScale)
-		}
-		bl.weights = append(bl.weights, t.WQ...)
-		bl.scales = append(bl.scales, t.WScale...)
-		bl.biases = append(bl.biases, t.Bias...)
-		return archLayer{
-			Kind: "conv", InC: t.InC, OutC: t.OutC, KH: t.KH, KW: t.KW,
-			Stride: t.Stride, Pad: t.Pad, Bias: t.Bias != nil, XScale: t.XScale,
-		}, nil
-	case *nn.QLinear:
-		if t.XScale <= 0 {
-			return archLayer{}, fmt.Errorf("ftpm: linear layer not calibrated (XScale=%v)", t.XScale)
-		}
-		bl.weights = append(bl.weights, t.WQ...)
-		bl.scales = append(bl.scales, t.WScale...)
-		bl.biases = append(bl.biases, t.Bias...)
-		return archLayer{
-			Kind: "linear", In: t.In, Out: t.Out, Bias: t.Bias != nil, XScale: t.XScale,
-		}, nil
-	case *nn.QBatchNorm:
-		bl.bn = append(bl.bn, t.Scale...)
-		bl.bn = append(bl.bn, t.Shift...)
-		return archLayer{Kind: "bn", C: t.C}, nil
-	case *nn.QReLU:
-		return archLayer{Kind: "relu"}, nil
-	case *nn.QGlobalAvgPool:
-		return archLayer{Kind: "gap"}, nil
-	case *nn.QFlatten:
-		return archLayer{Kind: "flatten"}, nil
-	case nn.QIdentity, *nn.QIdentity:
-		return archLayer{Kind: "identity"}, nil
-	case *nn.QBasicBlock:
-		var sub []archLayer
-		for _, inner := range []nn.QLayer{t.Conv1, t.BN1, t.Conv2, t.BN2} {
-			al, err := encodeLayer(inner, bl)
-			if err != nil {
-				return archLayer{}, err
-			}
-			sub = append(sub, al)
-		}
-		return archLayer{
-			Kind: "block", InC: t.InC, OutC: t.OutC, Stride: t.Stride, Sub: sub,
-		}, nil
-	default:
-		return archLayer{}, fmt.Errorf("ftpm: unsupported layer type %T", l)
-	}
 }
 
 // Decode reconstructs the quantized network from one FTPM container.
@@ -392,57 +210,163 @@ func Decode(b []byte) (*nn.QuantizedNetwork, Meta, error) {
 	if err != nil {
 		return nil, meta, err
 	}
-	for _, name := range []string{"arch", "weights", "scales", "biases", "bn", "meta"} {
-		if _, ok := sections[name]; !ok {
-			return nil, meta, fmt.Errorf("ftpm: missing section %q", name)
-		}
-	}
-	if len(sections) != 6 {
-		return nil, meta, fmt.Errorf("ftpm: unexpected extra sections (%d, want 6)", len(sections))
+	if err := ckpt.Expect(sections, "arch", "weights", "scales", "biases", "bn", "meta"); err != nil {
+		return nil, meta, fmt.Errorf("ftpm: %w", err)
 	}
 	if err := json.Unmarshal(sections["meta"], &meta); err != nil {
 		return nil, meta, fmt.Errorf("ftpm: bad meta section: %w", err)
 	}
-	layers, err := unmarshalArch(sections["arch"])
-	if err != nil {
-		return nil, meta, err
-	}
-	bl := blobs{weights: int8sOf(sections["weights"])}
-	if bl.scales, err = decodeF32(sections["scales"]); err != nil {
+	d := &decoder{r: ckpt.NewReader(sections["arch"]), weights: int8sOf(sections["weights"])}
+	if d.scales, err = decodeF32(sections["scales"]); err != nil {
 		return nil, meta, fmt.Errorf("ftpm: scales section: %w", err)
 	}
-	if bl.biases, err = decodeF32(sections["biases"]); err != nil {
+	if d.biases, err = decodeF32(sections["biases"]); err != nil {
 		return nil, meta, fmt.Errorf("ftpm: biases section: %w", err)
 	}
-	if bl.bn, err = decodeF32(sections["bn"]); err != nil {
+	if d.bn, err = decodeF32(sections["bn"]); err != nil {
 		return nil, meta, fmt.Errorf("ftpm: bn section: %w", err)
 	}
-	q := &nn.QuantizedNetwork{Layers: make([]nn.QLayer, len(layers))}
-	for i, al := range layers {
-		ql, err := buildLayer(al, &bl, true)
-		if err != nil {
+	n := d.u32()
+	if n < 1 || n > maxLayers {
+		return nil, meta, fmt.Errorf("ftpm: implausible layer count %d", n)
+	}
+	q := &nn.QuantizedNetwork{Layers: make([]nn.QLayer, n)}
+	for i := range q.Layers {
+		if q.Layers[i], err = d.layer(true); err != nil {
 			return nil, meta, err
 		}
-		q.Layers[i] = ql
+	}
+	if err := d.r.Done(); err != nil {
+		return nil, meta, fmt.Errorf("ftpm: arch section: %w", err)
 	}
 	// Every blob must be fully consumed: leftover bytes mean the arch
 	// and the planes disagree, which is corruption, not slack.
-	if bl.wOff != len(bl.weights) || bl.sOff != len(bl.scales) ||
-		bl.bOff != len(bl.biases) || bl.bnOff != len(bl.bn) {
+	if d.wOff != len(d.weights) || d.sOff != len(d.scales) ||
+		d.bOff != len(d.biases) || d.bnOff != len(d.bn) {
 		return nil, meta, fmt.Errorf("ftpm: blob sizes disagree with arch (weights %d/%d, scales %d/%d, biases %d/%d, bn %d/%d)",
-			bl.wOff, len(bl.weights), bl.sOff, len(bl.scales), bl.bOff, len(bl.biases), bl.bnOff, len(bl.bn))
+			d.wOff, len(d.weights), d.sOff, len(d.scales), d.bOff, len(d.biases), d.bnOff, len(d.bn))
 	}
 	return q, meta, nil
 }
 
-// takeW/takeF advance a blob cursor, bounds-checked.
-func (bl *blobs) takeW(n int) ([]int8, error) {
-	if n < 0 || bl.wOff+n > len(bl.weights) {
-		return nil, fmt.Errorf("ftpm: weights blob exhausted (need %d at %d of %d)", n, bl.wOff, len(bl.weights))
+// decoder rebuilds layers from the arch section in one pass, walking
+// each blob with its own cursor. A truncated record fails the Reader
+// and reads as zeros, which the dimension checks or Decode's final
+// Done reject.
+type decoder struct {
+	r                       *ckpt.Reader
+	weights                 []int8
+	scales, biases, bn      []float32
+	wOff, sOff, bOff, bnOff int
+}
+
+func (d *decoder) u32() int { return int(d.r.U32()) }
+
+func (d *decoder) layer(allowBlock bool) (nn.QLayer, error) {
+	switch kind := d.r.U8(); kind {
+	case kindConv:
+		inC, outC, kh, kw, stride, pad := d.u32(), d.u32(), d.u32(), d.u32(), d.u32(), d.u32()
+		hasBias, xScale := d.r.Bool(), d.r.F32()
+		if !dimOK(inC, outC, kh, kw, stride) || pad < 0 || pad > maxDim {
+			return nil, fmt.Errorf("ftpm: implausible conv dims in=%d out=%d k=%dx%d stride=%d pad=%d", inC, outC, kh, kw, stride, pad)
+		}
+		wq, ws, bias, err := d.gemm("conv", outC, inC*kh*kw, hasBias, xScale)
+		if err != nil {
+			return nil, err
+		}
+		return nn.NewQConv2D(inC, outC, kh, kw, stride, pad, wq, ws, bias, xScale), nil
+	case kindLinear:
+		in, out := d.u32(), d.u32()
+		hasBias, xScale := d.r.Bool(), d.r.F32()
+		if !dimOK(in, out) {
+			return nil, fmt.Errorf("ftpm: implausible linear dims in=%d out=%d", in, out)
+		}
+		wq, ws, bias, err := d.gemm("linear", out, in, hasBias, xScale)
+		if err != nil {
+			return nil, err
+		}
+		return nn.NewQLinear(in, out, wq, ws, bias, xScale), nil
+	case kindBN:
+		c := d.u32()
+		if !dimOK(c) {
+			return nil, fmt.Errorf("ftpm: implausible bn channels %d", c)
+		}
+		scale, err := takeF(d.bn, &d.bnOff, c, "bn")
+		if err != nil {
+			return nil, err
+		}
+		shift, err := takeF(d.bn, &d.bnOff, c, "bn")
+		if err != nil {
+			return nil, err
+		}
+		return nn.NewQBatchNorm(scale, shift), nil
+	case kindReLU:
+		return nn.NewQReLU(), nil
+	case kindGAP:
+		return nn.NewQGlobalAvgPool(), nil
+	case kindFlatten:
+		return nn.NewQFlatten(), nil
+	case kindIdentity:
+		return nn.NewQIdentity(), nil
+	case kindBlock:
+		if !allowBlock {
+			return nil, fmt.Errorf("ftpm: nested block")
+		}
+		inC, outC, stride := d.u32(), d.u32(), d.u32()
+		if n := d.r.U8(); n != 4 {
+			return nil, fmt.Errorf("ftpm: block sub-count %d, want 4", n)
+		}
+		if !dimOK(inC, outC, stride) {
+			return nil, fmt.Errorf("ftpm: implausible block dims in=%d out=%d stride=%d", inC, outC, stride)
+		}
+		var parts [4]nn.QLayer
+		for i := range parts {
+			var err error
+			if parts[i], err = d.layer(false); err != nil {
+				return nil, err
+			}
+		}
+		conv1, ok1 := parts[0].(*nn.QConv2D)
+		bn1, ok2 := parts[1].(*nn.QBatchNorm)
+		conv2, ok3 := parts[2].(*nn.QConv2D)
+		bn2, ok4 := parts[3].(*nn.QBatchNorm)
+		if !ok1 || !ok2 || !ok3 || !ok4 {
+			return nil, fmt.Errorf("ftpm: block must contain conv,bn,conv,bn")
+		}
+		return nn.NewQBasicBlock(conv1, bn1, conv2, bn2, inC, outC, stride), nil
+	default:
+		return nil, fmt.Errorf("ftpm: unknown layer kind %d", kind)
 	}
-	s := bl.weights[bl.wOff : bl.wOff+n]
-	bl.wOff += n
-	return s, nil
+}
+
+// gemm checks a conv or linear layer's activation scale and takes its
+// weights, per-row scales and optional bias from the blobs.
+func (d *decoder) gemm(what string, rows, cols int, hasBias bool, xScale float32) (wq []int8, ws, bias []float32, err error) {
+	if !scaleOK(xScale) {
+		return nil, nil, nil, fmt.Errorf("ftpm: %s activation scale %v out of range", what, xScale)
+	}
+	// rows ≤ maxDim and cols ≤ maxDim³: compare before multiplying,
+	// which could overflow.
+	if cols > (len(d.weights)-d.wOff)/rows {
+		return nil, nil, nil, fmt.Errorf("ftpm: weights blob exhausted (need %d×%d at %d of %d)", rows, cols, d.wOff, len(d.weights))
+	}
+	n := rows * cols
+	wq = d.weights[d.wOff : d.wOff+n]
+	d.wOff += n
+	if ws, err = takeF(d.scales, &d.sOff, rows, "scales"); err != nil {
+		return nil, nil, nil, err
+	}
+	if hasBias {
+		if bias, err = takeF(d.biases, &d.bOff, rows, "biases"); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	for _, s := range ws {
+		if !scaleOK(s) {
+			return nil, nil, nil, fmt.Errorf("ftpm: %s weight scale %v out of range", what, s)
+		}
+	}
+	return wq, ws, bias, nil
 }
 
 func takeF(buf []float32, off *int, n int, what string) ([]float32, error) {
@@ -468,113 +392,7 @@ func scaleOK(s float32) bool {
 	return s > 0 && !math.IsInf(float64(s), 0) && !math.IsNaN(float64(s))
 }
 
-func buildLayer(al archLayer, bl *blobs, allowBlock bool) (nn.QLayer, error) {
-	switch al.Kind {
-	case "conv":
-		if !dimOK(al.InC, al.OutC, al.KH, al.KW, al.Stride) || al.Pad < 0 || al.Pad > maxDim {
-			return nil, fmt.Errorf("ftpm: implausible conv dims %+v", al)
-		}
-		if !scaleOK(al.XScale) {
-			return nil, fmt.Errorf("ftpm: conv activation scale %v out of range", al.XScale)
-		}
-		k := al.InC * al.KH * al.KW
-		wq, err := bl.takeW(al.OutC * k)
-		if err != nil {
-			return nil, err
-		}
-		ws, err := takeF(bl.scales, &bl.sOff, al.OutC, "scales")
-		if err != nil {
-			return nil, err
-		}
-		var bias []float32
-		if al.Bias {
-			if bias, err = takeF(bl.biases, &bl.bOff, al.OutC, "biases"); err != nil {
-				return nil, err
-			}
-		}
-		for _, s := range ws {
-			if !scaleOK(s) {
-				return nil, fmt.Errorf("ftpm: conv weight scale %v out of range", s)
-			}
-		}
-		return nn.NewQConv2D(al.InC, al.OutC, al.KH, al.KW, al.Stride, al.Pad, wq, ws, bias, al.XScale), nil
-	case "linear":
-		if !dimOK(al.In, al.Out) {
-			return nil, fmt.Errorf("ftpm: implausible linear dims %+v", al)
-		}
-		if !scaleOK(al.XScale) {
-			return nil, fmt.Errorf("ftpm: linear activation scale %v out of range", al.XScale)
-		}
-		wq, err := bl.takeW(al.Out * al.In)
-		if err != nil {
-			return nil, err
-		}
-		ws, err := takeF(bl.scales, &bl.sOff, al.Out, "scales")
-		if err != nil {
-			return nil, err
-		}
-		var bias []float32
-		if al.Bias {
-			if bias, err = takeF(bl.biases, &bl.bOff, al.Out, "biases"); err != nil {
-				return nil, err
-			}
-		}
-		for _, s := range ws {
-			if !scaleOK(s) {
-				return nil, fmt.Errorf("ftpm: linear weight scale %v out of range", s)
-			}
-		}
-		return nn.NewQLinear(al.In, al.Out, wq, ws, bias, al.XScale), nil
-	case "bn":
-		if !dimOK(al.C) {
-			return nil, fmt.Errorf("ftpm: implausible bn channels %d", al.C)
-		}
-		scale, err := takeF(bl.bn, &bl.bnOff, al.C, "bn")
-		if err != nil {
-			return nil, err
-		}
-		shift, err := takeF(bl.bn, &bl.bnOff, al.C, "bn")
-		if err != nil {
-			return nil, err
-		}
-		return nn.NewQBatchNorm(scale, shift), nil
-	case "relu":
-		return nn.NewQReLU(), nil
-	case "gap":
-		return nn.NewQGlobalAvgPool(), nil
-	case "flatten":
-		return nn.NewQFlatten(), nil
-	case "identity":
-		return nn.NewQIdentity(), nil
-	case "block":
-		if !allowBlock {
-			return nil, fmt.Errorf("ftpm: nested block")
-		}
-		if !dimOK(al.InC, al.OutC, al.Stride) {
-			return nil, fmt.Errorf("ftpm: implausible block dims %+v", al)
-		}
-		if len(al.Sub) != 4 || al.Sub[0].Kind != "conv" || al.Sub[1].Kind != "bn" ||
-			al.Sub[2].Kind != "conv" || al.Sub[3].Kind != "bn" {
-			return nil, fmt.Errorf("ftpm: block must contain conv,bn,conv,bn")
-		}
-		parts := make([]nn.QLayer, 4)
-		for i, sl := range al.Sub {
-			p, err := buildLayer(sl, bl, false)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = p
-		}
-		return nn.NewQBasicBlock(
-			parts[0].(*nn.QConv2D), parts[1].(*nn.QBatchNorm),
-			parts[2].(*nn.QConv2D), parts[3].(*nn.QBatchNorm),
-			al.InC, al.OutC, al.Stride), nil
-	default:
-		return nil, fmt.Errorf("ftpm: unknown layer kind %q", al.Kind)
-	}
-}
-
-// Save writes the network to path via temp-file+rename, so a crash
+// Save writes the network to path with ckpt.WriteFile, so a crash
 // mid-export leaves either the old file or the new one, never a torn
 // model.
 func Save(path string, q *nn.QuantizedNetwork, meta Meta) error {
@@ -582,15 +400,7 @@ func Save(path string, q *nn.QuantizedNetwork, meta Meta) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return ckpt.WriteFile(path, data)
 }
 
 // Model is a loaded FTPM file: the reconstructed network plus the

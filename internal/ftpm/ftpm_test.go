@@ -2,11 +2,14 @@ package ftpm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"unsafe"
 
+	"github.com/ftpim/ftpim/internal/ckpt"
 	"github.com/ftpim/ftpim/internal/nn"
 	"github.com/ftpim/ftpim/internal/tensor"
 )
@@ -246,5 +249,32 @@ func TestEncodeRejectsUncalibrated(t *testing.T) {
 	}
 	if _, err := Encode(&nn.QuantizedNetwork{}, Meta{}); err == nil {
 		t.Fatal("empty network accepted")
+	}
+}
+
+// A conv record whose four dims are each at the 2^16 bound has a weight
+// count of 2^64, which wraps to 0 in int arithmetic: the decoder must
+// reject it for lack of weights, not accept an empty weight plane.
+func TestDecodeRejectsOverflowingConvDims(t *testing.T) {
+	arch := binary.LittleEndian.AppendUint32(nil, 1)
+	arch = append(arch, kindConv)
+	for _, d := range []uint32{maxDim, maxDim, maxDim, maxDim, 1, 0} { // in, out, kh, kw, stride, pad
+		arch = binary.LittleEndian.AppendUint32(arch, d)
+	}
+	arch = append(arch, 0) // no bias
+	arch = binary.LittleEndian.AppendUint32(arch, math.Float32bits(1))
+	scales := make([]float32, maxDim)
+	for i := range scales {
+		scales[i] = 1
+	}
+	b, err := ckpt.EncodeContainer(format, map[string][]byte{
+		"arch": arch, "weights": nil, "scales": appendF32(nil, scales),
+		"biases": nil, "bn": nil, "meta": []byte("{}"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decode(b); err == nil {
+		t.Fatal("decoded a conv with 2^64 weights from an empty weights blob")
 	}
 }

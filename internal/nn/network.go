@@ -1,23 +1,19 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"github.com/ftpim/ftpim/internal/tensor"
 )
 
 // Network wraps a layer stack with the bookkeeping a training loop
-// needs: parameter access, gradient clearing, and full state
-// (de)serialization including batch-norm running statistics and pruning
-// masks.
+// needs: parameter access, gradient clearing, and full state snapshots
+// including batch-norm running statistics and pruning masks.
 type Network struct {
 	Body *Sequential
 
 	// params caches the flattened parameter list. Layer topology is
-	// fixed after construction, and Load mutates parameter tensors in
+	// fixed after construction, and Restore mutates parameter tensors in
 	// place (pointer identity is stable), so the cache never goes stale.
 	params []*Param
 }
@@ -122,86 +118,63 @@ func (n *Network) BatchNorms() []*BatchNorm2D {
 	return bns
 }
 
-// netState is the gob wire format for a network's learnable state.
-// gob cannot encode nil pointers, so mask presence is tracked
-// explicitly and only non-nil masks travel on the wire.
-type netState struct {
-	Params  []*tensor.Tensor
-	HasMask []bool
-	Masks   []*tensor.Tensor // non-nil masks only, in param order
-	BNMean  []*tensor.Tensor
-	BNVar   []*tensor.Tensor
-}
-
-// Save serializes all weights, masks, and batch-norm running stats.
-// The architecture itself is not saved; Load must be called on a
-// network of identical construction.
-func (n *Network) Save(w io.Writer) error {
-	st := netState{}
+// state lists the tensors a snapshot holds: each parameter followed by
+// its pruning mask (nil when dense), then each batch norm's running
+// mean and variance.
+func (n *Network) state() []*tensor.Tensor {
+	var list []*tensor.Tensor
 	for _, p := range n.Params() {
-		st.Params = append(st.Params, p.W)
-		st.HasMask = append(st.HasMask, p.Mask != nil)
-		if p.Mask != nil {
-			st.Masks = append(st.Masks, p.Mask)
-		}
+		list = append(list, p.W, p.Mask)
 	}
 	for _, bn := range n.BatchNorms() {
 		m, v := bn.Stats()
-		st.BNMean = append(st.BNMean, m)
-		st.BNVar = append(st.BNVar, v)
+		list = append(list, m, v)
 	}
-	return gob.NewEncoder(w).Encode(&st)
+	return list
 }
 
-// Load restores state previously written by Save into a structurally
-// identical network.
-func (n *Network) Load(r io.Reader) error {
-	var st netState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return err
+// Snapshot returns the network's learnable state as one tensor list
+// (tensor.AppendTensors). The architecture is not included; Restore
+// must be called on a network of identical construction.
+func (n *Network) Snapshot() []byte {
+	return tensor.AppendTensors(nil, n.state()...)
+}
+
+// Restore loads state captured by Snapshot. Every tensor is decoded
+// and checked against the network before any is copied, so a failed
+// Restore leaves the network unchanged.
+func (n *Network) Restore(state []byte) error {
+	saved, err := tensor.DecodeTensors(state)
+	if err != nil {
+		return fmt.Errorf("nn: %w", err)
+	}
+	live := n.state()
+	if len(saved) != len(live) {
+		return fmt.Errorf("nn: state has %d tensors, network has %d", len(saved), len(live))
 	}
 	ps := n.Params()
-	if len(st.Params) != len(ps) {
-		return fmt.Errorf("nn: state has %d params, network has %d", len(st.Params), len(ps))
-	}
-	mi := 0
-	for i, p := range ps {
-		if !p.W.SameShape(st.Params[i]) {
-			return fmt.Errorf("nn: param %d shape %v != saved %v", i, p.W.Shape(), st.Params[i].Shape())
-		}
-		p.W.CopyFrom(st.Params[i])
-		if len(st.HasMask) > i && st.HasMask[i] {
-			if mi >= len(st.Masks) {
-				return fmt.Errorf("nn: corrupt state: mask flag without mask payload")
+	isMask := func(i int) bool { return i < 2*len(ps) && i%2 == 1 }
+	for i, s := range saved {
+		want := live[i]
+		if isMask(i) {
+			if s == nil {
+				continue // dense parameter
 			}
-			p.Mask = st.Masks[mi]
-			mi++
-		} else {
-			p.Mask = nil
+			want = live[i-1] // a mask has its parameter's shape
+		}
+		if s == nil {
+			return fmt.Errorf("nn: saved tensor %d is absent, network expects shape %v", i, want.Shape())
+		}
+		if !want.SameShape(s) {
+			return fmt.Errorf("nn: saved tensor %d has shape %v, network expects %v", i, s.Shape(), want.Shape())
 		}
 	}
-	bns := n.BatchNorms()
-	if len(st.BNMean) != len(bns) {
-		return fmt.Errorf("nn: state has %d batchnorms, network has %d", len(st.BNMean), len(bns))
-	}
-	for i, bn := range bns {
-		bn.RunningMean.CopyFrom(st.BNMean[i])
-		bn.RunningVar.CopyFrom(st.BNVar[i])
+	for i, s := range saved {
+		if isMask(i) {
+			ps[i/2].Mask = s
+		} else {
+			live[i].CopyFrom(s)
+		}
 	}
 	return nil
-}
-
-// Snapshot returns the serialized state as bytes (convenience wrapper
-// around Save).
-func (n *Network) Snapshot() []byte {
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		panic(err) // bytes.Buffer cannot fail; a gob error here is a bug
-	}
-	return buf.Bytes()
-}
-
-// Restore loads state captured by Snapshot.
-func (n *Network) Restore(state []byte) error {
-	return n.Load(bytes.NewReader(state))
 }

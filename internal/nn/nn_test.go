@@ -241,12 +241,8 @@ func TestNetworkSaveLoadRoundTrip(t *testing.T) {
 	a.Forward(x, true)
 	a.Params()[0].Mask = tensor.Ones(a.Params()[0].W.Shape()...)
 
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	b := build()
-	if err := b.Load(&buf); err != nil {
+	if err := b.Restore(a.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	outA := a.Forward(x, false)
@@ -263,12 +259,36 @@ func TestNetworkLoadShapeMismatch(t *testing.T) {
 	r := tensor.NewRNG(6)
 	a := NewNetwork(NewLinear("fc", 3, 2, r))
 	b := NewNetwork(NewLinear("fc", 4, 2, r))
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Load(&buf); err == nil {
+	if err := b.Restore(a.Snapshot()); err == nil {
 		t.Fatal("expected shape mismatch error")
+	}
+}
+
+// A Restore that fails on a late tensor must not have copied the
+// earlier ones: a 10-class snapshot restored into a 100-class twin
+// matches up to the classifier and must leave the twin untouched.
+func TestRestoreFailureLeavesNetworkUnchanged(t *testing.T) {
+	build := func(classes int, seed uint64) *Network {
+		r := tensor.NewRNG(seed)
+		return NewNetwork(
+			NewConv2D("c", 1, 2, 3, 3, 1, 1, false, r),
+			NewBatchNorm2D("bn", 2),
+			NewGlobalAvgPool2D(),
+			NewLinear("fc", 2, classes, r),
+		)
+	}
+	c10, c100 := build(10, 1), build(100, 2)
+	before := c100.Snapshot()
+	if err := c100.Restore(c10.Snapshot()); err == nil {
+		t.Fatal("restoring a 10-class snapshot into a 100-class network must fail")
+	}
+	if !bytes.Equal(c100.Snapshot(), before) {
+		t.Fatal("failed Restore changed the network")
+	}
+	for _, bad := range [][]byte{nil, before[:len(before)-1], append(before[:len(before):len(before)], 0)} {
+		if err := c100.Restore(bad); err == nil {
+			t.Fatalf("Restore accepted a damaged %d-byte snapshot", len(bad))
+		}
 	}
 }
 

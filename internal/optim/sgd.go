@@ -104,6 +104,9 @@ func (s *SGD) ImportState(velocity []*tensor.Tensor) error {
 		return fmt.Errorf("optim: state has %d velocity buffers, optimizer has %d", len(velocity), len(s.velocity))
 	}
 	for i, v := range velocity {
+		if v == nil {
+			return fmt.Errorf("optim: velocity %d missing from saved state", i)
+		}
 		if !s.velocity[i].SameShape(v) {
 			return fmt.Errorf("optim: velocity %d shape %v != saved %v", i, s.velocity[i].Shape(), v.Shape())
 		}

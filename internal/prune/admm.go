@@ -101,7 +101,7 @@ func (a *ADMM) ImportState(st *ADMMState) error {
 		return fmt.Errorf("prune: ADMM state shape mismatch")
 	}
 	for i := range a.z {
-		if !a.z[i].SameShape(st.Z[i]) || !a.u[i].SameShape(st.U[i]) {
+		if st.Z[i] == nil || st.U[i] == nil || !a.z[i].SameShape(st.Z[i]) || !a.u[i].SameShape(st.U[i]) {
 			return fmt.Errorf("prune: ADMM state tensor %d shape mismatch", i)
 		}
 	}

@@ -178,7 +178,7 @@ type HealthResponse struct {
 	// fleet can reject instances whose tier differs from their own.
 	Numerics string `json:"numerics"`
 	CPU      string `json:"cpu_features,omitempty"`
-	// ModelFormat names the weight source ("gob-cache" or "ftpm-v1")
+	// ModelFormat names the weight source ("ftck-cache" or "ftpm-v1")
 	// and Quantized whether /v1/infer runs the int8 path. The int8
 	// path is bit-deterministic at every worker count and numerics
 	// tier, so fleet byte-identity checks can skip the Numerics

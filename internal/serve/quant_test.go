@@ -137,12 +137,12 @@ func TestQuantizedHybridServing(t *testing.T) {
 	}
 }
 
-// TestDefaultModelFormat: the float path reports its historical
-// weight source.
+// TestDefaultModelFormat: the float path reports the model cache as
+// its weight source.
 func TestDefaultModelFormat(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{})
-	if hr := healthOf(t, s); hr.ModelFormat != "gob-cache" || hr.Quantized {
-		t.Fatalf("float healthz model_format=%q quantized=%v, want gob-cache/false", hr.ModelFormat, hr.Quantized)
+	if hr := healthOf(t, s); hr.ModelFormat != "ftck-cache" || hr.Quantized {
+		t.Fatalf("float healthz model_format=%q quantized=%v, want ftck-cache/false", hr.ModelFormat, hr.Quantized)
 	}
 }
 

@@ -114,7 +114,7 @@ type Config struct {
 	// answer 501 unsupported.
 	Quantized *nn.QuantizedNetwork
 	// ModelFormat names the weight source for /v1/healthz and version
-	// reporting ("" → "gob-cache"; the FTPM loader passes "ftpm-v1").
+	// reporting ("" → "ftck-cache"; the FTPM loader passes "ftpm-v1").
 	ModelFormat string
 	// Eval supplies the defaults for defect-eval and stability
 	// requests: Workers, eval batch size, fault scenario, and the
@@ -162,7 +162,7 @@ func (c Config) Normalize() Config {
 		c.IdleTimeout = 2 * time.Minute
 	}
 	if c.ModelFormat == "" {
-		c.ModelFormat = "gob-cache"
+		c.ModelFormat = "ftck-cache"
 	}
 	c.Eval = c.Eval.Normalize()
 	c.Sink = obs.Or(c.Sink)

@@ -6,15 +6,6 @@ import (
 	"testing"
 )
 
-// fuzz seed corpus: serialized forms of a few representative tensors.
-func serialized(t *Tensor) []byte {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 // bitsEqual compares tensors at the bit level, so NaN payloads (which
 // arbitrary fuzz bytes can produce) still round-trip meaningfully.
 func bitsEqual(a, b *Tensor) bool {
@@ -30,41 +21,34 @@ func bitsEqual(a, b *Tensor) bool {
 	return true
 }
 
-// FuzzTensorReadFrom feeds arbitrary bytes to the binary decoder: it
-// must never panic, and anything it accepts must re-serialize to a
-// stable, re-decodable form.
+// FuzzTensorReadFrom feeds arbitrary bytes to the tensor-list decoder:
+// it must never panic, and anything it accepts must re-encode to
+// exactly the input — the encoding is canonical.
 func FuzzTensorReadFrom(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FTT1junk"))
-	f.Add(serialized(New()))
-	f.Add(serialized(Full(1.5, 3, 4)))
+	f.Add(AppendTensors(nil, New()))
+	f.Add(AppendTensors(nil, Full(1.5, 3, 4)))
 	r := NewRNG(1)
 	big := New(5, 2, 3)
 	FillNormal(big, r, 0, 2)
-	f.Add(serialized(big))
+	f.Add(AppendTensors(nil, big))
+	f.Add(AppendTensors(nil, big, nil, New(0, 7)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got Tensor
-		if _, err := got.ReadFrom(bytes.NewReader(data)); err != nil {
+		ts, err := DecodeTensors(data)
+		if err != nil {
 			return // rejected input is fine; panics are not
 		}
-		b1 := serialized(&got)
-		var again Tensor
-		if _, err := again.ReadFrom(bytes.NewReader(b1)); err != nil {
-			t.Fatalf("re-decode of accepted tensor failed: %v", err)
-		}
-		if !bitsEqual(&got, &again) {
-			t.Fatal("write→read round-trip changed the tensor")
-		}
-		if b2 := serialized(&again); !bytes.Equal(b1, b2) {
-			t.Fatal("serialization is not stable")
+		if re := AppendTensors(nil, ts...); !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
 		}
 	})
 }
 
 // FuzzTensorWriteRead builds tensors from fuzzed shapes and payloads
-// and checks the binary round-trip preserves every bit, including the
-// gob path used by model snapshots.
+// and checks the list round-trip preserves every bit, and that the
+// decoded list re-encodes to the same bytes.
 func FuzzTensorWriteRead(f *testing.F) {
 	f.Add(uint8(2), uint8(3), []byte{0, 1, 2, 3})
 	f.Add(uint8(0), uint8(0), []byte{})
@@ -83,23 +67,16 @@ func FuzzTensorWriteRead(f *testing.F) {
 			}
 			d[i] = math.Float32frombits(bits)
 		}
-		var got Tensor
-		if _, err := got.ReadFrom(bytes.NewReader(serialized(tt))); err != nil {
+		enc := AppendTensors(nil, tt, nil)
+		got, err := DecodeTensors(enc)
+		if err != nil {
 			t.Fatalf("round-trip decode failed: %v", err)
 		}
-		if !bitsEqual(tt, &got) {
-			t.Fatal("binary round-trip lost bits")
+		if len(got) != 2 || got[1] != nil || !bitsEqual(tt, got[0]) {
+			t.Fatal("list round-trip lost bits")
 		}
-		gb, err := tt.GobEncode()
-		if err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		var gobGot Tensor
-		if err := gobGot.GobDecode(gb); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		if !bitsEqual(tt, &gobGot) {
-			t.Fatal("gob round-trip lost bits")
+		if !bytes.Equal(AppendTensors(nil, got...), enc) {
+			t.Fatal("re-encoding the decoded list changed its bytes")
 		}
 	})
 }

@@ -20,11 +20,12 @@ import (
 //     floating-point operations — including the skip-zero fast paths,
 //     which are observable through signed zeros — is exactly the
 //     sequence the reference kernels (matMulRows, matMulTARef,
-//     matMulTBRows, kept below as test oracles) perform. Blocking and
-//     register tiling only reorder work across *different* output
-//     elements, never the accumulation order within one, so results
-//     are bitwise equal to the reference at any tile size and worker
-//     count. The oracle tests in matmul_oracle_test.go pin this.
+//     matMulTBRows) perform. Blocking and register tiling only
+//     reorder work across *different* output elements, never the
+//     accumulation order within one, so results are bitwise equal to
+//     the reference at any tile size and worker count. The oracle
+//     tests in matmul_oracle_test.go, where the reference kernels
+//     live, pin this.
 //
 //  2. Zero steady-state allocation. Packing buffers come from a
 //     sync.Pool of reusable panels; warm calls allocate nothing.
@@ -250,44 +251,6 @@ func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
 	}
 }
 
-// matMulRows is the serial reference GEMM kernel over output rows
-// [lo, hi) of an unpacked B. It defines the per-element accumulation
-// order the blocked kernels must reproduce and serves as the bitwise
-// oracle in matmul_oracle_test.go.
-func matMulRows(od, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := od[i*n : (i+1)*n]
-		for x := range orow {
-			orow[x] = 0
-		}
-		arow := ad[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := bd[p*n : p*n+n]
-			b1 := bd[(p+1)*n : (p+1)*n+n]
-			b2 := bd[(p+2)*n : (p+2)*n+n]
-			b3 := bd[(p+3)*n : (p+3)*n+n]
-			for j := range orow {
-				orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := bd[p*n : p*n+n]
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
 // MatMulTA computes Aᵀ·B for A (k×m) and B (k×n), yielding m×n.
 // Used for weight gradients without materializing the transpose.
 func MatMulTA(a, b *Tensor) *Tensor {
@@ -398,29 +361,6 @@ func gemmTAShard(od, ad, bd []float32, k, m, n, lo, hi int) {
 	}
 	if buf != nil {
 		panelPool.Put(buf)
-	}
-}
-
-// matMulTARef is the serial reference Aᵀ·B kernel: p-outer rank-1
-// updates with a per-coefficient skip. It defines the accumulation
-// order gemmTAShard reproduces and serves as the bitwise oracle in
-// matmul_oracle_test.go.
-func matMulTARef(od, ad, bd []float32, k, m, n int) {
-	for x := range od[:m*n] {
-		od[x] = 0
-	}
-	for p := 0; p < k; p++ {
-		arow := ad[p*m : (p+1)*m]
-		brow := bd[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := od[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
 	}
 }
 
@@ -536,39 +476,14 @@ func gemmTBBlock(od, ad, bd []float32, k, n, lo, hi, j0, j1 int) {
 	}
 }
 
-// matMulTBRows is the serial reference A·Bᵀ kernel over output rows
-// [lo, hi) — one dot product per output element. It defines the
-// accumulation order gemmTBRows reproduces and serves as the bitwise
-// oracle in matmul_oracle_test.go.
-func matMulTBRows(od, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			var s float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s += arow[p]*brow[p] + arow[p+1]*brow[p+1] +
-					arow[p+2]*brow[p+2] + arow[p+3]*brow[p+3]
-			}
-			for ; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
-		}
-	}
-}
-
 // MatVec computes y = A·x for A (m×n) and x (n), yielding y (m).
 func MatVec(a *Tensor, x []float32) []float32 {
 	return MatVecInto(make([]float32, a.shape[0]), a, x)
 }
 
 // MatVecInto computes dst = A·x into a caller-provided destination of
-// length m, returning dst. Hot callers (ECOC decoding, crossbar
-// evaluation) reuse one destination across calls to stay
-// allocation-free.
+// length m, returning dst. Hot callers reuse one destination across
+// calls to stay allocation-free.
 func MatVecInto(dst []float32, a *Tensor, x []float32) []float32 {
 	m, n := a.shape[0], a.shape[1]
 	if len(x) != n {

@@ -234,16 +234,6 @@ func gemmS8TBRows(od []int32, ad, bd []int8, k, n, lo, hi int, fast bool) {
 	}
 }
 
-// gemmS8TBRef is the one-dot-per-element reference kernel — the
-// bitwise oracle for GemmS8TB in quant_test.go.
-func gemmS8TBRef(od []int32, ad, bd []int8, m, k, n int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			od[i*n+j] = dotS8Ref(ad[i*k:(i+1)*k], bd[j*k:(j+1)*k])
-		}
-	}
-}
-
 // Im2RowS8 gathers conv patches of an int8 input plane patch-major:
 // dst row q (length c·kh·kw) is the receptive field of output position
 // q = y·outW + x, with out-of-bounds (padding) elements written as the

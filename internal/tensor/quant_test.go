@@ -330,3 +330,13 @@ func BenchmarkGemmS8Fast(b *testing.B) {
 		GemmS8TB(dst, a8, b8, m, k, n)
 	}
 }
+
+// gemmS8TBRef is the one-dot-per-element reference kernel — the
+// bitwise oracle for GemmS8TB in quant_test.go.
+func gemmS8TBRef(od []int32, ad, bd []int8, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			od[i*n+j] = dotS8Ref(ad[i*k:(i+1)*k], bd[j*k:(j+1)*k])
+		}
+	}
+}

@@ -1,107 +1,101 @@
 package tensor
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
-// Binary layout: magic "FTT1", rank (uint32), dims (uint32 each),
-// then raw little-endian float32 payload.
-var magic = [4]byte{'F', 'T', 'T', '1'}
+// Tensor-list encoding, the one on-disk layout of float state (model
+// snapshots, optimizer momentum, ADMM variables). All fields are
+// little-endian:
+//
+//	u32 count
+//	count × { u32 rank, u32 dims[rank], f32 data[dims product] }
+//
+// A nil list entry is written as the single u32 absentRank and stands
+// for an absent tensor (a dense parameter's missing pruning mask). The
+// encoding is canonical: DecodeTensors accepts exactly the bytes
+// AppendTensors produces, so decode∘encode is the identity.
+const (
+	absentRank = math.MaxUint32
+	maxRank    = 8
+)
 
-// WriteTo serializes t to w in the library's binary format.
-func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	k, err := w.Write(magic[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
+// AppendTensors appends the encoding of ts to dst and returns the
+// extended slice.
+func AppendTensors(dst []byte, ts ...*Tensor) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ts)))
+	for _, t := range ts {
+		if t == nil {
+			dst = binary.LittleEndian.AppendUint32(dst, absentRank)
+			continue
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.shape)))
+		for _, d := range t.shape {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
+		}
+		for _, v := range t.data {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+		}
 	}
-	hdr := make([]byte, 4+4*len(t.shape))
-	binary.LittleEndian.PutUint32(hdr, uint32(len(t.shape)))
-	for i, d := range t.shape {
-		binary.LittleEndian.PutUint32(hdr[4+4*i:], uint32(d))
-	}
-	k, err = w.Write(hdr)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	buf := make([]byte, 4*len(t.data))
-	for i, v := range t.data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	k, err = w.Write(buf)
-	n += int64(k)
-	return n, err
+	return dst
 }
 
-// ReadFrom deserializes a tensor from r, replacing t's contents.
-func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
-	var n int64
-	var m [4]byte
-	k, err := io.ReadFull(r, m[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
+// DecodeTensors decodes a list written by AppendTensors. It consumes b
+// exactly: trailing bytes are an error. Every tensor gets fresh
+// storage, so the result does not alias b. Shapes are checked against
+// the bytes actually present before anything is allocated, so hostile
+// input cannot demand more memory than its own length.
+func DecodeTensors(b []byte) ([]*Tensor, error) {
+	off := 0
+	// words counts the whole u32/f32 words left; every u32 call is
+	// preceded by a words check.
+	words := func() int { return (len(b) - off) / 4 }
+	u32 := func() int {
+		v := binary.LittleEndian.Uint32(b[off:])
+		off += 4
+		return int(v)
 	}
-	if m != magic {
-		return n, fmt.Errorf("tensor: bad magic %q", m[:])
+	if words() < 1 {
+		return nil, fmt.Errorf("tensor: list truncated at count")
 	}
-	var rk [4]byte
-	k, err = io.ReadFull(r, rk[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
+	count := u32()
+	if count > words() { // every entry takes at least one word
+		return nil, fmt.Errorf("tensor: list claims %d entries in %d bytes", count, len(b)-off)
 	}
-	rank := int(binary.LittleEndian.Uint32(rk[:]))
-	if rank < 0 || rank > 16 {
-		return n, fmt.Errorf("tensor: implausible rank %d", rank)
+	ts := make([]*Tensor, count)
+	for i := range ts {
+		if words() < 1 {
+			return nil, fmt.Errorf("tensor: entry %d truncated", i)
+		}
+		rank := u32()
+		if rank == absentRank {
+			continue
+		}
+		if rank > maxRank || rank > words() {
+			return nil, fmt.Errorf("tensor: entry %d has rank %d (max %d) in %d bytes", i, rank, maxRank, len(b)-off)
+		}
+		shape := make([]int, rank)
+		n := 1 // element count, clamped past words() so it cannot overflow
+		for j := range shape {
+			if shape[j] = u32(); shape[j] != 0 && n > words()/shape[j] {
+				n = words() + 1 // a later zero dim still makes it 0
+			} else {
+				n *= shape[j]
+			}
+		}
+		if n > words() {
+			return nil, fmt.Errorf("tensor: entry %d shape %v exceeds the remaining %d bytes", i, shape, len(b)-off)
+		}
+		data := make([]float32, n)
+		for k := range data {
+			data[k] = math.Float32frombits(uint32(u32()))
+		}
+		ts[i] = &Tensor{shape: shape, data: data}
 	}
-	dims := make([]byte, 4*rank)
-	k, err = io.ReadFull(r, dims)
-	n += int64(k)
-	if err != nil {
-		return n, err
+	if off != len(b) {
+		return nil, fmt.Errorf("tensor: %d trailing bytes after list", len(b)-off)
 	}
-	shape := make([]int, rank)
-	total := 1
-	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
-		total *= shape[i]
-	}
-	if total < 0 || total > 1<<30 {
-		return n, fmt.Errorf("tensor: implausible element count %d", total)
-	}
-	payload := make([]byte, 4*total)
-	k, err = io.ReadFull(r, payload)
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	data := make([]float32, total)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	t.shape = shape
-	t.data = data
-	return n, nil
-}
-
-// GobEncode implements gob.GobEncoder.
-func (t *Tensor) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (t *Tensor) GobDecode(b []byte) error {
-	_, err := t.ReadFrom(bytes.NewReader(b))
-	return err
+	return ts, nil
 }

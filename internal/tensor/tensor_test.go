@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -241,41 +240,61 @@ func TestSerializationRoundTrip(t *testing.T) {
 	r := NewRNG(7)
 	x := New(3, 5, 2)
 	FillNormal(x, r, 0, 2)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
+	y := Full(-1, 4)
+	b := AppendTensors(nil, x, nil, y)
+	got, err := DecodeTensors(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var y Tensor
-	if _, err := y.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
+	if len(got) != 3 || !x.Equal(got[0]) || got[1] != nil || !y.Equal(got[2]) {
+		t.Fatalf("round trip mismatch: %v", got)
 	}
-	if !x.Equal(&y) {
-		t.Fatal("round trip mismatch")
+	// Every proper prefix is truncated and every extension has trailing
+	// bytes: the decoder consumes its input exactly.
+	for n := 0; n < len(b); n++ {
+		if _, err := DecodeTensors(b[:n]); err == nil {
+			t.Fatalf("truncation to %d/%d bytes decoded", n, len(b))
+		}
+	}
+	if _, err := DecodeTensors(append(b, 0)); err == nil {
+		t.Fatal("trailing byte decoded")
 	}
 }
 
+// TestSerializationBadMagic feeds a garbage header: its count claims
+// far more entries than the input holds.
 func TestSerializationBadMagic(t *testing.T) {
-	var y Tensor
-	if _, err := y.ReadFrom(bytes.NewReader([]byte("XXXX...."))); err == nil {
-		t.Fatal("expected error on bad magic")
+	if _, err := DecodeTensors([]byte("XXXX....")); err == nil {
+		t.Fatal("expected error on a garbage header")
 	}
 }
 
+// TestGobRoundTripProperty checks the property the model snapshots
+// rely on: random tensor lists, absent entries included, survive the
+// list codec exactly.
 func TestGobRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
-		n := 1 + int(r.Uint64()%64)
-		x := New(n)
-		FillNormal(x, r, 0, 10)
-		b, err := x.GobEncode()
-		if err != nil {
+		var ts []*Tensor
+		for i := 0; i < 1+int(r.Uint64()%4); i++ {
+			if r.Uint64()%3 == 0 {
+				ts = append(ts, nil)
+				continue
+			}
+			x := New(1+int(r.Uint64()%8), 1+int(r.Uint64()%8))
+			FillNormal(x, r, 0, 10)
+			ts = append(ts, x)
+		}
+		got, err := DecodeTensors(AppendTensors(nil, ts...))
+		if err != nil || len(got) != len(ts) {
 			return false
 		}
-		var y Tensor
-		if err := y.GobDecode(b); err != nil {
-			return false
+		for i, x := range ts {
+			if (x == nil) != (got[i] == nil) || (x != nil && !x.Equal(got[i])) {
+				return false
+			}
 		}
-		return x.Equal(&y)
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
