@@ -7,16 +7,30 @@ package nn
 // per-row (per output channel) scales, activations are quantized
 // per-tensor with a scale calibrated post-training, and the matrix
 // work runs through the int8 kernel family in internal/tensor
-// (Im2RowS8 + GemmS8TB, int32 accumulators). Everything the int8
-// contract cannot express well — batch norm, ReLU, pooling, the
-// residual add — runs in float32 on the dequantized activations, so
-// only the GEMM-shaped 99% of the FLOPs moves to int8.
+// (QuantizePadded + Im2RowS8 + GemmS8TB, int32 accumulators).
+// Everything the int8 contract cannot express well — batch norm, ReLU,
+// pooling, the residual add — runs in float32 on the dequantized
+// activations, so only the GEMM-shaped 99% of the FLOPs moves to int8.
+//
+// One pass per conv: each sample is quantized straight into a
+// zero-bordered int8 plane, its patches are gathered with no bounds
+// tests, and the GEMM's int32 output goes through one epilogue. Inside
+// a QBasicBlock that epilogue also runs the folded batch norm and the
+// ReLU and quantizes the result straight into the second conv's plane;
+// the second conv's epilogue runs its batch norm, the residual add and
+// the final ReLU into the block's one float output buffer. Every float
+// operation runs in the order the separate layers ran it, and each
+// former layer boundary is an explicit float32 conversion, which the
+// compiler may not fuse across, so the fused pass is bit-identical to
+// the layer-by-layer one (quant_oracle_test.go keeps that path as the
+// reference).
 //
 // Determinism: integer accumulation is associative, so the int8 GEMMs
-// are bit-identical across kernel tiers AND worker counts (a stronger
-// contract than the float path's exact/fast split); the float fallback
-// stages are element-wise serial loops. A QuantizedNetwork forward is
-// therefore bit-deterministic at any worker count with no tier caveat.
+// are bit-identical across kernels AND worker counts (a stronger
+// contract than the float path's exact/fast split); the float stages
+// are element-wise serial loops and every sample is computed on its
+// own. A QuantizedNetwork forward is therefore bit-deterministic at any
+// worker count and batch composition, with no tier caveat.
 //
 // Memory: the int8 weight planes are shared, never written. Clones for
 // concurrent serving share them (4x less weight traffic than float32),
@@ -87,6 +101,72 @@ func (q *QuantizedNetwork) NumParams() int {
 	return n
 }
 
+// CheckShape walks the layers statically from one c×h×w input sample
+// and reports whether the network maps it to a row of classes scores:
+// every layer must accept the shape the previous one produced, as its
+// Forward demands. A network that passes runs Forward on such inputs
+// without a shape panic; one that fails would panic or write out of
+// range, which is why a server checks a loaded model against its
+// dataset before the first request.
+func (q *QuantizedNetwork) CheckShape(c, h, w, classes int) error {
+	if c < 1 || h < 1 || w < 1 {
+		return fmt.Errorf("nn: input %dx%dx%d is empty", c, h, w)
+	}
+	shape := []int{c, h, w} // per sample: (C, H, W) or (features)
+	for i, l := range q.Layers {
+		bad := func(want string) error {
+			return fmt.Errorf("nn: layer %d (%T) takes %s, got per-sample shape %v", i, l, want, shape)
+		}
+		switch t := l.(type) {
+		case *QConv2D:
+			if len(shape) != 3 || shape[0] != t.InC {
+				return bad(fmt.Sprintf("(%d,H,W)", t.InC))
+			}
+			oh, ow := t.outSize(shape[1], shape[2])
+			if oh < 1 || ow < 1 {
+				return bad(fmt.Sprintf("an input of at least %dx%d after padding %d", t.KH, t.KW, t.Pad))
+			}
+			shape = []int{t.OutC, oh, ow}
+		case *QBatchNorm:
+			if len(shape) != 3 || shape[0] != t.C {
+				return bad(fmt.Sprintf("(%d,H,W)", t.C))
+			}
+		case *QBasicBlock:
+			if len(shape) != 3 {
+				return bad(fmt.Sprintf("(%d,H,W)", t.InC))
+			}
+			oc, oh, ow, err := t.outShape(shape[0], shape[1], shape[2])
+			if err != nil {
+				return fmt.Errorf("nn: layer %d: %w", i, err)
+			}
+			shape = []int{oc, oh, ow}
+		case *QGlobalAvgPool:
+			if len(shape) != 3 {
+				return bad("(C,H,W)")
+			}
+			shape = []int{shape[0]}
+		case *QFlatten:
+			f := 1
+			for _, d := range shape {
+				f *= d
+			}
+			shape = []int{f}
+		case *QLinear:
+			if len(shape) != 1 || shape[0] != t.In {
+				return bad(fmt.Sprintf("(%d)", t.In))
+			}
+			shape = []int{t.Out}
+		case *QReLU, QIdentity, *QIdentity:
+		default:
+			return fmt.Errorf("nn: layer %d: unknown layer type %T", i, l)
+		}
+	}
+	if len(shape) != 1 || shape[0] != classes {
+		return fmt.Errorf("nn: network output per sample is %v, want (%d) class scores", shape, classes)
+	}
+	return nil
+}
+
 // Clone returns a copy safe for concurrent use: immutable weight
 // planes and scales are shared, per-layer workspaces are fresh.
 func (q *QuantizedNetwork) Clone() *QuantizedNetwork {
@@ -99,10 +179,10 @@ func (q *QuantizedNetwork) Clone() *QuantizedNetwork {
 
 // QConv2D is the int8 convolution: weights (OutC, InC·KH·KW) as int8
 // rows with per-row scales, input activations quantized per-tensor
-// with the calibrated XScale. Per sample, the input plane is
-// quantized once, lowered patch-major (Im2RowS8), multiplied in int32
-// (GemmS8TB: m=OutC, k=InC·KH·KW, n=outArea), and dequantized with
-// bias into the float output plane.
+// with the calibrated XScale. Per sample, the input is quantized into
+// a zero-bordered plane (QuantizePadded), lowered patch-major
+// (Im2RowS8), multiplied in int32 (GemmS8TB: m=OutC, k=InC·KH·KW,
+// n=outArea), and dequantized with bias into the float output plane.
 type QConv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -113,7 +193,9 @@ type QConv2D struct {
 	XScale      float32   // calibrated per-tensor input scale
 
 	maxAbs  float32 // calibration accumulator (QuantizeNetwork only)
-	xq      []int8  // quantized input plane scratch
+	plane   []int8  // zero-bordered quantized input, InC×hp×wp (see planeSize)
+	planeH  int     // input height and width plane's border was zeroed for
+	planeW  int
 	patches []int8  // outArea × k patch panel scratch
 	acc     []int32 // OutC × outArea accumulator scratch
 	ws      tensor.Workspace
@@ -135,44 +217,88 @@ func (l *QConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: QConv2D input shape %v, want (N,%d,H,W)", x.Shape(), l.InC))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	outH := tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad)
-	outW := tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
-	outArea := outH * outW
-	k := l.InC * l.KH * l.KW
-	plane := l.InC * h * w
+	outH, outW := l.outSize(h, w)
+	area, in := outH*outW, l.InC*h*w
 	out := l.ws.Get(0, n, l.OutC, outH, outW)
-	if len(l.xq) < plane {
-		l.xq = make([]int8, plane)
-	}
-	if len(l.patches) < outArea*k {
-		l.patches = make([]int8, outArea*k)
-	}
-	if len(l.acc) < l.OutC*outArea {
-		l.acc = make([]int32, l.OutC*outArea)
-	}
 	xd, od := x.Data(), out.Data()
-	xs := l.XScale
 	for i := 0; i < n; i++ {
-		tensor.QuantizeLinear(l.xq[:plane], xd[i*plane:(i+1)*plane], xs)
-		tensor.Im2RowS8(l.patches[:outArea*k], l.xq[:plane], l.InC, h, w,
-			l.KH, l.KW, l.Stride, l.Pad, outH, outW)
-		tensor.GemmS8TB(l.acc[:l.OutC*outArea], l.WQ, l.patches[:outArea*k],
-			l.OutC, k, outArea)
-		base := i * l.OutC * outArea
+		acc := l.sample(xd[i*in:(i+1)*in], h, w, outH, outW)
+		base := i * l.OutC * area
 		for oc := 0; oc < l.OutC; oc++ {
-			s := l.WScale[oc] * xs
-			var b float32
-			if l.Bias != nil {
-				b = l.Bias[oc]
-			}
-			arow := l.acc[oc*outArea : (oc+1)*outArea]
-			orow := od[base+oc*outArea : base+(oc+1)*outArea]
+			s, b := l.dequant(oc)
+			arow := acc[oc*area : (oc+1)*area]
+			orow := od[base+oc*area : base+(oc+1)*area]
 			for j, v := range arow {
 				orow[j] = float32(v)*s + b
 			}
 		}
 	}
 	return out
+}
+
+// outSize returns the output height and width for an h×w input.
+func (l *QConv2D) outSize(h, w int) (outH, outW int) {
+	return tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad), tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
+}
+
+// dequant returns output channel oc's dequantization scale and bias:
+// its value is float32(acc)·s + b.
+func (l *QConv2D) dequant(oc int) (s, b float32) {
+	s = l.WScale[oc] * l.XScale
+	if l.Bias != nil {
+		b = l.Bias[oc]
+	}
+	return s, b
+}
+
+// planeSize returns the height and width of the zero-bordered plane
+// for an h×w input: Pad on every side, and more zero rows or columns
+// at the bottom or right where the last receptive field overhangs the
+// input (ConvOutSize rounds toward zero, so a kernel larger than the
+// padded input still makes one output).
+func (l *QConv2D) planeSize(h, w int) (hp, wp int) {
+	outH, outW := l.outSize(h, w)
+	return max(h+2*l.Pad, (outH-1)*l.Stride+l.KH), max(w+2*l.Pad, (outW-1)*l.Stride+l.KW)
+}
+
+// inPlane returns the zero-bordered int8 input plane for an h×w input
+// and its size. Callers overwrite its interior for every sample; the
+// border is zeroed again only when the input geometry changes.
+func (l *QConv2D) inPlane(h, w int) (plane []int8, hp, wp int) {
+	hp, wp = l.planeSize(h, w)
+	n := l.InC * hp * wp
+	if cap(l.plane) < n {
+		l.plane = make([]int8, n)
+	} else if l.planeH != h || l.planeW != w {
+		clear(l.plane[:n])
+	}
+	l.planeH, l.planeW = h, w
+	return l.plane[:n], hp, wp
+}
+
+// sample quantizes one C·H·W input sample into the padded plane and
+// runs the conv's GEMM on it.
+func (l *QConv2D) sample(src []float32, h, w, outH, outW int) []int32 {
+	plane, hp, wp := l.inPlane(h, w)
+	tensor.QuantizePadded(plane, src, l.InC, h, w, hp, wp, l.Pad, l.XScale)
+	return l.gemm(plane, hp, wp, outH, outW)
+}
+
+// gemm gathers the patches of the quantized hp×wp plane and multiplies
+// them by the weight rows: the result holds output channel oc at
+// position q in element oc·outH·outW + q.
+func (l *QConv2D) gemm(plane []int8, hp, wp, outH, outW int) []int32 {
+	k, area := l.InC*l.KH*l.KW, outH*outW
+	if len(l.patches) < area*k {
+		l.patches = make([]int8, area*k)
+	}
+	if len(l.acc) < l.OutC*area {
+		l.acc = make([]int32, l.OutC*area)
+	}
+	patches, acc := l.patches[:area*k], l.acc[:l.OutC*area]
+	tensor.Im2RowS8(patches, plane, l.InC, hp, wp, l.KH, l.KW, l.Stride, outH, outW)
+	tensor.GemmS8TB(acc, l.WQ, patches, l.OutC, k, area)
+	return acc
 }
 
 // CloneQ shares the weight planes and scales, fresh scratch.
@@ -364,7 +490,9 @@ func (l *QFlatten) CloneQ() QLayer { return NewQFlatten() }
 
 // QBasicBlock is the quantized residual block: int8 convs, folded BN,
 // float ReLUs and residual add, option-A shortcut exactly as the
-// float BasicBlock computes it.
+// float BasicBlock computes it. Its Forward is one fused pass per
+// sample (see the package comment); the block owns one float buffer,
+// its output.
 type QBasicBlock struct {
 	Conv1 *QConv2D
 	BN1   *QBatchNorm
@@ -373,9 +501,7 @@ type QBasicBlock struct {
 
 	InC, OutC, Stride int
 
-	downsample   bool
-	relu1, relu2 QReLU
-	ws           tensor.Workspace // slot 0: shortcut out
+	ws tensor.Workspace // slot 0: block output
 }
 
 // NewQBasicBlock assembles a quantized residual block.
@@ -383,42 +509,104 @@ func NewQBasicBlock(conv1 *QConv2D, bn1 *QBatchNorm, conv2 *QConv2D, bn2 *QBatch
 	return &QBasicBlock{
 		Conv1: conv1, BN1: bn1, Conv2: conv2, BN2: bn2,
 		InC: inC, OutC: outC, Stride: stride,
-		downsample: stride != 1 || inC != outC,
 	}
 }
 
-// Forward runs the block: relu(BN2(Conv2(relu(BN1(Conv1 x)))) + shortcut).
+// outShape checks that a c×h×w sample fits the block — its convs and
+// batch norms chain and the second conv's output matches the shortcut
+// — and returns the output shape. Forward panics on what this rejects;
+// CheckShape reports it as an error.
+func (b *QBasicBlock) outShape(c, h, w int) (outC, outH, outW int, err error) {
+	c1, c2 := b.Conv1, b.Conv2
+	if c != b.InC || c1.InC != b.InC || c1.OutC != b.BN1.C || c2.InC != b.BN1.C ||
+		c2.OutC != b.BN2.C || b.BN2.C != b.OutC {
+		return 0, 0, 0, fmt.Errorf("block %d→%d (conv %d→%d, bn %d, conv %d→%d, bn %d) on %d input channels",
+			b.InC, b.OutC, c1.InC, c1.OutC, b.BN1.C, c2.InC, c2.OutC, b.BN2.C, c)
+	}
+	if b.Stride < 1 || b.InC > b.OutC {
+		return 0, 0, 0, fmt.Errorf("block shortcut %d→%d at stride %d", b.InC, b.OutC, b.Stride)
+	}
+	h1, w1 := c1.outSize(h, w)
+	outH, outW = c2.outSize(h1, w1)
+	// The option-A shortcut keeps every Stride-th pixel (all of them
+	// when the block keeps its shape, which implies Stride 1).
+	hs, wsc := (h+b.Stride-1)/b.Stride, (w+b.Stride-1)/b.Stride
+	if h1 < 1 || w1 < 1 || outH != hs || outW != wsc {
+		return 0, 0, 0, fmt.Errorf("block convs map %dx%d to %dx%d then %dx%d, shortcut to %dx%d", h, w, h1, w1, outH, outW, hs, wsc)
+	}
+	return b.OutC, outH, outW, nil
+}
+
+// Forward runs the block: relu(BN2(Conv2(relu(BN1(Conv1 x)))) + shortcut),
+// one sample at a time in two GEMM epilogues.
 func (b *QBasicBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	h := b.Conv1.Forward(x)
-	h = b.BN1.Forward(h)
-	h = b.relu1.Forward(h)
-	h = b.Conv2.Forward(h)
-	h = b.BN2.Forward(h)
-	var short *tensor.Tensor
-	if b.downsample {
-		short = b.shortcut(x)
-	} else {
-		short = x
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: QBasicBlock input shape %v, want (N,%d,H,W)", x.Shape(), b.InC))
 	}
-	h.AddInPlace(short)
-	return b.relu2.Forward(h)
-}
-
-// shortcut is the option-A projection: stride-s spatial subsample with
-// zero-padded channels, matching BasicBlock.shortcutForward.
-func (b *QBasicBlock) shortcut(x *tensor.Tensor) *tensor.Tensor {
-	n, hIn, wIn := x.Dim(0), x.Dim(2), x.Dim(3)
-	hOut := (hIn + b.Stride - 1) / b.Stride
-	wOut := (wIn + b.Stride - 1) / b.Stride
-	out := b.ws.GetZeroed(0, n, b.OutC, hOut, wOut)
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	_, outH, outW, err := b.outShape(x.Dim(1), h, w)
+	if err != nil {
+		panic("nn: QBasicBlock: " + err.Error())
+	}
+	c1, c2 := b.Conv1, b.Conv2
+	h1, w1 := c1.outSize(h, w)
+	area1, area := h1*w1, outH*outW
+	in := b.InC * h * w
+	// Conv2's plane: conv1's output, quantized, inside a Pad2 border.
+	p2, hp2, wp2 := c2.inPlane(h1, w1)
+	pad2 := c2.Pad
+	q2 := tensor.NewQuantizer(c2.XScale)
+	out := b.ws.Get(0, n, b.OutC, outH, outW)
 	xd, od := x.Data(), out.Data()
 	for i := 0; i < n; i++ {
-		for c := 0; c < b.InC; c++ {
-			inBase := (i*b.InC + c) * hIn * wIn
-			outBase := (i*b.OutC + c) * hOut * wOut
-			for y := 0; y < hOut; y++ {
-				for xcol := 0; xcol < wOut; xcol++ {
-					od[outBase+y*wOut+xcol] = xd[inBase+y*b.Stride*wIn+xcol*b.Stride]
+		xi := xd[i*in : (i+1)*in]
+		// Conv1 → BN1 → ReLU, quantized for conv2.
+		acc := c1.sample(xi, h, w, h1, w1)
+		for oc := 0; oc < c1.OutC; oc++ {
+			cs, cb := c1.dequant(oc)
+			bs, bb := b.BN1.Scale[oc], b.BN1.Shift[oc]
+			arow := acc[oc*area1 : (oc+1)*area1]
+			for y := 0; y < h1; y++ {
+				o := (oc*hp2+y+pad2)*wp2 + pad2
+				prow := p2[o : o+w1]
+				for xx, a := range arow[y*w1 : (y+1)*w1] {
+					v := float32(float32(a)*cs + cb)
+					v = float32(bs*v + bb)
+					if !(v > 0) {
+						v = 0
+					}
+					prow[xx] = q2.Q(v)
+				}
+			}
+		}
+		// Conv2 → BN2 → + shortcut → ReLU into the block output. The
+		// shortcut reads every Stride-th input pixel of channel oc, and
+		// is zero on the channels it pads.
+		acc = c2.gemm(p2, hp2, wp2, outH, outW)
+		for oc := 0; oc < b.OutC; oc++ {
+			cs, cb := c2.dequant(oc)
+			bs, bb := b.BN2.Scale[oc], b.BN2.Shift[oc]
+			arow := acc[oc*area : (oc+1)*area]
+			orow := od[(i*b.OutC+oc)*area : (i*b.OutC+oc+1)*area]
+			var sc []float32
+			if oc < b.InC {
+				sc = xi[oc*h*w : (oc+1)*h*w]
+			}
+			for y := 0; y < outH; y++ {
+				for xx := 0; xx < outW; xx++ {
+					j := y*outW + xx
+					v := float32(float32(arow[j])*cs + cb)
+					v = float32(bs*v + bb)
+					var short float32
+					if sc != nil {
+						short = sc[(y*w+xx)*b.Stride]
+					}
+					v = float32(v + short)
+					if v > 0 {
+						orow[j] = v
+					} else {
+						orow[j] = 0
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -183,5 +184,69 @@ func TestQuantizeNetworkErrors(t *testing.T) {
 	net, _ := quantTestNet(t, 46)
 	if _, err := QuantizeNetwork(net, nil); err == nil {
 		t.Fatal("empty calibration set accepted")
+	}
+}
+
+// resNetQNet builds a CIFAR-style ResNet — a 3×3 stem, three stages of
+// blocks at the given widths (stride 2 entering stages 2 and 3), a
+// global pool and a linear head — over inC×h×w inputs, moves its
+// batch-norm statistics off their init values, and quantizes it with
+// a calibration batch of its own.
+func resNetQNet(tb testing.TB, seed uint64, inC, h, w, blocksPerStage, classes int, widths [3]int) *QuantizedNetwork {
+	tb.Helper()
+	rng := tensor.NewRNG(seed)
+	layers := []Layer{
+		NewConv2D("conv1", inC, widths[0], 3, 3, 1, 1, false, rng),
+		NewBatchNorm2D("bn1", widths[0]),
+		NewReLU(),
+	}
+	c := widths[0]
+	for stage, outC := range widths {
+		for b := 0; b < blocksPerStage; b++ {
+			stride := 1
+			if stage > 0 && b == 0 {
+				stride = 2
+			}
+			layers = append(layers, NewBasicBlock("block", c, outC, stride, rng))
+			c = outC
+		}
+	}
+	layers = append(layers, NewGlobalAvgPool2D(), NewLinear("fc", c, classes, rng))
+	net := NewNetwork(layers...)
+	warm := tensor.New(8, inC, h, w)
+	for i := 0; i < 3; i++ {
+		tensor.FillNormal(warm, rng, 0, 1)
+		net.Forward(warm, true)
+	}
+	calib := tensor.New(32, inC, h, w)
+	tensor.FillNormal(calib, rng, 0, 1)
+	q, err := QuantizeNetwork(net, []*tensor.Tensor{calib})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return q
+}
+
+// reproQNet is the repro preset's model: ResNet-20 at width 0.25 over
+// 3×12×12 images with 10 classes.
+func reproQNet(tb testing.TB, seed uint64) *QuantizedNetwork {
+	return resNetQNet(tb, seed, 3, 12, 12, 3, 10, [3]int{4, 8, 16})
+}
+
+// BenchmarkQuantizedForward times the warm int8 forward of the repro
+// ResNet-20 ×0.25 at 12×12, one image and a full serving batch.
+func BenchmarkQuantizedForward(b *testing.B) {
+	q := reproQNet(b, 3)
+	for _, n := range []int{1, 32} {
+		x := tensor.New(n, 3, 12, 12)
+		tensor.FillNormal(x, tensor.NewRNG(4), 0, 1)
+		b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
+			q.Forward(x, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Forward(x, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n)/1e6, "ms/image")
+		})
 	}
 }

@@ -9,9 +9,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/ftpim/ftpim/internal/data"
+	"github.com/ftpim/ftpim/internal/experiments"
+	"github.com/ftpim/ftpim/internal/ftpm"
+	"github.com/ftpim/ftpim/internal/models"
 	"github.com/ftpim/ftpim/internal/nn"
 	"github.com/ftpim/ftpim/internal/tensor"
 )
@@ -152,5 +157,101 @@ func TestNewRejectsNoModelAtAll(t *testing.T) {
 	_, test := fixture()
 	if _, err := New(nil, test, Config{}); err == nil {
 		t.Fatal("New(nil, test, {}) must fail")
+	}
+}
+
+// TestNewRejectsModelForAnotherDataset: a model exported for the smoke
+// c10 split (4 classes) served against the smoke c100 split (8 classes)
+// used to pass New and panic in the first batch's executor goroutine,
+// killing the process. New must refuse it, through the same FTPM
+// round trip `serve -model` takes, and accept it with its own split.
+func TestNewRejectsModelForAnotherDataset(t *testing.T) {
+	sc := experiments.ScaleFor("smoke")
+	net := models.BuildResNet(models.ResNetConfig{Depth: sc.DepthC10, Classes: sc.C10.Classes,
+		InChannels: 3, WidthMult: sc.Width, Seed: sc.Seed})
+	_, c10 := data.Generate(sc.C10)
+	_, c100 := data.Generate(sc.C100)
+	q, err := nn.QuantizeNetwork(net, []*tensor.Tensor{c10.Images})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ftpm.Encode(q, ftpm.Meta{Model: "resnet8", Dataset: "c10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := ftpm.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := New(nil, c100, Config{Quantized: loaded}); err == nil {
+		s.Drain()
+		t.Fatal("New accepted a 4-class model for an 8-class dataset")
+	}
+	s, err := New(nil, c10, Config{Quantized: loaded})
+	if err != nil {
+		t.Fatalf("New rejected the model with its own dataset: %v", err)
+	}
+	s.Drain()
+}
+
+// TestQuantizedServedScoresIndependentOfBatching: 64 distinct images
+// posted at once to a quantized server (MaxBatch 32, 2 executors) ride
+// in whatever micro-batches form, and every response must equal its
+// row of one 64-image in-process forward, bit for bit.
+func TestQuantizedServedScoresIndependentOfBatching(t *testing.T) {
+	_, test := fixture()
+	c, h, w := test.Dims()
+	net := models.BuildResNet(models.ResNetConfig{Depth: 8, Classes: test.Classes, InChannels: c, WidthMult: 0.25, Seed: 3})
+	q, err := nn.QuantizeNetwork(net, []*tensor.Tensor{test.Images})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	x := tensor.New(n, c, h, w)
+	tensor.FillNormal(x, tensor.NewRNG(9), 0, 1)
+	want := append([]float32(nil), q.Clone().Forward(x, false).Data()...)
+
+	s, err := New(nil, test, Config{Quantized: q, MaxBatch: 32, Executors: 2, BatchWindow: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	stride, classes := c*h*w, test.Classes
+	resps := make([]InferResponse, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body, _ := json.Marshal(InferRequest{Image: x.Data()[i*stride : (i+1)*stride]})
+			rec := postJSON(s.Handler(), "/v1/infer", body)
+			if rec.Code != http.StatusOK {
+				t.Errorf("image %d: HTTP %d: %s", i, rec.Code, rec.Body)
+				return
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resps[i]); err != nil {
+				t.Errorf("image %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	maxBatch := 0
+	for i, r := range resps {
+		maxBatch = max(maxBatch, r.Batch)
+		row := want[i*classes : (i+1)*classes]
+		if len(r.Scores) != classes {
+			t.Fatalf("image %d: %d scores, want %d", i, len(r.Scores), classes)
+		}
+		for j, v := range r.Scores {
+			if v != row[j] {
+				t.Fatalf("image %d (batch of %d): score[%d] = %v, in-process %v", i, r.Batch, j, v, row[j])
+			}
+		}
+	}
+	if maxBatch < 2 {
+		t.Fatalf("every request ran alone (largest batch %d); the test needs shared batches", maxBatch)
 	}
 }

@@ -111,7 +111,8 @@ type Config struct {
 	// weight planes, which the quantized path's planes (possibly
 	// aliasing a read-only mmap) must never be. A nil float model is
 	// allowed when Quantized is set; the Monte-Carlo endpoints then
-	// answer 501 unsupported.
+	// answer 501 unsupported. New rejects a network that does not map
+	// the dataset's images to its class count.
 	Quantized *nn.QuantizedNetwork
 	// ModelFormat names the weight source for /v1/healthz and version
 	// reporting ("" → "ftck-cache"; the FTPM loader passes "ftpm-v1").
@@ -237,6 +238,14 @@ func New(model *nn.Network, test *data.Dataset, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.Normalize()
 	c, h, w := test.Dims()
+	if cfg.Quantized != nil {
+		// ftpm.Decode checks each layer on its own; whether the layers
+		// chain from this dataset's images to its classes is checked
+		// here, before an executor can run a batch through them.
+		if err := cfg.Quantized.CheckShape(c, h, w, test.Classes); err != nil {
+			return nil, fmt.Errorf("serve: quantized model does not fit the dataset: %w", err)
+		}
+	}
 	params := 0
 	if model != nil {
 		params = model.NumParams()

@@ -11,18 +11,19 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // Implemented in cpu_amd64.s. Only valid when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-var fastSupported, cpuFeatures = detectFast()
+var fastSupported, s8Supported, cpuFeatures = detectFast()
 
 // detectFast probes CPUID for the features the fast kernels need:
 // AVX2 and FMA for the instructions themselves, plus OSXSAVE and
 // XCR0[2:1]=11b so the OS actually preserves the YMM registers the
-// kernels live in. The feature string reports whatever was found even
-// when the combination is insufficient, so logs from a partial host
-// explain *why* the fast tier fell back.
-func detectFast() (bool, string) {
+// kernels live in. The int8 dot kernels need AVX2 and YMM state but no
+// FMA, so they get their own flag. The feature string reports whatever
+// was found even when the combination is insufficient, so logs from a
+// partial host explain *why* the fast tier fell back.
+func detectFast() (fast, s8 bool, feats string) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 1 {
-		return false, ""
+		return false, false, ""
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	const (
@@ -43,7 +44,6 @@ func detectFast() (bool, string) {
 		hasAVX2 = b7&(1<<5) != 0
 	}
 
-	feats := ""
 	add := func(name string, ok bool) {
 		if !ok {
 			return
@@ -57,5 +57,6 @@ func detectFast() (bool, string) {
 	add("avx2", hasAVX2 && osYMM)
 	add("fma", hasFMA)
 
-	return hasAVX && hasAVX2 && hasFMA && osYMM, feats
+	s8 = hasAVX && hasAVX2 && osYMM
+	return s8 && hasFMA, s8, feats
 }

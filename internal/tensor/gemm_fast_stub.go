@@ -3,11 +3,14 @@
 package tensor
 
 // Pure-Go builds (non-amd64, or the noasm tag) have no fast kernels:
-// fastSupported is constant false, useFast() never returns true, and
-// these stubs exist only to satisfy the dispatch call sites. They are
-// unreachable.
+// fastSupported and s8Supported are constant false, so no dispatch
+// predicate ever selects a microkernel, and these stubs exist only to
+// satisfy the dispatch call sites. They are unreachable.
 
-var fastSupported = false
+const (
+	fastSupported = false
+	s8Supported   = false
+)
 
 var cpuFeatures = ""
 

@@ -20,19 +20,19 @@ import (
 // Integer addition is associative, so unlike the float kernels the
 // int8 family needs no ULP contract: the AVX2 variant (quant_fast.go)
 // is bit-identical to the scalar kernels here, and sharding output
-// rows across workers cannot change any output element. The tests in
-// quant_test.go pin scalar/AVX2 identity and worker invariance as
-// exact equality.
+// rows across workers cannot change any output element. The int8
+// entry points therefore take the AVX2 kernels whenever the CPU has
+// them, at every numerics tier; the tier only governs float kernels.
+// The tests in quant_test.go call the scalar and AVX2 kernels directly
+// and pin their identity and worker invariance as exact equality.
 
 // QuantClamp is the symmetric int8 clamp bound: quantized values live
 // in [-QuantClamp, QuantClamp] so +x and -x always map to ±q.
 const QuantClamp = 127
 
 // MaxAbs returns the largest absolute value in src (0 for empty src).
-// NaNs are ignored; ±Inf saturate to the largest finite magnitude seen
-// elsewhere being irrelevant — callers quantizing trained weights and
-// calibrated activations never see non-finite values, and ScaleFor
-// guards the degenerate all-zero case.
+// NaNs are ignored. A +Inf or -Inf element makes the result +Inf,
+// which ScaleFor maps to scale 1, as it does the all-zero case.
 func MaxAbs(src []float32) float32 {
 	var m float32
 	for _, v := range src {
@@ -66,18 +66,67 @@ func QuantizeLinear(dst []int8, src []float32, scale float32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: QuantizeLinear length mismatch %d vs %d", len(dst), len(src)))
 	}
+	qz := NewQuantizer(scale)
+	for i, v := range src {
+		dst[i] = qz.Q(v)
+	}
+}
+
+// Quantizer is QuantizeLinear's per-element step for one scale, for
+// passes that compute values one at a time and quantize each as it is
+// made: Q(v) is the byte QuantizeLinear writes for v.
+type Quantizer struct{ inv float64 }
+
+// NewQuantizer returns the quantizer for scale, which must be
+// positive.
+func NewQuantizer(scale float32) Quantizer {
 	if !(scale > 0) {
 		panic("tensor: QuantizeLinear requires a positive scale")
 	}
-	inv := 1 / float64(scale)
-	for i, v := range src {
-		q := math.Round(float64(v) * inv)
-		if q > QuantClamp {
-			q = QuantClamp
-		} else if q < -QuantClamp {
-			q = -QuantClamp
+	return Quantizer{1 / float64(scale)}
+}
+
+// Q quantizes one value: clamp(round(v/scale), ±QuantClamp), rounding
+// half away from zero in float64. It rounds with RoundToEven, one
+// instruction on amd64, and moves the ties away from zero: math.Round's
+// exponent branches mispredict on activations near zero.
+func (qz Quantizer) Q(v float32) int8 {
+	x := float64(v) * qz.inv
+	r := math.RoundToEven(x)
+	// x - r is exact: r is an integer within 0.5 of x.
+	if d := x - r; d == 0.5 && x > 0 {
+		r++
+	} else if d == -0.5 && x < 0 {
+		r--
+	}
+	if r > QuantClamp {
+		r = QuantClamp
+	} else if r < -QuantClamp {
+		r = -QuantClamp
+	}
+	return int8(r)
+}
+
+// QuantizePadded quantizes a c×h×w plane into dst, a zero-bordered
+// c×hp×wp plane whose interior starts pad rows down and pad columns
+// in, writing the bytes QuantizeLinear would. The border is left as it
+// is: a caller zeroes it once per geometry, and Im2RowS8 then gathers
+// patches from dst with no bounds tests.
+func QuantizePadded(dst []int8, src []float32, c, h, w, hp, wp, pad int, scale float32) {
+	if len(src) != c*h*w || len(dst) != c*hp*wp || pad < 0 || h+pad > hp || w+pad > wp {
+		panic(fmt.Sprintf("tensor: QuantizePadded shape mismatch c=%d h=%d w=%d hp=%d wp=%d pad=%d dst=%d src=%d",
+			c, h, w, hp, wp, pad, len(dst), len(src)))
+	}
+	qz := NewQuantizer(scale)
+	for ci := 0; ci < c; ci++ {
+		for y := 0; y < h; y++ {
+			srow := src[(ci*h+y)*w : (ci*h+y+1)*w]
+			o := (ci*hp+y+pad)*wp + pad
+			drow := dst[o : o+w]
+			for x, v := range srow {
+				drow[x] = qz.Q(v)
+			}
 		}
-		dst[i] = int8(q)
 	}
 }
 
@@ -109,14 +158,14 @@ func Dequantize(dst []float32, src []int8, scale float32) {
 }
 
 // DotS8 returns the int32 dot product of two equal-length int8
-// vectors. On the fast tier it runs the VPMADDWD microkernel over the
-// widest multiple of 16 with a scalar tail; the result is bit-identical
+// vectors. On CPUs with AVX2 it runs the VPMADDWD microkernel over the
+// widest multiple of 4 with a scalar tail; the result is bit-identical
 // either way.
 func DotS8(a, b []int8) int32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: DotS8 length mismatch %d vs %d", len(a), len(b)))
 	}
-	if useFast() {
+	if s8Supported {
 		return fastDotS8(a, b)
 	}
 	return dotS8Ref(a, b)
@@ -144,14 +193,17 @@ func GemvS8(dst []int32, a, x []int8, m, k int) {
 		panic(fmt.Sprintf("tensor: GemvS8 shape mismatch m=%d k=%d a=%d x=%d dst=%d",
 			m, k, len(a), len(x), len(dst)))
 	}
-	if useFast() {
-		for i := 0; i < m; i++ {
-			dst[i] = fastDotS8(a[i*k:(i+1)*k], x)
-		}
-		return
-	}
+	gemvS8(dst, a, x, m, k, s8Supported)
+}
+
+// gemvS8 is GemvS8's kernel, on the AVX2 dot when fast is set.
+func gemvS8(dst []int32, a, x []int8, m, k int, fast bool) {
 	for i := 0; i < m; i++ {
-		dst[i] = dotS8Ref(a[i*k:(i+1)*k], x)
+		if fast {
+			dst[i] = fastDotS8(a[i*k:(i+1)*k], x)
+		} else {
+			dst[i] = dotS8Ref(a[i*k:(i+1)*k], x)
+		}
 	}
 }
 
@@ -172,7 +224,7 @@ func GemmS8TB(dst []int32, a, b []int8, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	fast := useFast()
+	fast := s8Supported
 	if m >= 2 && m*k*n >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(m, func(_, lo, hi int) {
 			gemmS8TBRows(dst, a, b, k, n, lo, hi, fast)
@@ -234,45 +286,42 @@ func gemmS8TBRows(od []int32, ad, bd []int8, k, n, lo, hi int, fast bool) {
 	}
 }
 
-// Im2RowS8 gathers conv patches of an int8 input plane patch-major:
-// dst row q (length c·kh·kw) is the receptive field of output position
-// q = y·outW + x, with out-of-bounds (padding) elements written as the
-// exact 0 byte. The resulting outH·outW × c·kh·kw matrix feeds
-// GemmS8TB against per-output-channel weight rows. Layout matches the
-// float im2colRow's column order transposed: patch-major here because
-// the int8 GEMM is the Bᵀ (dot) form.
-func Im2RowS8(dst, src []int8, c, h, w, kh, kw, stride, pad, outH, outW int) {
+// Im2RowS8 gathers conv patches of a zero-bordered int8 plane
+// patch-major: src is c×hp×wp with the padding already laid in (see
+// QuantizePadded), and dst row q (length c·kh·kw) is the receptive
+// field of output position q = y·outW + x, so every tap is a plain
+// copy with no bounds test. The resulting outH·outW × c·kh·kw matrix
+// feeds GemmS8TB against per-output-channel weight rows. Layout
+// matches the float im2colRow's column order transposed: patch-major
+// here because the int8 GEMM is the Bᵀ (dot) form.
+func Im2RowS8(dst, src []int8, c, hp, wp, kh, kw, stride, outH, outW int) {
 	k := c * kh * kw
-	if len(src) != c*h*w || len(dst) != outH*outW*k {
-		panic(fmt.Sprintf("tensor: Im2RowS8 shape mismatch c=%d h=%d w=%d dst=%d src=%d",
-			c, h, w, len(dst), len(src)))
+	if len(src) != c*hp*wp || len(dst) != outH*outW*k ||
+		(outH > 0 && (outH-1)*stride+kh > hp) || (outW > 0 && (outW-1)*stride+kw > wp) {
+		panic(fmt.Sprintf("tensor: Im2RowS8 shape mismatch c=%d hp=%d wp=%d k=%dx%d stride=%d out=%dx%d dst=%d src=%d",
+			c, hp, wp, kh, kw, stride, outH, outW, len(dst), len(src)))
 	}
+	d := 0
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
-			row := dst[(oy*outW+ox)*k : (oy*outW+ox+1)*k]
-			d := 0
+			o := oy*stride*wp + ox*stride
 			for ci := 0; ci < c; ci++ {
-				plane := src[ci*h*w : (ci+1)*h*w]
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						for kx := 0; kx < kw; kx++ {
-							row[d] = 0
-							d++
-						}
-						continue
-					}
-					base := iy * w
-					ix := ox*stride - pad
-					for kx := 0; kx < kw; kx++ {
-						if x := ix + kx; x >= 0 && x < w {
-							row[d] = plane[base+x]
-						} else {
-							row[d] = 0
-						}
-						d++
+				if kh == 3 && kw == 3 { // the ResNet conv: one 9-byte row per channel
+					s0 := src[o : o+3 : o+3]
+					s1 := src[o+wp : o+wp+3 : o+wp+3]
+					s2 := src[o+2*wp : o+2*wp+3 : o+2*wp+3]
+					r := dst[d : d+9 : d+9]
+					r[0], r[1], r[2] = s0[0], s0[1], s0[2]
+					r[3], r[4], r[5] = s1[0], s1[1], s1[2]
+					r[6], r[7], r[8] = s2[0], s2[1], s2[2]
+					d += 9
+				} else {
+					for ky := 0; ky < kh; ky++ {
+						copy(dst[d:d+kw], src[o+ky*wp:o+ky*wp+kw])
+						d += kw
 					}
 				}
+				o += hp * wp
 			}
 		}
 	}

@@ -4,11 +4,15 @@
 
 // AVX2 int8 dot microkernels (see quant_fast.go).
 //
-// All kernels require n to be a positive multiple of 16; Go callers
-// handle the scalar tail. Each 16-element step sign-extends int8 lanes
-// to int16 (VPMOVSXBW), multiplies and pair-sums them into 8 int32
-// lanes (VPMADDWD; |product pair| <= 2*127*127, far inside int16
-// product / int32 sum range), and accumulates with VPADDD. Integer
+// All kernels require n to be a non-negative multiple of 4; Go callers
+// handle the last n%4 elements. Each 16-element step sign-extends int8
+// lanes to int16 (VPMOVSXBW), multiplies and pair-sums them into 8
+// int32 lanes (VPMADDWD; |product pair| <= 2*127*127, far inside int16
+// product / int32 sum range), and accumulates with VPADDD. The YMM
+// accumulators are then folded to XMM, one 8-element step
+// (VPMOVSXBW from 8 bytes) and one 4-element step (VMOVD, then
+// VPMOVSXBW in register, so no byte past n is read) finish the
+// multiple of 4, and a horizontal add reduces the lanes. Integer
 // addition is associative, so the lane-parallel accumulation is
 // bit-identical to the scalar kernel — there is no ULP contract here.
 
@@ -39,7 +43,7 @@ dot8_loop32:
 
 dot8_loop16:
 	CMPQ CX, $16
-	JLT  dot8_reduce
+	JLT  dot8_fold
 	VPMOVSXBW (DI)(AX*1), Y2
 	VPMOVSXBW (SI)(AX*1), Y3
 	VPMADDWD  Y3, Y2, Y2
@@ -48,16 +52,36 @@ dot8_loop16:
 	SUBQ $16, CX
 	JMP  dot8_loop16
 
-dot8_reduce:
+dot8_fold:
 	VPADDD       Y1, Y0, Y0
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD       X1, X0, X0
-	VPSHUFD      $0xEE, X0, X1
-	VPADDD       X1, X0, X0
-	VPSHUFD      $0x55, X0, X1
-	VPADDD       X1, X0, X0
-	VMOVD        X0, AX
-	MOVL         AX, ret+24(FP)
+	CMPQ CX, $8
+	JLT  dot8_tail4
+	VPMOVSXBW (DI)(AX*1), X2
+	VPMOVSXBW (SI)(AX*1), X3
+	VPMADDWD  X3, X2, X2
+	VPADDD    X2, X0, X0
+	ADDQ $8, AX
+	SUBQ $8, CX
+
+dot8_tail4:
+	CMPQ CX, $4
+	JLT  dot8_reduce
+	VMOVD     (DI)(AX*1), X2
+	VMOVD     (SI)(AX*1), X3
+	VPMOVSXBW X2, X2
+	VPMOVSXBW X3, X3
+	VPMADDWD  X3, X2, X2
+	VPADDD    X2, X0, X0
+
+dot8_reduce:
+	VPSHUFD $0xEE, X0, X1
+	VPADDD  X1, X0, X0
+	VPSHUFD $0x55, X0, X1
+	VPADDD  X1, X0, X0
+	VMOVD   X0, AX
+	MOVL    AX, ret+24(FP)
 	VZEROUPPER
 	RET
 
@@ -80,7 +104,7 @@ TEXT ·dot4S8Asm(SB), NOSPLIT, $0-56
 
 dot4s8_loop16:
 	CMPQ CX, $16
-	JLT  dot4s8_reduce
+	JLT  dot4s8_fold
 	VPMOVSXBW (DI)(AX*1), Y4
 	VPMOVSXBW (SI)(AX*1), Y5
 	VPMADDWD  Y5, Y4, Y5
@@ -98,42 +122,60 @@ dot4s8_loop16:
 	SUBQ $16, CX
 	JMP  dot4s8_loop16
 
-dot4s8_reduce:
+dot4s8_fold:
 	VEXTRACTI128 $1, Y0, X4
 	VPADDD       X4, X0, X0
-	VPSHUFD      $0xEE, X0, X4
-	VPADDD       X4, X0, X0
-	VPSHUFD      $0x55, X0, X4
-	VPADDD       X4, X0, X0
-	VMOVD        X0, AX
-	MOVL         AX, (DX)
-
 	VEXTRACTI128 $1, Y1, X4
 	VPADDD       X4, X1, X1
-	VPSHUFD      $0xEE, X1, X4
-	VPADDD       X4, X1, X1
-	VPSHUFD      $0x55, X1, X4
-	VPADDD       X4, X1, X1
-	VMOVD        X1, AX
-	MOVL         AX, 4(DX)
-
 	VEXTRACTI128 $1, Y2, X4
 	VPADDD       X4, X2, X2
-	VPSHUFD      $0xEE, X2, X4
-	VPADDD       X4, X2, X2
-	VPSHUFD      $0x55, X2, X4
-	VPADDD       X4, X2, X2
-	VMOVD        X2, AX
-	MOVL         AX, 8(DX)
-
 	VEXTRACTI128 $1, Y3, X4
 	VPADDD       X4, X3, X3
-	VPSHUFD      $0xEE, X3, X4
-	VPADDD       X4, X3, X3
-	VPSHUFD      $0x55, X3, X4
-	VPADDD       X4, X3, X3
-	VMOVD        X3, AX
-	MOVL         AX, 12(DX)
+	CMPQ CX, $8
+	JLT  dot4s8_tail4
+	VPMOVSXBW (DI)(AX*1), X4
+	VPMOVSXBW (SI)(AX*1), X5
+	VPMADDWD  X5, X4, X5
+	VPADDD    X5, X0, X0
+	VPMOVSXBW (R8)(AX*1), X6
+	VPMADDWD  X6, X4, X6
+	VPADDD    X6, X1, X1
+	VPMOVSXBW (R9)(AX*1), X7
+	VPMADDWD  X7, X4, X7
+	VPADDD    X7, X2, X2
+	VPMOVSXBW (R10)(AX*1), X8
+	VPMADDWD  X8, X4, X8
+	VPADDD    X8, X3, X3
+	ADDQ $8, AX
+	SUBQ $8, CX
 
+dot4s8_tail4:
+	CMPQ CX, $4
+	JLT  dot4s8_reduce
+	VMOVD     (DI)(AX*1), X4
+	VPMOVSXBW X4, X4
+	VMOVD     (SI)(AX*1), X5
+	VPMOVSXBW X5, X5
+	VPMADDWD  X5, X4, X5
+	VPADDD    X5, X0, X0
+	VMOVD     (R8)(AX*1), X6
+	VPMOVSXBW X6, X6
+	VPMADDWD  X6, X4, X6
+	VPADDD    X6, X1, X1
+	VMOVD     (R9)(AX*1), X7
+	VPMOVSXBW X7, X7
+	VPMADDWD  X7, X4, X7
+	VPADDD    X7, X2, X2
+	VMOVD     (R10)(AX*1), X8
+	VPMOVSXBW X8, X8
+	VPMADDWD  X8, X4, X8
+	VPADDD    X8, X3, X3
+
+dot4s8_reduce:
+	// [Σ0 Σ1 Σ2 Σ3] by three horizontal adds, stored in one go.
+	VPHADDD X1, X0, X0
+	VPHADDD X3, X2, X2
+	VPHADDD X2, X0, X0
+	VMOVDQU X0, (DX)
 	VZEROUPPER
 	RET

@@ -2,12 +2,12 @@
 
 package tensor
 
-// Fast-tier int8 dot kernels. Unlike the float microkernels these are
-// bit-identical to the scalar tier, not merely ULP-pinned: VPMADDWD
+// AVX2 int8 dot kernels. Unlike the float microkernels these are
+// bit-identical to the scalar kernels, not merely ULP-pinned: VPMADDWD
 // pair sums and the lane-wise VPADDD reduction reorder integer
 // additions, and integer addition is associative, so the result equals
-// the scalar kernel's for every input. The microkernels require n to
-// be a positive multiple of 16; Go callers finish the scalar tail.
+// the scalar kernel's for every input. The microkernels take n as a
+// multiple of 4; Go callers finish the last n%4 elements.
 
 //go:noescape
 func dotS8Asm(a, b *int8, n int) int32
@@ -16,10 +16,10 @@ func dotS8Asm(a, b *int8, n int) int32
 func dot4S8Asm(a, b0, b1, b2, b3 *int8, n int, out *int32)
 
 // fastDotS8 returns the int32 dot product of a and b (same length):
-// microkernel over the widest multiple of 16, scalar tail in Go.
+// microkernel over the widest multiple of 4, scalar tail in Go.
 func fastDotS8(a, b []int8) int32 {
 	k := len(a)
-	w := k &^ 15
+	w := k &^ 3
 	var s int32
 	if w > 0 {
 		s = dotS8Asm(&a[0], &b[0], w)
@@ -35,7 +35,7 @@ func fastDotS8(a, b []int8) int32 {
 // rows.
 func fastDot4S8(a, b0, b1, b2, b3 []int8) (s0, s1, s2, s3 int32) {
 	k := len(a)
-	w := k &^ 15
+	w := k &^ 3
 	if w > 0 {
 		var out [4]int32
 		dot4S8Asm(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], w, &out[0])

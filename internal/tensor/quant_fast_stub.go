@@ -2,8 +2,8 @@
 
 package tensor
 
-// Pure-Go builds have no int8 microkernels; useFast() never returns
-// true, so these stubs only satisfy the dispatch call sites.
+// Pure-Go builds have no int8 microkernels; s8Supported is constant
+// false, so these stubs only satisfy the dispatch call sites.
 
 func fastDotS8(a, b []int8) int32 {
 	unreachableFast()

@@ -11,6 +11,24 @@ import (
 // associative, the AVX2 variant must equal the scalar reference bit
 // for bit, at every shape and worker count — no ULP budget anywhere.
 
+// s8Kernels lists the int8 kernels to pin: the scalar loops always,
+// and the AVX2 dot kernels where the CPU has them. Tests call the
+// kernels directly because the public entry points pick the AVX2 path
+// on every tier, which would leave the scalar path unchecked.
+func s8Kernels() []bool {
+	if s8Supported {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+func kernelName(fast bool) string {
+	if fast {
+		return "avx2"
+	}
+	return "scalar"
+}
+
 // randS8 returns n int8 values spanning the full quantized range,
 // deterministically from seed.
 func randS8(seed uint64, n int) []int8 {
@@ -99,12 +117,87 @@ func TestQuantizeRowsPerRowScales(t *testing.T) {
 	}
 }
 
+// TestQuantizerMatchesRound pins Quantizer.Q to the definition it
+// implements, clamp(math.Round(v·(1/scale)), ±QuantClamp), on every
+// tie k±0.5, its float32 neighbours, saturation edges, signed zeros,
+// infinities and random values at several scales.
+func TestQuantizerMatchesRound(t *testing.T) {
+	ref := func(v float32, scale float32) int8 {
+		q := math.Round(float64(v) * (1 / float64(scale)))
+		if q > QuantClamp {
+			q = QuantClamp
+		} else if q < -QuantClamp {
+			q = -QuantClamp
+		}
+		return int8(q)
+	}
+	var vs []float32
+	for k := -140; k <= 140; k++ {
+		tie := float32(k) + 0.5
+		vs = append(vs, float32(k), tie, math.Nextafter32(tie, 0), math.Nextafter32(tie, 1e9), math.Nextafter32(tie, -1e9))
+	}
+	vs = append(vs, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.MaxFloat32, -math.MaxFloat32, 1e-45, -1e-45)
+	r := NewRNG(13)
+	for i := 0; i < 20000; i++ {
+		vs = append(vs, float32(r.NormFloat64()*math.Pow(10, float64(i%7-3))))
+	}
+	for _, scale := range []float32{1, 0.5, 0.1, 1.0 / 127, 3e-3, 7.25} {
+		qz := NewQuantizer(scale)
+		for _, v := range vs {
+			if got, want := qz.Q(v*scale), ref(v*scale, scale); got != want {
+				t.Fatalf("scale %v: Q(%v) = %d, want %d", scale, v*scale, got, want)
+			}
+			if got, want := qz.Q(v), ref(v, scale); got != want {
+				t.Fatalf("scale %v: Q(%v) = %d, want %d", scale, v, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantizePaddedMatchesQuantizeLinear: the padded plane's interior
+// holds exactly QuantizeLinear's bytes and its border is untouched.
+func TestQuantizePaddedMatchesQuantizeLinear(t *testing.T) {
+	c, h, w, pad := 3, 5, 4, 2
+	src := make([]float32, c*h*w)
+	r := NewRNG(12)
+	for i := range src {
+		src[i] = float32(r.NormFloat64()) * 3
+	}
+	scale := ScaleFor(MaxAbs(src) / 2) // saturates the largest values
+	want := make([]int8, len(src))
+	QuantizeLinear(want, src, scale)
+	hp, wp := h+2*pad, w+2*pad
+	dst := make([]int8, c*hp*wp)
+	for i := range dst {
+		dst[i] = 99 // a border sentinel
+	}
+	QuantizePadded(dst, src, c, h, w, hp, wp, pad, scale)
+	for ci := 0; ci < c; ci++ {
+		for y := 0; y < hp; y++ {
+			for x := 0; x < wp; x++ {
+				got := dst[(ci*hp+y)*wp+x]
+				iy, ix := y-pad, x-pad
+				if iy < 0 || iy >= h || ix < 0 || ix >= w {
+					if got != 99 {
+						t.Fatalf("border (%d,%d,%d) written: %d", ci, y, x, got)
+					}
+				} else if q := want[(ci*h+iy)*w+ix]; got != q {
+					t.Fatalf("interior (%d,%d,%d) = %d, QuantizeLinear wrote %d", ci, iy, ix, got, q)
+				}
+			}
+		}
+	}
+}
+
 // TestDotS8FastMatchesScalar pins the AVX2 dot kernels bit-identical to
-// the scalar reference across lengths that exercise the 32-, 16- and
-// tail paths.
+// the scalar reference across lengths that exercise the 32-, 16-, 8-
+// and 4-element steps and the Go tail.
 func TestDotS8FastMatchesScalar(t *testing.T) {
-	requireFast(t)
-	for _, k := range []int{1, 3, 15, 16, 17, 31, 32, 33, 48, 64, 100, 255, 1024, 1031} {
+	if !s8Supported {
+		t.Skip("CPU lacks AVX2 (or noasm build): no int8 microkernels to pin")
+	}
+	for _, k := range []int{1, 3, 4, 8, 12, 15, 16, 17, 20, 24, 27, 28, 31, 32, 33, 36, 48, 64, 72, 100, 255, 1024, 1031} {
 		a := randS8(uint64(k)*13+1, k)
 		b0 := randS8(uint64(k)*13+2, k)
 		b1 := randS8(uint64(k)*13+3, k)
@@ -131,19 +224,23 @@ func TestDotS8ExtremeValues(t *testing.T) {
 		a[i], b[i] = -QuantClamp, -QuantClamp
 	}
 	want := int32(k) * QuantClamp * QuantClamp
-	if got := DotS8(a, b); got != want {
-		t.Fatalf("all -127 dot: %d, want %d", got, want)
+	dots := map[string]func(a, b []int8) int32{"DotS8": DotS8, "scalar": dotS8Ref}
+	if s8Supported {
+		dots["avx2"] = fastDotS8
 	}
-	if FastSupported() {
-		if got := fastDotS8(a, b); got != want {
-			t.Fatalf("fast all -127 dot: %d, want %d", got, want)
+	for name, dot := range dots {
+		for i := range b {
+			b[i] = -QuantClamp
 		}
-	}
-	for i := range b {
-		b[i] = QuantClamp
-	}
-	if got := DotS8(a, b); got != -want {
-		t.Fatalf("mixed-sign dot: %d, want %d", got, -want)
+		if got := dot(a, b); got != want {
+			t.Fatalf("%s all -127 dot: %d, want %d", name, got, want)
+		}
+		for i := range b {
+			b[i] = QuantClamp
+		}
+		if got := dot(a, b); got != -want {
+			t.Fatalf("%s mixed-sign dot: %d, want %d", name, got, -want)
+		}
 	}
 }
 
@@ -157,18 +254,22 @@ func TestGemmS8TBMatchesOracleBothTiers(t *testing.T) {
 			want := make([]int32, m*n)
 			gemmS8TBRef(want, a, b, m, k, n)
 
-			check := func(name string) {
+			check := func(name string, gemm func(got []int32)) {
 				got := make([]int32, m*n)
-				GemmS8TB(got, a, b, m, k, n)
+				gemm(got)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s: element %d = %d, want %d", name, i, got[i], want[i])
 					}
 				}
 			}
-			runTier(NumericsExact, func() { check("exact") })
+			for _, fast := range s8Kernels() {
+				check(kernelName(fast), func(got []int32) { gemmS8TBRows(got, a, b, k, n, 0, m, fast) })
+			}
+			public := func(got []int32) { GemmS8TB(got, a, b, m, k, n) }
+			runTier(NumericsExact, func() { check("GemmS8TB exact tier", public) })
 			if FastSupported() {
-				runTier(NumericsFast, func() { check("fast") })
+				runTier(NumericsFast, func() { check("GemmS8TB fast tier", public) })
 			}
 		})
 	}
@@ -217,30 +318,42 @@ func TestGemvS8MatchesGemm(t *testing.T) {
 			t.Fatalf("GemvS8 element %d = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if FastSupported() {
-		runTier(NumericsFast, func() {
-			GemvS8(got, a, x, m, k)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("fast GemvS8 element %d = %d, want %d", i, got[i], want[i])
-				}
+	for _, fast := range s8Kernels() {
+		clear(got)
+		gemvS8(got, a, x, m, k, fast)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s gemvS8 element %d = %d, want %d", kernelName(fast), i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestIm2RowS8MatchesNaiveGather pins the patch-major int8 gather over
+// a zero-bordered plane against a direct per-position receptive-field
+// walk of the unpadded plane, including the zero-padding bytes.
+func TestIm2RowS8MatchesNaiveGather(t *testing.T) {
+	for _, g := range [][4]int{{3, 3, 2, 1}, {3, 3, 1, 1}, {1, 1, 2, 0}, {2, 5, 1, 2}, {3, 2, 3, 0}} {
+		t.Run(fmt.Sprintf("k%dx%d_s%d_p%d", g[0], g[1], g[2], g[3]), func(t *testing.T) {
+			checkIm2RowS8(t, 3, 7, 6, g[0], g[1], g[2], g[3])
 		})
 	}
 }
 
-// TestIm2RowS8MatchesNaiveGather pins the patch-major int8 gather
-// against a direct per-position receptive-field walk, including the
-// zero-padding bytes.
-func TestIm2RowS8MatchesNaiveGather(t *testing.T) {
-	c, h, w := 3, 7, 6
-	kh, kw, stride, pad := 3, 3, 2, 1
+func checkIm2RowS8(t *testing.T, c, h, w, kh, kw, stride, pad int) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
 	k := c * kh * kw
 	src := randS8(77, c*h*w)
+	hp, wp := h+2*pad, w+2*pad
+	padded := make([]int8, c*hp*wp)
+	for ci := 0; ci < c; ci++ {
+		for y := 0; y < h; y++ {
+			copy(padded[(ci*hp+y+pad)*wp+pad:], src[(ci*h+y)*w:(ci*h+y+1)*w])
+		}
+	}
 	dst := make([]int8, outH*outW*k)
-	Im2RowS8(dst, src, c, h, w, kh, kw, stride, pad, outH, outW)
+	Im2RowS8(dst, padded, c, hp, wp, kh, kw, stride, outH, outW)
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
 			row := dst[(oy*outW+ox)*k : (oy*outW+ox+1)*k]
@@ -264,8 +377,9 @@ func TestIm2RowS8MatchesNaiveGather(t *testing.T) {
 	}
 }
 
-// FuzzGemmS8TBFastVsScalar: on fuzz-chosen shapes the fast int8 GEMM
-// must equal the scalar reference exactly — the integer analogue of
+// FuzzGemmS8TBFastVsScalar: on fuzz-chosen shapes the scalar and AVX2
+// int8 GEMM kernels must each equal the one-dot-per-element reference
+// exactly — the integer analogue of
 // FuzzGemmFastVsExact, with bit equality instead of a ULP budget.
 func FuzzGemmS8TBFastVsScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(7), uint8(9))
@@ -281,17 +395,12 @@ func FuzzGemmS8TBFastVsScalar(f *testing.F) {
 		want := make([]int32, m*n)
 		gemmS8TBRef(want, a, b, m, k, n)
 		got := make([]int32, m*n)
-		runTier(NumericsExact, func() { GemmS8TB(got, a, b, m, k, n) })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("exact GemmS8TB diverged from reference at %d", i)
-			}
-		}
-		if FastSupported() {
-			runTier(NumericsFast, func() { GemmS8TB(got, a, b, m, k, n) })
+		for _, fast := range s8Kernels() {
+			clear(got)
+			gemmS8TBRows(got, a, b, k, n, 0, m, fast)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("fast GemmS8TB diverged from scalar reference at %d", i)
+					t.Fatalf("%s gemmS8TBRows diverged from reference at %d", kernelName(fast), i)
 				}
 			}
 		}
