@@ -8,11 +8,13 @@ import (
 	"time"
 
 	"github.com/ftpim/ftpim/internal/core"
+	"github.com/ftpim/ftpim/internal/data"
 	"github.com/ftpim/ftpim/internal/dist"
 	"github.com/ftpim/ftpim/internal/dist/backoff"
 	"github.com/ftpim/ftpim/internal/experiments"
 	"github.com/ftpim/ftpim/internal/fault"
 	"github.com/ftpim/ftpim/internal/metrics"
+	"github.com/ftpim/ftpim/internal/nn"
 	"github.com/ftpim/ftpim/internal/obs"
 	"github.com/ftpim/ftpim/internal/report"
 )
@@ -57,11 +59,7 @@ func runCoordinator(ctx context.Context, env *experiments.Env, dataset string, o
 		Rates:         env.Scale.TestRates,
 		Job:           dist.Job{Preset: env.Scale.Name, Dataset: dataset},
 		Sink:          env.Sink,
-		Local: func(ctx context.Context, l dist.Lease) ([]float64, error) {
-			c := eval
-			c.Seed = l.Seed
-			return core.EvalDefectRuns(ctx, net, test, l.Rate, l.Start, l.End, c)
-		},
+		Local:         dist.LocalFunc(leaseEval(net, test, eval)),
 	}
 	if env.Ckpt != nil {
 		cfg.Ckpt = env.Ckpt.Run("dist-" + env.Scale.Name + "-" + dataset)
@@ -122,37 +120,8 @@ func runWorker(ctx context.Context, env *experiments.Env, o distOpts) error {
 		Dial: backoff.Policy{
 			Base: 200 * time.Millisecond, Max: 5 * time.Second, Attempts: 30,
 		},
-		Sink: env.Sink,
-		Setup: func(ctx context.Context, job dist.Job) (dist.EvalFunc, error) {
-			wenv := experiments.NewEnv(job.Preset, env.CacheDir, env.Sink)
-			wenv.Scale.Workers = env.Scale.Workers
-			sc, err := fault.Parse(job.Scenario)
-			if err != nil {
-				return nil, fmt.Errorf("job scenario: %w", err)
-			}
-			obs.Logf(env.Sink, "worker: preparing %s/%s model", job.Preset, job.Dataset)
-			net, err := wenv.Pretrained(ctx, job.Dataset)
-			if err != nil {
-				return nil, err
-			}
-			_, test := wenv.Dataset(job.Dataset)
-			eval := wenv.DefectEval()
-			eval.Runs = job.Runs
-			eval.Batch = job.Batch
-			eval.Scenario = sc
-			return func(ctx context.Context, l dist.Lease) ([]float64, error) {
-				if o.slowMs > 0 {
-					select {
-					case <-time.After(time.Duration(o.slowMs) * time.Millisecond):
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					}
-				}
-				c := eval
-				c.Seed = l.Seed
-				return core.EvalDefectRuns(ctx, net, test, l.Rate, l.Start, l.End, c)
-			}, nil
-		},
+		Sink:  env.Sink,
+		Setup: workerSetup(env, time.Duration(o.slowMs)*time.Millisecond),
 	}
 	err := dist.RunWorker(ctx, cfg)
 	if errors.Is(err, context.Canceled) {
@@ -160,4 +129,55 @@ func runWorker(ctx context.Context, env *experiments.Env, o distOpts) error {
 		return nil
 	}
 	return err
+}
+
+// workerSetup resolves a coordinator's job into the worker's lease
+// evaluator. The job arrives over the network, so its preset and
+// dataset are validated before anything is built from them. slow, when
+// positive, delays each lease (a failover-testing aid).
+func workerSetup(env *experiments.Env, slow time.Duration) func(context.Context, dist.Job) (dist.EvalFunc, error) {
+	return func(ctx context.Context, job dist.Job) (dist.EvalFunc, error) {
+		if err := experiments.Validate(job.Preset, job.Dataset); err != nil {
+			return nil, fmt.Errorf("job: %w", err)
+		}
+		sc, err := fault.Parse(job.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("job scenario: %w", err)
+		}
+		wenv := experiments.NewEnv(job.Preset, env.CacheDir, env.Sink)
+		wenv.Scale.Workers = env.Scale.Workers
+		obs.Logf(env.Sink, "worker: preparing %s/%s model", job.Preset, job.Dataset)
+		net, err := wenv.Pretrained(ctx, job.Dataset)
+		if err != nil {
+			return nil, err
+		}
+		_, test := wenv.Dataset(job.Dataset)
+		eval := wenv.DefectEval()
+		eval.Runs = job.Runs
+		eval.Batch = job.Batch
+		eval.Scenario = sc
+		fn := leaseEval(net, test, eval)
+		return func(ctx context.Context, l dist.Lease) ([]float64, error) {
+			if slow > 0 {
+				select {
+				case <-time.After(slow):
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return fn(ctx, l)
+		}, nil
+	}
+}
+
+// leaseEval evaluates a lease's run range on net at the lease's rate
+// and rate seed, under eval's protocol — the one adapter from the dist
+// protocol to core.EvalDefectRuns, for the coordinator's in-process
+// fallback and for workers alike.
+func leaseEval(net *nn.Network, test *data.Dataset, eval core.DefectEval) dist.EvalFunc {
+	return func(ctx context.Context, l dist.Lease) ([]float64, error) {
+		c := eval
+		c.Seed = l.Seed
+		return core.EvalDefectRuns(ctx, net, test, l.Rate, l.Start, l.End, c)
+	}
 }

@@ -208,6 +208,15 @@ func run() int {
 	}
 	// Validate flag combinations up front: a sweep that runs for hours
 	// must not discover an unusable flag value at its first write.
+	datasets := []string{"c10", "c100"}
+	if *dataset != "both" {
+		datasets = []string{*dataset}
+	}
+	for _, ds := range datasets {
+		if err := experiments.Validate(*preset, ds); err != nil {
+			return usageErr("%v", err)
+		}
+	}
 	if *workers < 0 {
 		return usageErr("-workers must be >= 0, got %d", *workers)
 	}
@@ -326,16 +335,6 @@ func run() int {
 		env.CkptEvery = *ckptEvery
 	}
 
-	datasets := []string{"c10", "c100"}
-	switch *dataset {
-	case "c10":
-		datasets = []string{"c10"}
-	case "c100":
-		datasets = []string{"c100"}
-	case "both":
-	default:
-		return fail("unknown dataset %q", *dataset)
-	}
 	var err error
 	switch cmd {
 	case "table1":

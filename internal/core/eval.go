@@ -262,113 +262,115 @@ func EvalDefect(ctx context.Context, net *nn.Network, ds *data.Dataset, psa floa
 	return evalDefect(ctx, net, ds, psa, cfg.Normalize(), nil)
 }
 
-// evalDefect is EvalDefect with an optional worker-clone pool: nil
-// means per-call clones (the standalone entry point); EvalDefectSweep
-// passes one pool so clones survive across its rates. cfg must already
-// be normalized.
+// evalDefect summarizes runs [0, cfg.Runs) at rate psa, or the single
+// clean pass that is the whole sample at rate zero. pool goes to
+// evalRuns (nil: per-call clones). cfg must already be normalized.
 func evalDefect(ctx context.Context, net *nn.Network, ds *data.Dataset, psa float64, cfg DefectEval, pool *ClonePool) (metrics.Summary, error) {
-	sink := cfg.Sink
-	start := time.Now()
+	runs := cfg.Runs
 	if psa == 0 {
-		// No stochasticity at rate zero; one clean pass suffices.
-		if err := ctx.Err(); err != nil {
-			return metrics.Summary{}, err
-		}
-		acc := metrics.Evaluate(net, ds, cfg.Batch)
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: 1, Rate: 0, Acc: acc})
-			sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(start).Seconds(), N: 1})
-		}
-		return metrics.Summarize([]float64{acc}), nil
+		runs = 1
 	}
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return evalDefectParallel(ctx, net, ds, psa, cfg, start, pool)
-	}
-	// Serial reference path: inject into the live network, evaluate,
-	// undo. The parallel path must match this bit for bit.
-	inj := cfg.Scenario.NewInjector(WeightTensors(net))
-	hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-	accs := make([]float64, 0, cfg.Runs)
-	for run := 0; run < cfg.Runs; run++ {
-		if err := ctx.Err(); err != nil {
-			return metrics.Summary{}, err
-		}
-		acc := evalRun(net, ds, cfg, inj, hook, run, psa)
-		accs = append(accs, acc)
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-		}
-	}
-	if sink.Enabled() {
-		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(start).Seconds(), N: cfg.Runs})
+	accs, err := evalRuns(ctx, net, ds, psa, 0, runs, cfg, pool)
+	if err != nil {
+		return metrics.Summary{}, err
 	}
 	return metrics.Summarize(accs), nil
 }
 
-// evalDefectParallel fans the Monte-Carlo runs out over cfg.Workers
-// workers. Each worker owns one deep clone of the network (fault
+// evalRuns is the Monte-Carlo engine behind EvalDefect,
+// EvalDefectSweep and EvalDefectRuns. It evaluates runs [start, end)
+// at rate psa and returns their accuracies in run order (index 0 is
+// run start), emitting one eval.run event per run and one eval timing
+// event. cfg must already be normalized and end > start.
+//
+// Rate zero has no stochasticity: one clean pass stands for every run
+// and is reported once. With one worker or one run, the serial
+// reference path injects into the live network, evaluates and undoes.
+// Otherwise min(Workers, runs) workers each own a deep clone (fault
 // injection mutates weights in place, and layers keep scratch buffers,
-// so the live network cannot be shared); run r draws from fault.RunRNG
-// (cfg.Seed, r) exactly as the serial loop does and stores its
-// accuracy at index r, so the Summary is computed over the identical
-// value sequence regardless of scheduling. When pool is non-nil the
-// worker clones are checked out of it and returned on exit, so a
-// multi-rate sweep reuses them instead of re-cloning per rate. On
-// cancellation the dispatcher stops handing out runs, the workers
-// drain and finish their clones (the live network was never touched),
-// and the zero Summary plus ctx's error is returned.
-func evalDefectParallel(ctx context.Context, net *nn.Network, ds *data.Dataset, psa float64, cfg DefectEval, start time.Time, pool *ClonePool) (metrics.Summary, error) {
-	w := cfg.Workers
-	if w > cfg.Runs {
-		w = cfg.Runs
-	}
+// so the live network cannot be shared), taken from pool — a sweep
+// passes one so clones survive across its rates — or from a per-call
+// pool when nil. Run r draws from fault.RunRNG(cfg.Seed, r) on either
+// path and lands at its own index, so the values are bit-identical to
+// the serial path whatever the scheduling.
+//
+// On cancellation the serial path stops at the next run boundary; the
+// parallel dispatcher stops handing out runs and the workers drain.
+// The live network's weights are always restored, and the result is
+// nil plus ctx's error.
+func evalRuns(ctx context.Context, net *nn.Network, ds *data.Dataset, psa float64, start, end int, cfg DefectEval, pool *ClonePool) ([]float64, error) {
 	sink := cfg.Sink
-	accs := make([]float64, cfg.Runs)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var e *CloneEntry
-			if pool != nil {
-				e = pool.Get()
+	t0 := time.Now()
+	accs := make([]float64, end-start)
+	switch {
+	case psa == 0:
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		acc := metrics.Evaluate(net, ds, cfg.Batch)
+		for i := range accs {
+			accs[i] = acc
+		}
+		if sink.Enabled() {
+			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: start + 1, Rate: 0, Acc: acc})
+		}
+	case cfg.Workers == 1 || len(accs) == 1:
+		inj := cfg.Scenario.NewInjector(WeightTensors(net))
+		hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
+		for run := start; run < end; run++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			acc := evalRun(net, ds, cfg, inj, hook, run, psa)
+			accs[run-start] = acc
+			if sink.Enabled() {
+				sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
+			}
+		}
+	default:
+		if pool == nil {
+			pool = NewClonePool(net, cfg.Scenario)
+		}
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for i := 0; i < min(cfg.Workers, len(accs)); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e := pool.Get()
 				defer pool.Put(e)
-			} else {
-				evalCloneCreates.Add(1)
-				e = &CloneEntry{Net: net.Clone()}
-			}
-			inj := e.InjectorFor(cfg.Scenario)
-			hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-			for run := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without evaluating
+				inj := e.InjectorFor(cfg.Scenario)
+				hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
+				for run := range jobs {
+					if ctx.Err() != nil {
+						continue // drain without evaluating
+					}
+					acc := evalRun(e.Net, ds, cfg, inj, hook, run, psa)
+					accs[run-start] = acc
+					if sink.Enabled() {
+						sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
+					}
 				}
-				acc := evalRun(e.Net, ds, cfg, inj, hook, run, psa)
-				accs[run] = acc
-				if sink.Enabled() {
-					sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-				}
+			}()
+		}
+	dispatch:
+		for run := start; run < end; run++ {
+			select {
+			case jobs <- run:
+			case <-ctx.Done():
+				break dispatch
 			}
-		}()
-	}
-dispatch:
-	for run := 0; run < cfg.Runs; run++ {
-		select {
-		case jobs <- run:
-		case <-ctx.Done():
-			break dispatch
+		}
+		close(jobs)
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return metrics.Summary{}, err
-	}
 	if sink.Enabled() {
-		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(start).Seconds(), N: cfg.Runs})
+		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(t0).Seconds(), N: len(accs)})
 	}
-	return metrics.Summarize(accs), nil
+	return accs, nil
 }
 
 // RateSeed derives the Monte-Carlo seed of rate index i in a sweep:
@@ -401,85 +403,10 @@ func EvalDefectRuns(ctx context.Context, net *nn.Network, ds *data.Dataset, psa 
 		return nil, err
 	}
 	cfg = cfg.Normalize()
-	n := end - start
-	if n == 0 {
+	if start == end {
 		return nil, ctx.Err()
 	}
-	sink := cfg.Sink
-	tStart := time.Now()
-	accs := make([]float64, n)
-	if psa == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		acc := metrics.Evaluate(net, ds, cfg.Batch)
-		for i := range accs {
-			accs[i] = acc
-		}
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: start + 1, Rate: 0, Acc: acc})
-			sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(tStart).Seconds(), N: n})
-		}
-		return accs, nil
-	}
-	if w := cfg.Workers; w > 1 && n > 1 {
-		if w > n {
-			w = n
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e := &CloneEntry{Net: net.Clone()}
-				inj := e.InjectorFor(cfg.Scenario)
-				hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-				for run := range jobs {
-					if ctx.Err() != nil {
-						continue // drain without evaluating
-					}
-					acc := evalRun(e.Net, ds, cfg, inj, hook, run, psa)
-					accs[run-start] = acc
-					if sink.Enabled() {
-						sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-					}
-				}
-			}()
-		}
-	dispatch:
-		for run := start; run < end; run++ {
-			select {
-			case jobs <- run:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		// Serial path: inject into the live network, evaluate, undo —
-		// exactly the EvalDefect reference loop over a sub-range.
-		inj := cfg.Scenario.NewInjector(WeightTensors(net))
-		hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-		for run := start; run < end; run++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			acc := evalRun(net, ds, cfg, inj, hook, run, psa)
-			accs[run-start] = acc
-			if sink.Enabled() {
-				sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if sink.Enabled() {
-		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(tStart).Seconds(), N: n})
-	}
-	return accs, nil
+	return evalRuns(ctx, net, ds, psa, start, end, cfg, nil)
 }
 
 // EvalDefectSweep evaluates the model across a list of testing fault

@@ -30,17 +30,17 @@
 //
 // # Degradation ladder
 //
-// 1. Healthy pool: leases round-robin to whoever asks first.
-// 2. Worker lost or stalled: its leases are re-issued to the
-//    survivors (obs events dist.worker.lost / dist.reissue).
-// 3. Empty pool (no worker ever joined, or all died) for longer than
-//    FallbackAfter: the coordinator executes pending leases in-process
-//    through Config.Local (dist.fallback events) — the sweep always
-//    completes, just slower.
-// 4. Cancellation (SIGTERM): assignment stops, in-flight leases get a
-//    grace period to land, and the fully-completed rate prefix is
-//    returned with ctx's error — the CLI renders the partial table
-//    and exits 0.
+//  1. Healthy pool: leases round-robin to whoever asks first.
+//  2. Worker lost or stalled: its leases are re-issued to the
+//     survivors (obs events dist.worker.lost / dist.reissue).
+//  3. Empty pool (no worker ever joined, or all died) for longer than
+//     FallbackAfter: the coordinator executes pending leases in-process
+//     through Config.Local (dist.fallback events) — the sweep always
+//     completes, just slower.
+//  4. Cancellation (SIGTERM): assignment stops, in-flight leases get a
+//     grace period to land, and the fully-completed rate prefix is
+//     returned with ctx's error — the CLI renders the partial table
+//     and exits 0.
 package dist
 
 import (
@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -258,18 +259,8 @@ func (c *Coordinator) buildLeases() {
 	for i := range c.rates {
 		runs := len(c.accs[i])
 		for start := 0; start < runs; start += c.cfg.LeaseRuns {
-			end := start + c.cfg.LeaseRuns
-			if end > runs {
-				end = runs
-			}
-			all := true
-			for r := start; r < end; r++ {
-				if !c.foldedRun[i][r] {
-					all = false
-					break
-				}
-			}
-			if all {
+			end := min(start+c.cfg.LeaseRuns, runs)
+			if c.allFolded(i, start, end) {
 				continue // fully restored from checkpoint
 			}
 			id++
@@ -392,14 +383,7 @@ func (c *Coordinator) completedSummaries() []metrics.Summary {
 	defer c.mu.Unlock()
 	var out []metrics.Summary
 	for i := range c.rates {
-		complete := true
-		for _, f := range c.foldedRun[i] {
-			if !f {
-				complete = false
-				break
-			}
-		}
-		if !complete {
+		if !c.allFolded(i, 0, len(c.accs[i])) {
 			break
 		}
 		s := metrics.Summarize(c.accs[i])
@@ -504,16 +488,18 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 // unregister becomes a no-op, while the leases it held are re-queued
 // immediately — the reconnected process has abandoned them.
 func (c *Coordinator) register(id string, pid int, fc *frameConn) *workerConn {
+	var evs []obs.Event
 	c.mu.Lock()
 	if old, ok := c.workers[id]; ok {
 		old.fc.close()
-		c.requeueWorkerLocked(id, "worker reconnected")
+		evs = c.requeueWorkerLocked(id, "worker reconnected")
 	}
 	w := &workerConn{id: id, pid: pid, fc: fc}
 	c.workers[id] = w
 	c.lastWorker = time.Now()
 	n := len(c.workers)
 	c.mu.Unlock()
+	c.emit(evs)
 	if c.sink.Enabled() {
 		c.sink.Emit(obs.Event{Kind: obs.KindDistWorkerJoin, Key: id, N: n})
 	}
@@ -531,31 +517,65 @@ func (c *Coordinator) unregister(w *workerConn, reason string) {
 	delete(c.workers, w.id)
 	c.lastWorker = time.Now()
 	n := len(c.workers)
-	c.requeueWorkerLocked(w.id, reason)
+	evs := c.requeueWorkerLocked(w.id, reason)
 	done := c.remaining == 0
 	c.mu.Unlock()
+	c.emit(evs)
 	if !done && c.sink.Enabled() {
 		c.sink.Emit(obs.Event{Kind: obs.KindDistWorkerLost, Key: w.id, N: n, Msg: reason})
 	}
 }
 
-// requeueWorkerLocked returns every lease outstanding to worker id to
-// the front of the pending queue. Caller holds c.mu.
-func (c *Coordinator) requeueWorkerLocked(id, reason string) {
+// requeueWorkerLocked re-queues every lease outstanding to worker id
+// and returns the dist.reissue events to emit. Caller holds c.mu.
+func (c *Coordinator) requeueWorkerLocked(id, reason string) []obs.Event {
+	var evs []obs.Event
 	for leaseID, o := range c.out {
-		if o.worker != id {
-			continue
-		}
-		delete(c.out, leaseID)
-		c.pending = append([]*lease{o.l}, c.pending...)
-		c.reissues++
-		if c.remaining > 0 && c.sink.Enabled() {
-			c.sink.Emit(obs.Event{
-				Kind: obs.KindDistReissue, Key: id, Run: int(leaseID),
-				Rate: o.l.Rate, N: o.l.Runs(), Msg: reason,
-			})
+		if o.worker == id {
+			c.revokeLocked(leaseID)
+			evs = c.requeueLocked(evs, o.l, id, reason)
 		}
 	}
+	return evs
+}
+
+// revokeLocked takes lease id off the outstanding table, if it is
+// there, and releases its holder's lease count. Caller holds c.mu.
+func (c *Coordinator) revokeLocked(id int64) {
+	if o := c.out[id]; o != nil {
+		delete(c.out, id)
+		if w := c.workers[o.worker]; w != nil {
+			w.leases--
+		}
+	}
+}
+
+// requeueLocked puts l at the front of pending for re-issue and counts
+// it. While runs remain it appends a dist.reissue event to evs, which
+// the caller emits once c.mu is released. Caller holds c.mu.
+func (c *Coordinator) requeueLocked(evs []obs.Event, l *lease, worker, reason string) []obs.Event {
+	c.pending = append([]*lease{l}, c.pending...)
+	c.reissues++
+	if c.remaining > 0 && c.sink.Enabled() {
+		evs = append(evs, obs.Event{
+			Kind: obs.KindDistReissue, Key: worker, Run: int(l.ID),
+			Rate: l.Rate, N: l.Runs(), Msg: reason,
+		})
+	}
+	return evs
+}
+
+// emit sends events collected under c.mu.
+func (c *Coordinator) emit(evs []obs.Event) {
+	for _, e := range evs {
+		c.sink.Emit(e)
+	}
+}
+
+// allFolded reports whether runs [start, end) of rate i are all
+// folded. Caller holds c.mu, or runs before Serve.
+func (c *Coordinator) allFolded(i, start, end int) bool {
+	return !slices.Contains(c.foldedRun[i][start:end], false)
 }
 
 // assign hands the next pending lease to w, or reports done/nolease.
@@ -603,11 +623,8 @@ func (c *Coordinator) fold(workerID string, leaseID int64, accs []float64) {
 		c.mu.Unlock()
 		return // unknown lease (stale incarnation); nothing to fold
 	}
-	if o := c.out[leaseID]; o != nil && (o.worker == workerID || o.worker == localWorker && workerID == localWorker) {
-		delete(c.out, leaseID)
-		if w := c.workers[o.worker]; w != nil {
-			w.leases--
-		}
+	if o := c.out[leaseID]; o != nil && o.worker == workerID {
+		c.revokeLocked(leaseID)
 	}
 	if len(accs) != l.Runs() {
 		c.mu.Unlock()
@@ -645,43 +662,22 @@ func (c *Coordinator) fold(workerID string, leaseID int64, accs []float64) {
 func (c *Coordinator) failLease(workerID string, leaseID int64, reason string) {
 	c.mu.Lock()
 	l := c.leases[leaseID]
-	if l == nil {
-		c.mu.Unlock()
-		return
-	}
-	if o := c.out[leaseID]; o != nil {
-		delete(c.out, leaseID)
-		if w := c.workers[o.worker]; w != nil {
-			w.leases--
-		}
-	}
-	alreadyFolded := true
-	for run := l.Start; run < l.End; run++ {
-		if !c.foldedRun[l.RateIndex][run] {
-			alreadyFolded = false
-			break
-		}
-	}
-	if alreadyFolded {
+	c.revokeLocked(leaseID)
+	if l == nil || c.allFolded(l.RateIndex, l.Start, l.End) {
 		c.mu.Unlock()
 		return
 	}
 	l.attempts++
+	var evs []obs.Event
 	fatal := l.attempts >= c.cfg.MaxLeaseAttempts && c.cfg.Local == nil
 	if fatal {
 		c.fatal = fmt.Errorf("dist: lease %d (rate %g, runs [%d,%d)) failed %d times, last: %s",
 			leaseID, l.Rate, l.Start, l.End, l.attempts, reason)
 	} else {
-		c.pending = append([]*lease{l}, c.pending...)
-		c.reissues++
+		evs = c.requeueLocked(evs, l, workerID, reason)
 	}
 	c.mu.Unlock()
-	if c.sink.Enabled() {
-		c.sink.Emit(obs.Event{
-			Kind: obs.KindDistReissue, Key: workerID, Run: int(leaseID),
-			Rate: l.Rate, N: l.Runs(), Msg: reason,
-		})
-	}
+	c.emit(evs)
 	if fatal {
 		c.signalDone()
 	}
@@ -703,32 +699,16 @@ func (c *Coordinator) monitor(ctx context.Context) {
 		case <-t.C:
 		}
 		now := time.Now()
-		type expired struct {
-			l      *lease
-			worker string
-		}
-		var exp []expired
+		var evs []obs.Event
 		c.mu.Lock()
 		for leaseID, o := range c.out {
 			if now.After(o.expiry) {
-				delete(c.out, leaseID)
-				if w := c.workers[o.worker]; w != nil {
-					w.leases--
-				}
-				c.pending = append([]*lease{o.l}, c.pending...)
-				c.reissues++
-				exp = append(exp, expired{o.l, o.worker})
+				c.revokeLocked(leaseID)
+				evs = c.requeueLocked(evs, o.l, o.worker, "missed heartbeat")
 			}
 		}
 		c.mu.Unlock()
-		if c.sink.Enabled() {
-			for _, e := range exp {
-				c.sink.Emit(obs.Event{
-					Kind: obs.KindDistReissue, Key: e.worker, Run: int(e.l.ID),
-					Rate: e.l.Rate, N: e.l.Runs(), Msg: "missed heartbeat",
-				})
-			}
-		}
+		c.emit(evs)
 	}
 }
 
@@ -764,14 +744,12 @@ func (c *Coordinator) fallbackLoop(ctx context.Context) {
 		}
 		accs, err := c.cfg.Local(ctx, l.Lease)
 		if err != nil {
+			// A run cut short by shutdown goes back to pending like a
+			// failed one; with Local set, attempts never fail the sweep.
+			c.failLease(localWorker, l.ID, err.Error())
 			if ctx.Err() != nil {
-				c.mu.Lock()
-				delete(c.out, l.ID)
-				c.pending = append([]*lease{l}, c.pending...)
-				c.mu.Unlock()
 				return
 			}
-			c.failLease(localWorker, l.ID, err.Error())
 			continue
 		}
 		c.fold(localWorker, l.ID, accs)
@@ -895,55 +873,40 @@ func (c *Coordinator) restoreCkpt() {
 		obs.Logf(c.sink, "dist: ignoring checkpoint %s: different sweep", path)
 		return
 	}
-	state := sections[ckptSectionState]
-	off := 0
-	u32 := func() (int, bool) {
-		if off+4 > len(state) {
-			return 0, false
-		}
-		v := int(binary.LittleEndian.Uint32(state[off:]))
-		off += 4
-		return v, true
-	}
-	nRates, ok2 := u32()
-	if !ok2 || nRates != len(c.rates) {
+	r := ckpt.NewReader(sections[ckptSectionState])
+	if int(r.U32()) != len(c.rates) {
 		obs.Logf(c.sink, "dist: ignoring checkpoint %s: rate count mismatch", path)
 		return
 	}
-	type cell struct {
-		folded bool
-		acc    float64
-	}
-	restored := make([][]cell, nRates)
-	for i := 0; i < nRates; i++ {
-		n, ok3 := u32()
-		if !ok3 || n != len(c.accs[i]) {
+	folded := make([][]bool, len(c.rates))
+	accs := make([][]float64, len(c.rates))
+	for i := range c.rates {
+		n := len(c.accs[i])
+		if int(r.U32()) != n {
 			obs.Logf(c.sink, "dist: ignoring checkpoint %s: run count mismatch", path)
 			return
 		}
-		restored[i] = make([]cell, n)
-		for r := 0; r < n; r++ {
-			if off+9 > len(state) {
-				obs.Logf(c.sink, "dist: ignoring checkpoint %s: truncated state", path)
-				return
-			}
-			restored[i][r] = cell{
-				folded: state[off] == 1,
-				acc:    math.Float64frombits(binary.LittleEndian.Uint64(state[off+1:])),
-			}
-			off += 9
+		folded[i], accs[i] = make([]bool, n), make([]float64, n)
+		for run := range folded[i] {
+			folded[i][run] = r.Bool()
+			accs[i][run] = r.F64()
 		}
 	}
-	for i := range restored {
-		for r, cl := range restored[i] {
-			if cl.folded && !c.foldedRun[i][r] {
-				c.foldedRun[i][r] = true
-				c.accs[i][r] = cl.acc
-				c.remaining--
+	if err := r.Done(); err != nil {
+		obs.Logf(c.sink, "dist: ignoring checkpoint %s: state: %v", path, err)
+		return
+	}
+	// Nothing is folded before the restore, so the decoded state
+	// replaces the empty one whole.
+	c.foldedRun, c.accs = folded, accs
+	for i := range folded {
+		for _, f := range folded[i] {
+			if f {
 				c.restored++
 			}
 		}
 	}
+	c.remaining -= c.restored
 	if c.sink.Enabled() {
 		c.sink.Emit(obs.Event{Kind: obs.KindCkptRestore, Key: path, N: c.restored})
 	}

@@ -88,10 +88,10 @@ type Message struct {
 	Worker string `json:"worker,omitempty"`
 	// PID is the worker's OS process id, sent with hello so operators
 	// (and the chaos suite) can correlate pool members with processes.
-	PID     int     `json:"pid,omitempty"`
-	Job     *Job    `json:"job,omitempty"`
-	Lease   *Lease  `json:"lease,omitempty"`
-	LeaseID int64   `json:"lease_id,omitempty"`
+	PID     int    `json:"pid,omitempty"`
+	Job     *Job   `json:"job,omitempty"`
+	Lease   *Lease `json:"lease,omitempty"`
+	LeaseID int64  `json:"lease_id,omitempty"`
 	// Accs carries a result's per-run accuracies, index 0 = the
 	// lease's Start run.
 	Accs []float64 `json:"accs,omitempty"`

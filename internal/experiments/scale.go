@@ -76,8 +76,31 @@ var PaperTestRates = []float64{0, 0.001, 0.0015, 0.002, 0.003, 0.005, 0.01, 0.02
 // PaperTrainRates is the exact Table I training-target axis.
 var PaperTrainRates = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2}
 
-// ScaleFor returns the Scale for a named preset.
+// ScaleFor returns the Scale for a named preset. An unknown name is a
+// programmer error and panics; names from outside the program go
+// through Validate first.
 func ScaleFor(preset string) Scale {
+	s, err := scaleFor(preset)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return s
+}
+
+// Validate reports an error unless preset names a Scale and dataset is
+// "c10" or "c100" — the names ScaleFor and Env.Dataset accept. The CLI
+// checks its flags with it, and a worker the job it was sent.
+func Validate(preset, dataset string) error {
+	if _, err := scaleFor(preset); err != nil {
+		return err
+	}
+	if dataset != "c10" && dataset != "c100" {
+		return fmt.Errorf("unknown dataset %q (want c10 or c100)", dataset)
+	}
+	return nil
+}
+
+func scaleFor(preset string) (Scale, error) {
 	switch preset {
 	case "paper":
 		return Scale{
@@ -104,7 +127,7 @@ func ScaleFor(preset string) Scale {
 			SSRates:    []float64{0.01, 0.02},
 			Sparsities: []float64{0.4, 0.7},
 			Seed:       42,
-		}
+		}, nil
 	case "repro":
 		return Scale{
 			Name: "repro",
@@ -130,7 +153,7 @@ func ScaleFor(preset string) Scale {
 			SSRates:    []float64{0.01, 0.02},
 			Sparsities: []float64{0.4, 0.7},
 			Seed:       42,
-		}
+		}, nil
 	case "smoke":
 		return Scale{
 			Name: "smoke",
@@ -156,7 +179,7 @@ func ScaleFor(preset string) Scale {
 			SSRates:    []float64{0.02},
 			Sparsities: []float64{0.5},
 			Seed:       42,
-		}
+		}, nil
 	case "quick":
 		return Scale{
 			Name: "quick",
@@ -182,8 +205,7 @@ func ScaleFor(preset string) Scale {
 			SSRates:    []float64{0.02, 0.05},
 			Sparsities: []float64{0.5},
 			Seed:       42,
-		}
-	default:
-		panic(fmt.Sprintf("experiments: unknown preset %q (want paper, repro, quick, or smoke)", preset))
+		}, nil
 	}
+	return Scale{}, fmt.Errorf("unknown preset %q (want paper, repro, quick, or smoke)", preset)
 }
