@@ -13,14 +13,20 @@ import (
 	"github.com/ftpim/ftpim/internal/tensor"
 )
 
-// quantizeFromEnv trains (or loads from cache) the float model for
-// dataset, quantizes it against up to calibN training images, and
-// measures both top-1 accuracies on the test split. This is the one
-// place export and quantbench agree on what "the int8 model" means.
-func quantizeFromEnv(ctx context.Context, env *experiments.Env, dataset string, calibN int) (*nn.Network, *nn.QuantizedNetwork, ftpm.Meta, error) {
+// runExport implements 'ftpim export': quantize the env's pretrained
+// model (trained, or loaded from the cache) against up to calibN
+// training images, measure both top-1 accuracies on the test split, and
+// save the int8 model as a single mmap-able FTPM file.
+func runExport(ctx context.Context, env *experiments.Env, dataset, out string, calibN int) error {
+	if dataset == "both" {
+		dataset = "c10"
+	}
+	if out == "" {
+		out = "model-" + dataset + ".ftpm"
+	}
 	net, err := env.Pretrained(ctx, dataset)
 	if err != nil {
-		return nil, nil, ftpm.Meta{}, err
+		return err
 	}
 	train, test := env.Dataset(dataset)
 
@@ -47,7 +53,7 @@ func quantizeFromEnv(ctx context.Context, env *experiments.Env, dataset string, 
 	}
 	q, err := nn.QuantizeNetwork(net, calib)
 	if err != nil {
-		return nil, nil, ftpm.Meta{}, fmt.Errorf("quantize: %v", err)
+		return fmt.Errorf("quantize: %v", err)
 	}
 
 	depth := env.Scale.DepthC10
@@ -61,22 +67,6 @@ func quantizeFromEnv(ctx context.Context, env *experiments.Env, dataset string, 
 		FloatAcc: core.EvalClean(net, test, batch),
 		QuantAcc: metrics.Evaluate(q, test, batch),
 		Created:  time.Now().UTC().Format(time.RFC3339),
-	}
-	return net, q, meta, nil
-}
-
-// runExport implements 'ftpim export': quantize the env's pretrained
-// model and save it as a single mmap-able FTPM file.
-func runExport(ctx context.Context, env *experiments.Env, dataset, out string, calibN int) error {
-	if dataset == "both" {
-		dataset = "c10"
-	}
-	if out == "" {
-		out = "model-" + dataset + ".ftpm"
-	}
-	_, q, meta, err := quantizeFromEnv(ctx, env, dataset, calibN)
-	if err != nil {
-		return err
 	}
 	if err := ftpm.Save(out, q, meta); err != nil {
 		return err

@@ -11,11 +11,8 @@
 //	ftpim device draw|eval|retrain [-psa RATE] [-profile FILE] [-dataset c10]
 //	ftpim all    [-preset repro] [-cache DIR] [-out DIR]
 //	ftpim serve  [-addr HOST:PORT] [-max-batch N] [-batch-window D] [-queue N]
-//	             [-executors N] [-model FILE.ftpm] [-loadtest [-lt-clients N]
-//	             [-lt-requests N] [-bench-out FILE]]
+//	             [-executors N] [-model FILE.ftpm]
 //	ftpim export [-preset repro] [-dataset c10] [-o FILE.ftpm] [-calib N]
-//	ftpim quantbench [-preset repro] [-dataset c10] [-calib N]
-//	             [-lt-clients N] [-lt-requests N] [-bench-out FILE]
 //	ftpim coordinator [-addr HOST:PORT] [-dist-lease N] [-dist-lease-ttl D]
 //	             [-dist-fallback-after D] [-runs N] [-checkpoint DIR [-resume]]
 //	ftpim worker -connect HOST:PORT [-worker-id ID] [-dist-slow-ms N]
@@ -63,20 +60,18 @@
 // inference requests are coalesced into micro-batches under a
 // -batch-window latency budget, overload answers 429 + Retry-After,
 // and SIGTERM/Ctrl-C drains gracefully — admission stops, queued
-// batches flush, in-flight requests complete, exit 0. With -loadtest
-// the process instead drives an in-process load test against its own
-// handler and reports p50/p99 latency and throughput (optionally
-// recorded to -bench-out as JSON).
+// batches flush, in-flight requests complete, exit 0. It binds -addr
+// before loading the model and prints the address it bound, so
+// -addr 127.0.0.1:0 serves on a free port that a script reads back.
 //
 // export quantizes the trained float model to int8 (symmetric,
 // per-row weight scales, activation scales calibrated on -calib
 // training images) and writes it as a single FTPM container file.
 // serve -model FILE.ftpm serves that file without touching training
 // or the model cache: the file is mmap'd read-only and the int8 weights
-// alias the mapped pages, so cold start is file-open fast. quantbench
-// measures the int8 path's three claims — accuracy parity with
-// float32, cold-start speedup over the float model cache, and serving
-// throughput — into results/BENCH_quant.json.
+// alias the mapped pages, so cold start is file-open fast. export
+// prints both top-1 accuracies; results/bench.sh records them with the
+// two lanes' throughput and cold start in results/BENCH_quant.json.
 //
 // coordinator/worker distribute a defect sweep across processes: the
 // coordinator shards each rate's Monte-Carlo runs into leases and
@@ -178,19 +173,11 @@ func run() int {
 		"serve: micro-batch latency budget, measured from the first queued request")
 	queueDepth := fs.Int("queue", 256, "serve: infer admission queue depth (full queue answers 429)")
 	executors := fs.Int("executors", 2, "serve: concurrent batch executors, one warm model clone each")
-	loadtest := fs.Bool("loadtest", false,
-		"serve: skip listening and drive an in-process load test instead")
-	ltClients := fs.Int("lt-clients", 1000, "serve -loadtest: concurrent clients")
-	ltRequests := fs.Int("lt-requests", 4, "serve -loadtest: infer requests per client")
-	ltEvalEvery := fs.Int("lt-eval-every", 0,
-		"serve -loadtest: mix in one defect-eval per client every N infer requests (0 = none)")
-	benchOut := fs.String("bench-out", "",
-		"serve -loadtest: write the load-test record (JSON) to FILE; quantbench: record path (default results/BENCH_quant.json)")
 	modelFile := fs.String("model", "",
 		"serve: serve a quantized FTPM model file zero-copy (skips training and the model cache; Monte-Carlo endpoints answer 501)")
 	exportOut := fs.String("o", "", "export: output FTPM path (default model-DATASET.ftpm)")
 	calibN := fs.Int("calib", 256,
-		"export/quantbench: calibration images drawn from the train split for activation scales")
+		"export: calibration images drawn from the train split for activation scales")
 	connect := fs.String("connect", "", "worker: coordinator address (HOST:PORT)")
 	workerID := fs.String("worker-id", "", "worker: pool id (default: host-pid)")
 	distLease := fs.Int("dist-lease", 8, "coordinator: Monte-Carlo runs per lease")
@@ -242,9 +229,6 @@ func run() int {
 	}
 	if *executors < 1 {
 		return usageErr("-executors must be >= 1, got %d", *executors)
-	}
-	if *loadtest && (*ltClients < 1 || *ltRequests < 1) {
-		return usageErr("-lt-clients and -lt-requests must be >= 1")
 	}
 	if *distLease < 1 {
 		return usageErr("-dist-lease must be >= 1, got %d", *distLease)
@@ -374,16 +358,9 @@ func run() int {
 		err = runServe(ctx, env, *dataset, serveOpts{
 			addr: *addr, maxBatch: *maxBatch, batchWindow: *batchWindow,
 			queue: *queueDepth, executors: *executors, model: *modelFile,
-			loadtest: *loadtest, ltClients: *ltClients, ltRequests: *ltRequests,
-			ltEvalEvery: *ltEvalEvery, benchOut: *benchOut,
 		})
 	case "export":
 		err = runExport(ctx, env, *dataset, *exportOut, *calibN)
-	case "quantbench":
-		err = runQuantBench(ctx, env, *dataset, quantBenchOpts{
-			preset: *preset, cache: *cache, out: *benchOut, calibN: *calibN,
-			clients: *ltClients, requests: *ltRequests,
-		})
 	case "coordinator":
 		err = runCoordinator(ctx, env, *dataset, distOpts{
 			addr: *addr, leaseRuns: *distLease, leaseTTL: *distLeaseTTL,
@@ -749,14 +726,11 @@ commands:
   all       regenerate everything into -out DIR
   serve     HTTP inference + defect-eval service with dynamic
             micro-batching (-addr, -max-batch, -batch-window, -queue,
-            -executors; -loadtest for an in-process load test with
-            -lt-clients/-lt-requests/-bench-out; -model FILE.ftpm
-            serves an exported int8 model zero-copy via mmap)
+            -executors; -model FILE.ftpm serves an exported int8 model
+            zero-copy via mmap); prints the address it bound
   export    quantize the trained model to int8 and write one
-            mmap-able FTPM file (-o FILE.ftpm, -calib N)
-  quantbench  measure int8 vs float32: accuracy parity, cold-start
-            speedup (mmap'd FTPM vs float cache), serving throughput;
-            writes results/BENCH_quant.json (-bench-out to override)
+            mmap-able FTPM file (-o FILE.ftpm, -calib N); prints the
+            float32 and int8 top-1 accuracy
   coordinator  shard the defect sweep over TCP workers with lease-based
             failover (-addr, -dist-lease, -dist-lease-ttl,
             -dist-fallback-after, -runs; -checkpoint/-resume for

@@ -42,7 +42,7 @@
 // The infer queue is bounded (Config.QueueDepth) and defect-eval
 // concurrency is capped (Config.EvalConcurrency); overload yields
 // 429 + Retry-After instead of queue collapse. Cancelling the context
-// passed to Serve/Run (the CLI wires SIGTERM and SIGINT to it) stops
+// passed to Serve (the CLI wires SIGTERM and SIGINT to it) stops
 // admission with 503 "draining", flushes every queued request through
 // the batcher, waits for in-flight work, and returns cleanly.
 //
@@ -171,7 +171,7 @@ func (c Config) Normalize() Config {
 }
 
 // Server serves one trained model. Create with New, expose with
-// Handler (or Run/Serve for a managed listener), stop with Drain.
+// Handler (or Serve for a managed listener), stop with Drain.
 type Server struct {
 	cfg     Config
 	src     *nn.Network
@@ -328,13 +328,4 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	return hs.Shutdown(shCtx)
-}
-
-// Run listens on addr and calls Serve.
-func (s *Server) Run(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, l)
 }

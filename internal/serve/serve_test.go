@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,55 +105,105 @@ func TestInferMatchesDirectForward(t *testing.T) {
 // TestConcurrentInfersCoalesce pins the micro-batching behavior: with
 // a generous window, concurrent requests must be served by shared
 // batches, and every response must match the direct forward pass for
-// its own image (no cross-request mixups inside a batch).
+// its own image (no cross-request mixups inside a batch). With more
+// concurrent requests than the queue holds, the overflow must be
+// refused with 429 + Retry-After, never dropped or answered wrongly,
+// and the server must admit again once the burst has passed.
 func TestConcurrentInfersCoalesce(t *testing.T) {
-	s, net, test := newTestServer(t, Config{MaxBatch: 8, BatchWindow: 50 * time.Millisecond})
-	c, h, w := test.Dims()
-	stride := c * h * w
+	for _, tc := range []struct {
+		name    string
+		clients int
+		cfg     Config
+	}{
+		{"8 clients", 8, Config{MaxBatch: 8, BatchWindow: 50 * time.Millisecond}},
+		{"64 clients queue 8", 64, Config{MaxBatch: 8, BatchWindow: 50 * time.Millisecond, QueueDepth: 8, Executors: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, net, test := newTestServer(t, tc.cfg)
+			c, h, w := test.Dims()
+			stride := c * h * w
+			body := func(idx int) []byte {
+				img := make([]float32, stride)
+				test.Example(idx%test.N(), img)
+				b, _ := json.Marshal(InferRequest{Image: img})
+				return b
+			}
 
-	const n = 8
-	type result struct {
-		resp InferResponse
-		code int
-		idx  int
-	}
-	results := make(chan result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			img := make([]float32, stride)
-			test.Example(idx%test.N(), img)
-			body, _ := json.Marshal(InferRequest{Image: img})
-			rec := postJSON(s.Handler(), "/v1/infer", body)
-			var resp InferResponse
-			json.Unmarshal(rec.Body.Bytes(), &resp)
-			results <- result{resp: resp, code: rec.Code, idx: idx}
-		}(i)
-	}
-	wg.Wait()
-	close(results)
+			type result struct {
+				idx int
+				rec *httptest.ResponseRecorder
+			}
+			// Hold every executor until the burst has piled up behind the
+			// first batch, so a queue too small for it must overflow.
+			cfg := tc.cfg.Normalize()
+			var held []*executor
+			for len(held) < cfg.Executors {
+				held = append(held, <-s.execs)
+			}
+			release := func() {
+				for _, e := range held {
+					s.execs <- e
+				}
+				held = nil
+			}
+			defer release() // a failed wait must not leave Drain hanging
+			results := make(chan result, tc.clients)
+			var answered atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < tc.clients; i++ {
+				wg.Add(1)
+				go func(idx int) {
+					defer wg.Done()
+					results <- result{idx, postJSON(s.Handler(), "/v1/infer", body(idx))}
+					answered.Add(1)
+				}(i)
+			}
+			overflow := tc.clients - cfg.MaxBatch - cfg.QueueDepth
+			waitFor(t, func() bool { return answered.Load() >= int64(overflow) })
+			release()
+			wg.Wait()
+			close(results)
 
-	batched := 0
-	for r := range results {
-		if r.code != http.StatusOK {
-			t.Fatalf("request %d: HTTP %d", r.idx, r.code)
-		}
-		img := make([]float32, stride)
-		test.Example(r.idx%test.N(), img)
-		var x tensor.Tensor
-		x.SetView(img, 1, c, h, w)
-		out := net.Forward(&x, false)
-		if want := out.ArgMaxRow(0); r.resp.Class != want {
-			t.Fatalf("request %d: class %d, want %d", r.idx, r.resp.Class, want)
-		}
-		if r.resp.Batch > 1 {
-			batched++
-		}
-	}
-	if batched == 0 {
-		t.Fatal("no request was served by a multi-request micro-batch; coalescing is not happening")
+			refusable := overflow > 0
+			batched, refused := 0, 0
+			for r := range results {
+				idx, rec := r.idx, r.rec
+				if rec.Code == http.StatusTooManyRequests && refusable {
+					if rec.Header().Get("Retry-After") == "" {
+						t.Fatalf("request %d: 429 without Retry-After", idx)
+					}
+					refused++
+					continue
+				}
+				if rec.Code != http.StatusOK {
+					t.Fatalf("request %d: HTTP %d: %s", idx, rec.Code, rec.Body)
+				}
+				var resp InferResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatalf("request %d: decode: %v", idx, err)
+				}
+				img := make([]float32, stride)
+				test.Example(idx%test.N(), img)
+				var x tensor.Tensor
+				x.SetView(img, 1, c, h, w)
+				out := net.Forward(&x, false)
+				if want := out.ArgMaxRow(0); resp.Class != want {
+					t.Fatalf("request %d: class %d, want %d", idx, resp.Class, want)
+				}
+				if resp.Batch > 1 {
+					batched++
+				}
+			}
+			if batched == 0 {
+				t.Fatal("no request was served by a multi-request micro-batch; coalescing is not happening")
+			}
+			if refusable && refused == 0 {
+				t.Fatalf("%d requests against a queue of %d: none refused", tc.clients, cfg.QueueDepth)
+			}
+			if rec := postJSON(s.Handler(), "/v1/infer", body(0)); rec.Code != http.StatusOK {
+				t.Fatalf("request after the burst: HTTP %d: %s", rec.Code, rec.Body)
+			}
+		})
 	}
 }
 
