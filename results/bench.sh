@@ -13,7 +13,9 @@
 #     int8 top-1 accuracy. The model cache key holds no worker count, so
 #     export reuses the prepared model instead of retraining;
 #   - the kernel and sharded-path go test benchmarks, each against the
-#     reference or serial run it is paired with.
+#     reference or serial run it is paired with. CPU speed on a shared
+#     host drifts within seconds, so the go test runs go in interleaved
+#     rounds and a speedup is the median of its per-round ratios.
 # The python3 block at the end computes every number in the five files
 # from those outputs: medians, ratios and the host block. The files are
 # written to .bench_build/bench/ first and moved into results/ only after
@@ -24,6 +26,7 @@ set -euo pipefail
 
 seeds="1 2 3 4 5" # perfbench seeds of the untraced runs
 seconds=10        # perfbench --seconds of every run
+rounds=5          # interleaved rounds of the go test benchmarks
 
 tmp=.bench_build/bench
 rm -rf "$tmp"
@@ -53,16 +56,19 @@ run build go build -o "$tmp/ftpim" ./cmd/ftpim
 run export "$tmp/ftpim" export -preset repro -dataset c10 -numerics exact \
 	-cache .bench_build/perfbench/models -v=false -o "$tmp/model.ftpm"
 
-run gemm env FTPIM_NUMERICS=exact go test ./internal/tensor/ -run '^$' \
-	-bench '256Serial|MatMul64' -benchtime 25x -count 5 -timeout 30m
-run conv env FTPIM_NUMERICS=exact go test ./internal/tensor/ -run '^$' \
-	-bench 'ConvFwd|ConvBwd' -benchtime 25x -count 3 -timeout 30m
-if "$tmp/ftpim" version | grep -q 'fast tier available'; then
-	run conv-fast env FTPIM_NUMERICS=fast go test ./internal/tensor/ -run '^$' \
-		-bench 'ConvFwd|ConvBwd' -benchtime 25x -count 3 -timeout 30m
-fi
-run parallel env FTPIM_NUMERICS=exact go test . -run '^$' \
-	-bench 'Parallel' -benchtime 5x -count 3 -timeout 30m
+fast=$("$tmp/ftpim" version | grep -c 'fast tier available' || true)
+for round in $(seq "$rounds"); do
+	run "gemm.$round" env FTPIM_NUMERICS=exact go test ./internal/tensor/ -run '^$' \
+		-bench '256Serial|MatMul64' -benchtime 25x -timeout 30m
+	run "conv.$round" env FTPIM_NUMERICS=exact go test ./internal/tensor/ -run '^$' \
+		-bench 'ConvFwd|ConvBwd' -benchtime 25x -timeout 30m
+	if [ "$fast" -gt 0 ]; then
+		run "conv-fast.$round" env FTPIM_NUMERICS=fast go test ./internal/tensor/ -run '^$' \
+			-bench 'ConvFwd|ConvBwd' -benchtime 25x -timeout 30m
+	fi
+	run "parallel.$round" env FTPIM_NUMERICS=exact go test . -run '^$' \
+		-bench 'Parallel' -benchtime 5x -timeout 30m
+done
 
 python3 - "$tmp" <<'EOF'
 import glob, json, os, re, shlex, statistics, sys, time
@@ -137,26 +143,36 @@ if len(hosts) != 1:
     fail("perfbench runs report different hosts")
 nproc, cpu, features, numerics, gover = hosts.pop()
 
-gotest = {}
+# go test: per group, one {benchmark: ns/op} map per round.
 BENCH = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op", re.M)
-for name in ["gemm", "conv", "conv-fast", "parallel"]:
-    if os.path.exists(os.path.join(tmp, name + ".out")):
-        gotest[name] = {}
-        for bench, ns in BENCH.findall(out(name)):
-            gotest[name].setdefault(bench, []).append(float(ns))
+gotest = {}
+for group in ["gemm", "conv", "conv-fast", "parallel"]:
+    rounds = sorted(glob.glob(os.path.join(tmp, group + ".*.out")))
+    if rounds:
+        gotest[group] = [{b: float(v) for b, v in BENCH.findall(out(os.path.basename(p)[:-4]))}
+                         for p in rounds]
 fast = "conv-fast" in gotest
 
 
-def ns(run, bench):
-    if bench not in gotest[run]:
-        fail(f"{bench} is missing from the {run} go test output")
-    return round(statistics.median(gotest[run][bench]))
+def samples(group, bench):
+    if any(bench not in r for r in gotest[group]):
+        fail(f"{bench} is missing from the {group} go test output")
+    return [r[bench] for r in gotest[group]]
+
+
+def ns(group, bench):
+    return round(statistics.median(samples(group, bench)))
+
+
+def ratio(group, slow, quick):
+    """Median over rounds of slow's ns/op over quick's in the same round."""
+    return round(statistics.median(a / b for a, b in zip(samples(group, slow), samples(group, quick))), 3)
 
 
 with open(os.path.join(tmp, "commit")) as f:
     commit = f.read().strip()
-goos = re.search(r"^goos: (\S+)", out("gemm"), re.M).group(1)
-goarch = re.search(r"^goarch: (\S+)", out("gemm"), re.M).group(1)
+goos = re.search(r"^goos: (\S+)", out("gemm.1"), re.M).group(1)
+goarch = re.search(r"^goarch: (\S+)", out("gemm.1"), re.M).group(1)
 host = {"cpu": cpu, "cpu_features": features, "nproc": int(nproc), "numerics": numerics,
         "go": gover, "goos": goos, "goarch": goarch, "commit": commit}
 created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -193,13 +209,14 @@ write("BENCH_quant.json", "ftpim.bench.quant/v3",
                       "int8_over_float": round(int8_rps / float_rps, 3)}})
 
 
-def paired(run, pairs, ref_key):
-    rows = []
-    for name, ref, workload in pairs:
-        a, b = ns(run, name), ns(run, ref)
-        rows.append({"name": name, "workload": workload, "ns_per_op": a, ref_key + "_name": ref,
-                     ref_key + "_ns_per_op": b, "speedup": round(b / a, 3)})
-    return rows
+def paired(group, pairs, ref_key):
+    return [{"name": name, "workload": workload, "ns_per_op": ns(group, name), ref_key + "_name": ref,
+             ref_key + "_ns_per_op": ns(group, ref), "speedup": ratio(group, ref, name)}
+            for name, ref, workload in pairs]
+
+
+ROUNDS = ("ns_per_op is the median over the interleaved rounds and speedup the median of the "
+          "per-round ratios.")
 
 
 gemm = [dict(r, tier="exact") for r in paired("gemm", [
@@ -216,11 +233,11 @@ if fast:
 gemm.append({"name": "BenchmarkMatMul64", "workload": "64^3 A*B via MatMulInto", "tier": "exact",
              "ns_per_op": ns("gemm", "BenchmarkMatMul64")})
 write("BENCH_gemm.json", "ftpim.bench.gemm/v1",
-      "Serial (workers=1) GEMM kernels, median ns/op over the go test -count runs. Exact-tier "
-      "rows pair each cache-blocked kernel with its pre-blocking reference (a bitwise test "
-      "oracle); fast-tier rows (AVX2+FMA, present when the host has them) pair each fast "
-      "kernel with the exact one. speedup = paired ns_per_op / ns_per_op.",
-      cmds("gemm"), {"benchmarks": gemm})
+      "Serial (workers=1) GEMM kernels. Exact-tier rows pair each cache-blocked kernel with its "
+      "pre-blocking reference (a bitwise test oracle); fast-tier rows (AVX2+FMA, present when "
+      "the host has them) pair each fast kernel with the exact one; speedup is the paired "
+      "kernel's time over the row's. " + ROUNDS,
+      cmds("gemm.1"), {"rounds": len(gotest["gemm"]), "benchmarks": gemm})
 
 CONV = [
     ("BenchmarkConvFwdFused32", "BenchmarkConvFwdRef32", "n=16 c=16 32x32 outC=16 3x3 s1 p1, forward"),
@@ -236,10 +253,10 @@ CONV = [
 write("BENCH_conv.json", "ftpim.bench.conv/v1",
       "Serial implicit-GEMM convolution (fused patch packing into batched panel GEMMs) against "
       "the materialized Im2Col+GEMM composition it replaced, which stays in-tree as the bitwise "
-      "test oracle; median ns/op over the go test -count runs, per numerics tier (fast_tier is "
-      "null on a host without AVX2+FMA). speedup = ref_ns_per_op / ns_per_op.",
-      cmds("conv", "conv-fast") if fast else cmds("conv"),
-      {"benchmarks": paired("conv", CONV, "ref"),
+      "test oracle, per numerics tier (fast_tier is null on a host without AVX2+FMA); speedup "
+      "is the reference's time over the fused path's. " + ROUNDS,
+      cmds("conv.1", "conv-fast.1") if fast else cmds("conv.1"),
+      {"rounds": len(gotest["conv"]), "benchmarks": paired("conv", CONV, "ref"),
        "fast_tier": paired("conv-fast", CONV, "ref") if fast else None})
 
 PARALLEL = [
@@ -250,18 +267,18 @@ PARALLEL = [
 ]
 par = []
 for name, workload in PARALLEL:
-    counts = sorted({int(b.rsplit("=", 1)[1]) for b in gotest["parallel"] if b.startswith(name + "/workers=")})
+    counts = sorted(int(b.rsplit("=", 1)[1]) for b in gotest["parallel"][0] if b.startswith(name + "/workers="))
     if 1 not in counts or len(counts) < 2:
         fail(f"{name}: the parallel go test output lacks workers=1 or a parallel count")
-    t = {w: ns("parallel", f"{name}/workers={w}") for w in counts}
+    sub = {w: f"{name}/workers={w}" for w in counts}
     par.append({"name": name, "workload": workload,
-                "ns_per_op": {f"workers={w}": t[w] for w in counts},
-                "speedup_vs_workers_1": {f"workers={w}": round(t[1] / t[w], 3) for w in counts[1:]}})
+                "ns_per_op": {f"workers={w}": ns("parallel", sub[w]) for w in counts},
+                "speedup_vs_workers_1": {f"workers={w}": ratio("parallel", sub[1], sub[w]) for w in counts[1:]}})
 write("BENCH_parallel.json", "ftpim.bench.parallel/v1",
       "Serial (workers=1) against worker-pool runs of the Monte-Carlo defect-eval protocol and "
-      "the sharded kernels, median ns/op over the go test -count runs. Every worker count gives "
-      "bit-identical results; counts above host.nproc are oversubscribed.",
-      cmds("parallel"), {"benchmarks": par})
+      "the sharded kernels. Every worker count gives bit-identical results; counts above "
+      "host.nproc are oversubscribed. " + ROUNDS,
+      cmds("parallel.1"), {"rounds": len(gotest["parallel"]), "benchmarks": par})
 EOF
 
 mv "$tmp"/out/BENCH_*.json results/
