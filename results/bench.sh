@@ -85,6 +85,10 @@ def out(name):
         return f.read()
 
 
+def names(pattern):
+    return [os.path.basename(p)[:-len(".out")] for p in glob.glob(os.path.join(tmp, pattern + ".out"))]
+
+
 def cmds(*names):
     lines = []
     for name in names:
@@ -125,19 +129,17 @@ def seed_of(name):
 
 E2E = ["ops_per_s", "op_ms", "setup_s", "peak_rss_mb"]
 LANES = ["serve-float", "serve-int8"]
-lanes, untraced = {}, []
+untraced = sorted(names("serve-*-seed*"), key=lambda name: (seed_of(name), name))  # the order they ran in
+lanes = {}
 for lane in LANES:
-    names = sorted((os.path.basename(p)[:-4] for p in glob.glob(os.path.join(tmp, lane + "-seed*.out"))),
-                   key=seed_of)
-    untraced += names
     runs = []
-    for name in names:
-        res = perfbench(name)
-        run = {"seed": seed_of(name), "attempted": res["attempted"], "failed": res["failed"]}
-        run.update({k: res["metrics"][k]["value"] for k in E2E})
-        runs.append(run)
+    for name in untraced:
+        if name.startswith(lane + "-seed"):
+            res = perfbench(name)
+            run = {"seed": seed_of(name), "attempted": res["attempted"], "failed": res["failed"]}
+            run.update({k: res["metrics"][k]["value"] for k in E2E})
+            runs.append(run)
     lanes[lane] = {"median": {k: statistics.median(r[k] for r in runs) for k in E2E}, "runs": runs}
-untraced.sort(key=lambda name: (seed_of(name), name))  # the order they ran in
 traced = {lane: perfbench(lane + "-traced")["metrics"] for lane in LANES}
 if len(hosts) != 1:
     fail("perfbench runs report different hosts")
@@ -147,10 +149,8 @@ nproc, cpu, features, numerics, gover = hosts.pop()
 BENCH = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op", re.M)
 gotest = {}
 for group in ["gemm", "conv", "conv-fast", "parallel"]:
-    rounds = sorted(glob.glob(os.path.join(tmp, group + ".*.out")))
-    if rounds:
-        gotest[group] = [{b: float(v) for b, v in BENCH.findall(out(os.path.basename(p)[:-4]))}
-                         for p in rounds]
+    if names(group + ".*"):
+        gotest[group] = [{b: float(v) for b, v in BENCH.findall(out(name))} for name in names(group + ".*")]
 fast = "conv-fast" in gotest
 
 
