@@ -1,6 +1,10 @@
 package nn
 
-import "github.com/ftpim/ftpim/internal/tensor"
+import (
+	"math"
+
+	"github.com/ftpim/ftpim/internal/tensor"
+)
 
 // ReLU is the rectified linear activation, max(0, x).
 type ReLU struct {
@@ -12,8 +16,10 @@ type ReLU struct {
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward clamps negatives to zero, caching the active mask for
-// backward when training. The inactive branch writes an explicit zero
-// because the workspace buffer carries the previous iteration's values.
+// backward when training. Every element is written (the workspace
+// buffer carries the previous iteration's values), and the choice
+// between v and +0 is a bit mask, not a branch on the data: ReLU sees
+// about half its inputs negative, so a branch mispredicts often.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := r.ws.Get(0, x.Shape()...)
 	xd, od := x.Data(), out.Data()
@@ -21,25 +27,27 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		if len(r.mask) < len(xd) {
 			r.mask = make([]bool, len(xd))
 		}
+		mask := r.mask[:len(xd)]
 		for i, v := range xd {
-			if v > 0 {
-				od[i] = v
-				r.mask[i] = true
-			} else {
-				od[i] = 0
-				r.mask[i] = false
-			}
+			m := reluMask(v)
+			od[i] = math.Float32frombits(math.Float32bits(v) & m)
+			mask[i] = m != 0
 		}
 	} else {
 		for i, v := range xd {
-			if v > 0 {
-				od[i] = v
-			} else {
-				od[i] = 0
-			}
+			od[i] = math.Float32frombits(math.Float32bits(v) & reluMask(v))
 		}
 	}
 	return out
+}
+
+// reluMask returns all ones when v > 0 and zero otherwise, so -0 and
+// NaN select +0 just as the comparison does. v > 0 exactly when its
+// bits b lie in [1, 0x7f800000] (+Inf included): when b-1, as an
+// unsigned 32-bit value, is below 0x7f800000. The difference below is
+// negative exactly then, and its sign bit is the mask.
+func reluMask(v float32) uint32 {
+	return uint32((int64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
 }
 
 // Backward gates the gradient by the cached activation mask.

@@ -7,10 +7,9 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NCHW inputs, lowered to GEMM
-// implicitly: input patches are packed straight into the blocked GEMM's
-// column panels (tensor.ConvGemmForward/Backward) and the whole batch
-// runs as one OutC × (InC·kh·kw) × (N·outH·outW) product — no column
-// matrix is ever materialized. Weights are stored flat as
+// implicitly (tensor.ConvGemmForward/Backward): the whole batch runs as
+// one OutC × (InC·kh·kw) × (N·outH·outW) product whose column panels
+// are built one at a time — no column matrix is ever materialized. Weights are stored flat as
 // (outC, inC·kh·kw), which is also the layout mapped onto ReRAM
 // crossbar columns by internal/reram. Bias is optional and off by
 // default (batch norm follows every conv in the ResNet models).

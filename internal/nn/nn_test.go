@@ -21,6 +21,44 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
+// TestReLUMaskMatchesComparison pins the branch-free select to the
+// comparison it replaces, `if v > 0 { v } else { +0 }`, bit for bit —
+// -0, both NaN signs, ±Inf, subnormals and the values around each
+// boundary included — in both modes, and the training mask to v > 0.
+func TestReLUMaskMatchesComparison(t *testing.T) {
+	bits := []uint32{
+		0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007fffff,
+		0x00800000, 0x3f800000, 0xbf800000, 0x7f7fffff, 0xff7fffff,
+		0x7f800000, 0xff800000, 0x7f800001, 0x7fc00000, 0xffc00000,
+		0x7fffffff, 0xffffffff,
+	}
+	r := tensor.NewRNG(5)
+	for i := 0; i < 256; i++ {
+		bits = append(bits, uint32(r.Uint64()))
+	}
+	xs := make([]float32, len(bits))
+	for i, b := range bits {
+		xs[i] = math.Float32frombits(b)
+	}
+	x := tensor.FromSlice(xs, 1, len(xs))
+	for _, train := range []bool{false, true} {
+		relu := NewReLU()
+		y := relu.Forward(x, train).Data()
+		for i, v := range xs {
+			var want float32
+			if v > 0 {
+				want = v
+			}
+			if math.Float32bits(y[i]) != math.Float32bits(want) {
+				t.Fatalf("train=%v: ReLU(%#08x) = %#08x, want %#08x", train, bits[i], math.Float32bits(y[i]), math.Float32bits(want))
+			}
+			if train && relu.mask[i] != (v > 0) {
+				t.Fatalf("ReLU mask(%#08x) = %v, want %v", bits[i], relu.mask[i], v > 0)
+			}
+		}
+	}
+}
+
 func TestReLUBackwardMasks(t *testing.T) {
 	r := NewReLU()
 	x := tensor.FromSlice([]float32{-1, 2}, 1, 2)

@@ -187,13 +187,12 @@ func TestQuantizeNetworkErrors(t *testing.T) {
 	}
 }
 
-// resNetQNet builds a CIFAR-style ResNet — a 3×3 stem, three stages of
+// resNetNet builds a CIFAR-style ResNet — a 3×3 stem, three stages of
 // blocks at the given widths (stride 2 entering stages 2 and 3), a
-// global pool and a linear head — over inC×h×w inputs, moves its
-// batch-norm statistics off their init values, and quantizes it with
-// a calibration batch of its own.
-func resNetQNet(tb testing.TB, seed uint64, inC, h, w, blocksPerStage, classes int, widths [3]int) *QuantizedNetwork {
-	tb.Helper()
+// global pool and a linear head — over inC×h×w inputs and moves its
+// batch-norm statistics off their init values. It returns the net and
+// the RNG it drew from.
+func resNetNet(seed uint64, inC, h, w, blocksPerStage, classes int, widths [3]int) (*Network, *tensor.RNG) {
 	rng := tensor.NewRNG(seed)
 	layers := []Layer{
 		NewConv2D("conv1", inC, widths[0], 3, 3, 1, 1, false, rng),
@@ -218,6 +217,14 @@ func resNetQNet(tb testing.TB, seed uint64, inC, h, w, blocksPerStage, classes i
 		tensor.FillNormal(warm, rng, 0, 1)
 		net.Forward(warm, true)
 	}
+	return net, rng
+}
+
+// resNetQNet is resNetNet quantized with a calibration batch of its
+// own.
+func resNetQNet(tb testing.TB, seed uint64, inC, h, w, blocksPerStage, classes int, widths [3]int) *QuantizedNetwork {
+	tb.Helper()
+	net, rng := resNetNet(seed, inC, h, w, blocksPerStage, classes, widths)
 	calib := tensor.New(32, inC, h, w)
 	tensor.FillNormal(calib, rng, 0, 1)
 	q, err := QuantizeNetwork(net, []*tensor.Tensor{calib})
@@ -231,6 +238,27 @@ func resNetQNet(tb testing.TB, seed uint64, inC, h, w, blocksPerStage, classes i
 // 3×12×12 images with 10 classes.
 func reproQNet(tb testing.TB, seed uint64) *QuantizedNetwork {
 	return resNetQNet(tb, seed, 3, 12, 12, 3, 10, [3]int{4, 8, 16})
+}
+
+// BenchmarkForward times the warm float forward (eval mode) of the
+// repro ResNet-20 ×0.25 at 12×12, one image and a full serving batch,
+// on the process's numerics tier: the pass a Monte-Carlo defect run or
+// a float-lane request makes. BenchmarkQuantizedForward is its int8
+// counterpart on the same net.
+func BenchmarkForward(b *testing.B) {
+	net, _ := resNetNet(3, 3, 12, 12, 3, 10, [3]int{4, 8, 16})
+	for _, n := range []int{1, 32} {
+		x := tensor.New(n, 3, 12, 12)
+		tensor.FillNormal(x, tensor.NewRNG(4), 0, 1)
+		b.Run(fmt.Sprintf("batch%d", n), func(b *testing.B) {
+			net.Forward(x, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Forward(x, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n)/1e6, "ms/image")
+		})
+	}
 }
 
 // BenchmarkQuantizedForward times the warm int8 forward of the repro

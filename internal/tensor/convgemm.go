@@ -9,12 +9,14 @@ package tensor
 // fuse the lowering into the GEMM instead:
 //
 //   - Forward treats the whole NCHW batch as ONE GEMM of shape
-//     outC × (C·kh·kw) × (N·outH·outW). Input patches are packed
-//     panel-by-panel straight into the pooled panelBuf layout the
-//     blocked tile kernels (gemmTile2/gemmTile1) already consume — the
-//     standalone column matrix is never materialized, and each packed
-//     panel is consumed while still cache-hot. Work parallelizes
-//     across output-column panels, not only across samples.
+//     outC × (C·kh·kw) × (N·outH·outW), run panel by panel through the
+//     exact tiles (exactTile2/exactTile1) — the standalone column
+//     matrix is never materialized, and each panel is consumed while
+//     still cache-hot. On the exact tier a stride-1 panel is a block
+//     of output rows read from a zero-bordered copy of the sample, one
+//     contiguous run per tap, with no gather (convForwardPlanes);
+//     strided convolutions gather their patches (im2colSeg). Work
+//     parallelizes across panels, not only across samples.
 //   - Backward streams: dX stages Wᵀ·dY in a pooled scratch block and
 //     a fused col2im consumer scatters it row-by-row into the image
 //     (no per-layer dcol buffer is retained), and dW is computed as
@@ -24,8 +26,9 @@ package tensor
 // Bit-identity contract (§6/§7 of DESIGN.md): every output element's
 // floating-point accumulation order is exactly that of the
 // Im2Col+Gemm / GemmTB / GemmTA+Col2Im composition it replaced.
-// Batching and panel regrouping only change which elements are
-// computed together, never the operation sequence within one element;
+// Batching, panel regrouping and the extended stride-1 panels only
+// change which elements are computed together, never the operands or
+// the operation sequence of one element;
 // convgemm_test.go pins this against the materialized composition as
 // the bitwise oracle across a shape grid, a fuzz target, and several
 // worker counts.
@@ -37,59 +40,6 @@ package tensor
 // fast-tier kernel — not bitwise — while remaining bit-deterministic
 // and worker-invariant within the fast tier. The exact tier and the
 // dX stage keep the full bitwise contract on both tiers.
-
-// Im2ColPanels lowers a whole NCHW batch into the packed column-panel
-// layout the blocked GEMM kernels consume: the conceptual
-// (C·kh·kw) × (N·outH·outW) column matrix, laid out exactly as packB
-// would pack it — the panel starting at batch column j0 occupies
-// dst[j0·k:] with row p of the panel at dst[j0·k+p·jw : +jw]
-// (k = C·kh·kw, jw = panel width ≤ gemmJTile). Column j0 of the batch
-// matrix is output position j0 mod (outH·outW) of sample
-// j0 / (outH·outW). dst must hold C·kh·kw·N·outH·outW elements.
-//
-// ConvGemmForward packs the same panels internally (pooled, one panel
-// at a time); this entry point exists for callers that want to pre-pack
-// a batch once and as the pinned definition of the packed layout.
-func Im2ColPanels(src []float32, n, c, h, w, kh, kw, stride, pad int, dst []float32) {
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
-	if outH <= 0 || outW <= 0 {
-		panic("tensor: Im2ColPanels empty output")
-	}
-	k := c * kh * kw
-	cols := n * outH * outW
-	if len(src) < n*c*h*w {
-		panic("tensor: Im2ColPanels src too small")
-	}
-	if len(dst) < k*cols {
-		panic("tensor: Im2ColPanels dst too small")
-	}
-	for j0 := 0; j0 < cols; j0 += gemmJTile {
-		jw := cols - j0
-		if jw > gemmJTile {
-			jw = gemmJTile
-		}
-		im2colPanel(dst[j0*k:], src, c, h, w, kh, kw, stride, pad, outH, outW, j0, jw)
-	}
-}
-
-// im2colPanel packs one panel — batch columns [j0, j0+jw) — into dst
-// with row p of the panel at dst[p*jw : p*jw+jw]. A panel may span
-// several samples; each sample's segment is lowered independently.
-func im2colPanel(dst, src []float32, c, h, w, kh, kw, stride, pad, outH, outW, j0, jw int) {
-	outArea := outH * outW
-	chw := c * h * w
-	for off := 0; off < jw; {
-		i := (j0 + off) / outArea
-		q0 := (j0 + off) % outArea
-		q1 := q0 + (jw - off)
-		if q1 > outArea {
-			q1 = outArea
-		}
-		im2colSeg(dst[off:], jw, src[i*chw:(i+1)*chw], c, h, w, kh, kw, stride, pad, outH, outW, q0, q1)
-		off += q1 - q0
-	}
-}
 
 // im2colSeg lowers output positions [q0, q1) of one CHW image: row p of
 // the column matrix lands at dst[p*rowStride : p*rowStride+(q1-q0)].
@@ -142,15 +92,24 @@ func im2colSeg(dst []float32, rowStride int, src []float32, c, h, w, kh, kw, str
 // ConvGemmForward computes the NCHW convolution output
 // dst = W · im2col(src) for a whole batch as one implicit GEMM of
 // shape outC × (c·kh·kw) × (n·outH·outW). dst is n×outC×outH×outW,
-// wd is outC×(c·kh·kw) row-major, src is n×c×h×w. Input patches are
-// packed into pooled column panels and consumed immediately by the
-// blocked tile kernels; above matMulShardFlops the panels are sharded
-// across Workers() goroutines. Results are bit-identical to the
-// per-sample Im2Col+Gemm composition at any worker count.
+// wd is outC×(c·kh·kw) row-major, src is n×c×h×w. Above
+// matMulShardFlops the work is sharded across Workers() goroutines.
+// Results are bit-identical to the per-sample Im2Col+Gemm composition
+// at any worker count.
 //
-// 1×1/stride-1/pad-0 convolutions take a zero-copy fast path: the
-// input already is the column matrix, so the tile kernels read src
-// directly and nothing is packed at all.
+// Three paths, by geometry:
+//
+//   - 1×1/stride-1/pad-0: zero-copy. The input already is the column
+//     matrix, so the tile kernels read src directly.
+//   - Other stride-1 convolutions on the exact tier: gather-free
+//     (convForwardPlanes). Each sample is copied once into a
+//     zero-bordered plane in which every tap's patch row is one
+//     contiguous run.
+//   - Strided convolutions, and every convolution on the fast tier:
+//     input patches are gathered into pooled column panels
+//     (im2colSeg) and consumed while cache-hot. The fast kernels
+//     round a column differently in the scalar tail than in the
+//     vector body, so they must see the composed Gemm's panels.
 func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, pad int) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
@@ -175,15 +134,95 @@ func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, p
 		convForward1x1(dst, wd, src, n, c, outArea, outC)
 		return
 	}
+	parallel := n*k*outArea*outC >= matMulShardFlops && Workers() > 1
+	if stride == 1 && outW <= gemmJTile && !useFast() {
+		// Blocks of output rows whose extended panel, (rows-1)·wp +
+		// outW columns, fits gemmJTile; spread evenly over outH.
+		wp := w + 2*pad
+		rows := min((gemmJTile-outW)/wp+1, outH)
+		blocks := (outH + rows - 1) / rows
+		rows = (outH + blocks - 1) / blocks
+		units := n * blocks
+		if units >= 2 && parallel {
+			ParallelFor(units, func(_, lo, hi int) {
+				convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi)
+			})
+			return
+		}
+		convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, 0, units)
+		return
+	}
 	perSample := (outArea + gemmJTile - 1) / gemmJTile
 	units := n * perSample
-	if units >= 2 && n*k*outArea*outC >= matMulShardFlops && Workers() > 1 {
+	if units >= 2 && parallel {
 		ParallelFor(units, func(_, lo, hi int) {
 			convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi)
 		})
 		return
 	}
 	convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, 0, units)
+}
+
+// convForwardPlanes computes units [lo, hi) of a stride-1 forward; a
+// unit is a block of at most rows output rows of one sample, and each
+// sample has blocks of them. There is no gather: the sample is copied
+// once into a zero-bordered plane (c × hp × wp, hp = h+2·pad,
+// wp = w+2·pad), and there the patch row of tap (ch, ky, kx) for
+// output rows [oy0, oy1) is the contiguous run of ext =
+// (oy1-oy0-1)·wp + outW plane values starting at ch·hp·wp +
+// (oy0+ky)·wp + kx. Extended column e is output (oy0 + e/wp, e mod wp)
+// when e mod wp < outW; the other columns straddle the border and are
+// dropped. Each block copies its k runs into a panel, one copy per
+// tap, runs the exact tiles over all ext columns, and copies the outW
+// useful columns of each row into dst. The border holds +0, exactly
+// what im2colSeg writes for an out-of-image tap, so every useful
+// output element meets the operands of the gathered path in the same
+// order and keeps its bits.
+func convForwardPlanes(dst, wd, src []float32, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi int) {
+	hp, wp := h+2*pad, w+2*pad
+	outH, outW := hp-kh+1, wp-kw+1
+	outArea := outH * outW
+	k := c * kh * kw
+	chw := c * h * w
+	extMax := (rows-1)*wp + outW
+	buf := getPanel(c*hp*wp + (k+outC)*extMax)
+	plane := buf.f[:c*hp*wp]
+	panel := buf.f[c*hp*wp : c*hp*wp+k*extMax]
+	ext := buf.f[c*hp*wp+k*extMax:]
+	clear(plane) // the border; each sample rewrites only the interior
+	filled := -1
+	for u := lo; u < hi; u++ {
+		i, oy0 := u/blocks, (u%blocks)*rows
+		oy1 := min(oy0+rows, outH)
+		if i != filled {
+			si := src[i*chw : (i+1)*chw]
+			for ch := 0; ch < c; ch++ {
+				for y := 0; y < h; y++ {
+					copy(plane[(ch*hp+y+pad)*wp+pad:][:w], si[(ch*h+y)*w:][:w])
+				}
+			}
+			filled = i
+		}
+		jw := (oy1-oy0-1)*wp + outW
+		p := 0
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				run := plane[(ch*hp+oy0+ky)*wp:]
+				for kx := 0; kx < kw; kx++ {
+					copy(panel[p*jw:(p+1)*jw], run[kx:kx+jw])
+					p++
+				}
+			}
+		}
+		convPanelRows(ext, wd, panel, k, outC, jw, jw, 0, 0, jw)
+		for oc := 0; oc < outC; oc++ {
+			od := dst[(i*outC+oc)*outArea:]
+			for oy := oy0; oy < oy1; oy++ {
+				copy(od[oy*outW:(oy+1)*outW], ext[oc*jw+(oy-oy0)*wp:])
+			}
+		}
+	}
+	panelPool.Put(buf)
 }
 
 // convForwardUnits packs and consumes panel units [lo, hi). A unit is
@@ -214,8 +253,9 @@ func convForwardUnits(dst, wd, src []float32, c, h, w, kh, kw, stride, pad, outH
 // convPanelRows runs the 2-row register tiles of matmul.go over all
 // outC weight rows for one panel: output row oc lands at
 // od[base+oc*orStride : +jw], panel row p is read at pb[pbBase+p*bs :
-// +jw]. Reusing gemmTile2/gemmTile1 verbatim is what makes the fused
-// path's per-element operation sequence identical to Gemm's.
+// +jw]. Reusing Gemm's tiles (exactTile2/exactTile1) verbatim is what
+// makes the fused path's per-element operation sequence identical to
+// Gemm's.
 func convPanelRows(od, wd, pb []float32, k, outC, jw, bs, pbBase, base, orStride int) {
 	if useFast() {
 		// Fast tier: the same per-row microkernel the fast Gemm path
@@ -228,12 +268,12 @@ func convPanelRows(od, wd, pb []float32, k, outC, jw, bs, pbBase, base, orStride
 	}
 	i := 0
 	for ; i+2 <= outC; i += 2 {
-		gemmTile2(od[base+i*orStride:base+i*orStride+jw],
+		exactTile2(od[base+i*orStride:base+i*orStride+jw],
 			od[base+(i+1)*orStride:base+(i+1)*orStride+jw],
 			wd[i*k:i*k+k], wd[(i+1)*k:(i+1)*k+k], pb, jw, bs, pbBase)
 	}
 	for ; i < outC; i++ {
-		gemmTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, jw, bs, pbBase)
+		exactTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, jw, bs, pbBase)
 	}
 }
 
@@ -431,17 +471,17 @@ func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride
 			p := 0
 			for ; p+4 <= outArea; p += 4 {
 				a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-				s0 += a0*b0[p] + a1*b0[p+1] + a2*b0[p+2] + a3*b0[p+3]
-				s1 += a0*b1[p] + a1*b1[p+1] + a2*b1[p+2] + a3*b1[p+3]
-				s2 += a0*b2[p] + a1*b2[p+1] + a2*b2[p+2] + a3*b2[p+3]
-				s3 += a0*b3[p] + a1*b3[p+1] + a2*b3[p+2] + a3*b3[p+3]
+				s0 += float32(a0*b0[p]) + float32(a1*b0[p+1]) + float32(a2*b0[p+2]) + float32(a3*b0[p+3])
+				s1 += float32(a0*b1[p]) + float32(a1*b1[p+1]) + float32(a2*b1[p+2]) + float32(a3*b1[p+3])
+				s2 += float32(a0*b2[p]) + float32(a1*b2[p+1]) + float32(a2*b2[p+2]) + float32(a3*b2[p+3])
+				s3 += float32(a0*b3[p]) + float32(a1*b3[p+1]) + float32(a2*b3[p+2]) + float32(a3*b3[p+3])
 			}
 			for ; p < outArea; p++ {
 				av := arow[p]
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float32(av * b0[p])
+				s1 += float32(av * b1[p])
+				s2 += float32(av * b2[p])
+				s3 += float32(av * b3[p])
 			}
 			chunk[oc*k+j], chunk[oc*k+j+1], chunk[oc*k+j+2], chunk[oc*k+j+3] = s0, s1, s2, s3
 		}
@@ -457,11 +497,11 @@ func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride
 			var s float32
 			p := 0
 			for ; p+4 <= outArea; p += 4 {
-				s += arow[p]*brow[p] + arow[p+1]*brow[p+1] +
-					arow[p+2]*brow[p+2] + arow[p+3]*brow[p+3]
+				s += float32(arow[p]*brow[p]) + float32(arow[p+1]*brow[p+1]) +
+					float32(arow[p+2]*brow[p+2]) + float32(arow[p+3]*brow[p+3])
 			}
 			for ; p < outArea; p++ {
-				s += arow[p] * brow[p]
+				s += float32(arow[p] * brow[p])
 			}
 			chunk[oc*k+j] = s
 		}

@@ -18,11 +18,13 @@ type convShape struct {
 }
 
 // convShapes stresses every structural regime of the fused kernels:
-// the 1×1/stride-1/pad-0 zero-copy fast path, 1×1 with stride (general
+// the 1×1/stride-1/pad-0 zero-copy fast path, 1×1 with stride (gathered
 // path), pad ≥ kernel (taps that never touch the image), strides 2–3,
-// non-square 5×5 and 2×2 kernels, k%4 tails, panels spanning sample
-// boundaries (outArea ≪ gemmJTile), in-sample ragged panels
-// (outArea > gemmJTile), and the 32×32 paper shape.
+// non-square 5×5, 2×2 and 2×3 kernels, k%4 tails, small planes
+// (outArea ≪ gemmJTile), stride-1 planes split into several row blocks
+// (outArea > gemmJTile, the 32×32 paper shape among them), and a
+// stride-1 output row wider than gemmJTile, which takes the gathered
+// path.
 var convShapes = []convShape{
 	{1, 1, 3, 3, 1, 1, 1, 1, 0},     // minimal 1×1 fast path
 	{2, 3, 8, 8, 4, 1, 1, 1, 0},     // 1×1 fast path, k%4 tail (c=3)
@@ -36,6 +38,8 @@ var convShapes = []convShape{
 	{30, 2, 7, 7, 3, 3, 3, 1, 0},    // outArea=25: panels span samples
 	{2, 2, 20, 20, 3, 3, 3, 1, 1},   // outArea=400: ragged in-sample panels
 	{4, 16, 32, 32, 16, 3, 3, 1, 1}, // paper shape (batch trimmed)
+	{2, 3, 9, 7, 5, 2, 3, 1, 1},     // 2×3 kernel, stride 1
+	{1, 2, 3, 260, 3, 3, 3, 1, 1},   // outW=260 > gemmJTile: gathered
 }
 
 // convOracleData builds deterministic (weight, src, dY) buffers for a
@@ -117,6 +121,98 @@ func refConvBackward(wd, src, dY []float32, s convShape) (dW, dX []float32) {
 	return dW, dX
 }
 
+// Im2Col is the oracles' lowering: one CHW image into a (C·kh·kw) ×
+// (outH·outW) column matrix stored row-major in dst, the standard
+// lowering that turns a convolution into a GEMM. src holds C·H·W
+// elements; dst must hold C·kh·kw·outH·outW elements. Out-of-bounds
+// taps read as zero (zero padding).
+func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
+	outH := ConvOutSize(h, kh, stride, pad)
+	outW := ConvOutSize(w, kw, stride, pad)
+	outArea := outH * outW
+	if len(src) < c*h*w {
+		panic("tensor: Im2Col src too small")
+	}
+	if len(dst) < c*kh*kw*outArea {
+		panic("tensor: Im2Col dst too small")
+	}
+	row := 0
+	for ch := 0; ch < c; ch++ {
+		chBase := ch * h * w
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				im2colRow(dst[row*outArea:(row+1)*outArea], src,
+					chBase, ky, kx, h, w, outH, outW, stride, pad)
+				row++
+			}
+		}
+	}
+}
+
+// Col2Im is Im2Col's adjoint: it scatters a column matrix back into a
+// CHW image, accumulating where patches overlap. dst (C·H·W) is
+// expected to be pre-zeroed by the caller when a fresh gradient is
+// wanted.
+func Col2Im(col []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
+	outH := ConvOutSize(h, kh, stride, pad)
+	outW := ConvOutSize(w, kw, stride, pad)
+	outArea := outH * outW
+	if len(dst) < c*h*w {
+		panic("tensor: Col2Im dst too small")
+	}
+	if len(col) < c*kh*kw*outArea {
+		panic("tensor: Col2Im col too small")
+	}
+	row := 0
+	for ch := 0; ch < c; ch++ {
+		chBase := ch * h * w
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				col2imRow(dst, col[row*outArea:(row+1)*outArea],
+					chBase, ky, kx, h, w, outH, outW, stride, pad)
+				row++
+			}
+		}
+	}
+}
+
+// convSkipWitnesses adds the skip witnesses to conv oracle data. The
+// weight matrix (outC×k) is the coefficient side. Each image is the B
+// side; an image value feeds up to kh·kw outputs per channel, so
+// specials in half the columns would leave few finite outputs, and
+// each sample gets one +Inf, one -Inf and one NaN instead.
+// convOracleData's all-zero weight row 2 then yields NaN at those
+// positions if a zero quad is multiplied instead of skipped.
+func convSkipWitnesses(seed uint64, wd, src []float32, s convShape) {
+	skipWitnesses(wd, s.outC, s.c*s.kh*s.kw)
+	plantPerSample(seed, src, s.n, s.c*s.h*s.w)
+}
+
+// plantPerSample writes +Inf, -Inf and NaN at seeded positions of each
+// of the n equal per-sample blocks of x (per elements each).
+func plantPerSample(seed uint64, x []float32, n, per int) {
+	rng := NewRNG(seed)
+	inf := float32(math.Inf(1))
+	for i := 0; i < n; i++ {
+		for _, v := range []float32{inf, -inf, float32(math.NaN())} {
+			x[i*per+int(rng.Uint64()%uint64(per))] = v
+		}
+	}
+}
+
+// backwardSkipWitnesses adds the conv witnesses to the backward
+// operands, and specials to dY (the B side of the dX product), on the
+// exact tier only: the fast tier's dW is error-bounded against the
+// oracle, a bound that needs finite data.
+func backwardSkipWitnesses(seed uint64, wd, src, dY []float32, s convShape) {
+	if ActiveNumerics() != NumericsExact {
+		return
+	}
+	outArea := ConvOutSize(s.h, s.kh, s.stride, s.pad) * ConvOutSize(s.w, s.kw, s.stride, s.pad)
+	convSkipWitnesses(seed, wd, src, s)
+	plantPerSample(seed^0x5EED, dY, s.n, s.outC*outArea)
+}
+
 func (s convShape) String() string {
 	return fmt.Sprintf("n%d_c%d_%dx%d_oc%d_k%dx%d_s%d_p%d",
 		s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
@@ -156,10 +252,8 @@ func convDWMags(src, dY []float32, s convShape) []float64 {
 func checkConvDW(t *testing.T, want, got, src, dY []float32, s convShape) {
 	t.Helper()
 	if ActiveNumerics() == NumericsExact {
-		for i := range want {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("fused dW differs from GemmTB oracle at %d: %v vs %v", i, got[i], want[i])
-			}
+		if i := exactMismatch(want, got); i >= 0 {
+			t.Fatalf("fused dW differs from GemmTB oracle at %d: %v vs %v", i, got[i], want[i])
 		}
 		return
 	}
@@ -171,9 +265,9 @@ func TestConvGemmForwardMatchesOracleBitwise(t *testing.T) {
 	for _, s := range convShapes {
 		t.Run(s.String(), func(t *testing.T) {
 			wd, src, _ := convOracleData(0xC0117, s)
+			convSkipWitnesses(0xC0117, wd, src, s)
 			var want []float32
 			withWorkers(1, func() { want = refConvForward(wd, src, s) })
-			outArea := ConvOutSize(s.h, s.kh, s.stride, s.pad) * ConvOutSize(s.w, s.kw, s.stride, s.pad)
 			for _, w := range []int{1, 2, 4} {
 				withWorkers(w, func() {
 					got := make([]float32, len(want))
@@ -181,8 +275,8 @@ func TestConvGemmForwardMatchesOracleBitwise(t *testing.T) {
 						got[i] = 999
 					}
 					ConvGemmForward(got, wd, src, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
-					if !FromSlice(got, s.n*s.outC, outArea).Equal(FromSlice(want, s.n*s.outC, outArea)) {
-						t.Fatalf("workers=%d: fused forward differs from Im2Col+Gemm oracle", w)
+					if i := exactMismatch(want, got); i >= 0 {
+						t.Fatalf("workers=%d: fused forward differs from Im2Col+Gemm oracle at %d", w, i)
 					}
 				})
 			}
@@ -194,6 +288,7 @@ func TestConvGemmBackwardMatchesOracleBitwise(t *testing.T) {
 	for _, s := range convShapes {
 		t.Run(s.String(), func(t *testing.T) {
 			wd, src, dY := convOracleData(0xBAC1, s)
+			backwardSkipWitnesses(0xBAC1, wd, src, dY, s)
 			var wantDW, wantDX []float32
 			withWorkers(1, func() { wantDW, wantDX = refConvBackward(wd, src, dY, s) })
 			k := s.c * s.kh * s.kw
@@ -210,48 +305,10 @@ func TestConvGemmBackwardMatchesOracleBitwise(t *testing.T) {
 						}
 					}
 					checkConvDW(t, wantDW, dW, src, dY, s)
-					if !FromSlice(dX, s.n, s.c*s.h*s.w).Equal(FromSlice(wantDX, s.n, s.c*s.h*s.w)) {
-						t.Fatalf("workers=%d: fused dX differs from GemmTA+Col2Im oracle", w)
+					if i := exactMismatch(wantDX, dX); i >= 0 {
+						t.Fatalf("workers=%d: fused dX differs from GemmTA+Col2Im oracle at %d", w, i)
 					}
 				})
-			}
-		})
-	}
-}
-
-// TestIm2ColPanelsMatchesPackedIm2Col pins the exported packed layout:
-// Im2ColPanels over a batch must produce exactly packB applied to the
-// row-major batch column matrix assembled from per-sample Im2Col calls.
-func TestIm2ColPanelsMatchesPackedIm2Col(t *testing.T) {
-	for _, s := range convShapes {
-		t.Run(s.String(), func(t *testing.T) {
-			_, src, _ := convOracleData(0x9A7, s)
-			outH := ConvOutSize(s.h, s.kh, s.stride, s.pad)
-			outW := ConvOutSize(s.w, s.kw, s.stride, s.pad)
-			outArea := outH * outW
-			k := s.c * s.kh * s.kw
-			cols := s.n * outArea
-			// Assemble the conceptual k × (n·outArea) batch column
-			// matrix sample by sample, then pack it the way Gemm would.
-			batch := make([]float32, k*cols)
-			col := make([]float32, k*outArea)
-			for i := 0; i < s.n; i++ {
-				Im2Col(src[i*s.c*s.h*s.w:(i+1)*s.c*s.h*s.w],
-					s.c, s.h, s.w, s.kh, s.kw, s.stride, s.pad, col)
-				for p := 0; p < k; p++ {
-					copy(batch[p*cols+i*outArea:p*cols+(i+1)*outArea], col[p*outArea:(p+1)*outArea])
-				}
-			}
-			want, buf := packB(batch, k, cols)
-			got := make([]float32, k*cols)
-			Im2ColPanels(src, s.n, s.c, s.h, s.w, s.kh, s.kw, s.stride, s.pad, got)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("packed layout differs at %d: %v vs %v", i, got[i], want[i])
-				}
-			}
-			if buf != nil {
-				panelPool.Put(buf)
 			}
 		})
 	}
@@ -321,14 +378,16 @@ func FuzzConvGemmOracle(f *testing.F) {
 			t.Skip("empty output")
 		}
 		wd, src, dY := convOracleData(seed, s)
-		want := refConvForward(wd, src, s)
+		fwdSrc := append([]float32(nil), src...)
+		fwdW := append([]float32(nil), wd...)
+		convSkipWitnesses(seed, fwdW, fwdSrc, s)
+		want := refConvForward(fwdW, fwdSrc, s)
 		got := make([]float32, len(want))
-		ConvGemmForward(got, wd, src, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("forward mismatch at %d for %v seed %d", i, s, seed)
-			}
+		ConvGemmForward(got, fwdW, fwdSrc, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
+		if i := exactMismatch(want, got); i >= 0 {
+			t.Fatalf("forward mismatch at %d for %v seed %d", i, s, seed)
 		}
+		backwardSkipWitnesses(seed, wd, src, dY, s)
 		wantDW, wantDX := refConvBackward(wd, src, dY, s)
 		k := s.c * s.kh * s.kw
 		wlen := s.outC * k
@@ -342,10 +401,8 @@ func FuzzConvGemmOracle(f *testing.F) {
 			}
 		}
 		checkConvDW(t, wantDW, dW, src, dY, s)
-		for i := range dX {
-			if dX[i] != wantDX[i] {
-				t.Fatalf("dX mismatch at %d for %v seed %d", i, s, seed)
-			}
+		if i := exactMismatch(wantDX, dX); i >= 0 {
+			t.Fatalf("dX mismatch at %d for %v seed %d", i, s, seed)
 		}
 	})
 }

@@ -11,19 +11,20 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // Implemented in cpu_amd64.s. Only valid when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-var fastSupported, s8Supported, cpuFeatures = detectFast()
+var fastSupported, s8Supported, avxSupported, cpuFeatures = detectFast()
 
 // detectFast probes CPUID for the features the fast kernels need:
 // AVX2 and FMA for the instructions themselves, plus OSXSAVE and
 // XCR0[2:1]=11b so the OS actually preserves the YMM registers the
 // kernels live in. The int8 dot kernels need AVX2 and YMM state but no
-// FMA, so they get their own flag. The feature string reports whatever
-// was found even when the combination is insufficient, so logs from a
+// FMA, and the exact-tier float tiles need only AVX and YMM state, so
+// each gets its own flag. The feature string reports whatever was
+// found even when the combination is insufficient, so logs from a
 // partial host explain *why* the fast tier fell back.
-func detectFast() (fast, s8 bool, feats string) {
+func detectFast() (fast, s8, avx bool, feats string) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 1 {
-		return false, false, ""
+		return false, false, false, ""
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	const (
@@ -58,5 +59,5 @@ func detectFast() (fast, s8 bool, feats string) {
 	add("fma", hasFMA)
 
 	s8 = hasAVX && hasAVX2 && osYMM
-	return s8 && hasFMA, s8, feats
+	return s8 && hasFMA, s8, hasAVX && osYMM, feats
 }

@@ -2,14 +2,16 @@
 
 package tensor
 
-// Pure-Go builds (non-amd64, or the noasm tag) have no fast kernels:
-// fastSupported and s8Supported are constant false, so no dispatch
-// predicate ever selects a microkernel, and these stubs exist only to
-// satisfy the dispatch call sites. They are unreachable.
+// Pure-Go builds (non-amd64, or the noasm tag) have no asm kernels:
+// fastSupported, s8Supported and avxSupported are constant false, so
+// no dispatch predicate ever selects a microkernel, and these stubs
+// exist only to satisfy the dispatch call sites. They are unreachable.
+// The exact tier runs its Go loops.
 
 const (
 	fastSupported = false
 	s8Supported   = false
+	avxSupported  = false
 )
 
 var cpuFeatures = ""
@@ -24,6 +26,9 @@ func fastGemmTASerial(dst, a, b []float32, k, m, n int) { unreachableFast() }
 func fastGemmTB(dst, a, b []float32, m, k, n int)       { unreachableFast() }
 
 func fastTile1(orow, arow, pb []float32, jw, bs, base int) { unreachableFast() }
+
+func avxTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) { unreachableFast() }
+func avxTile1(orow, arow, pb []float32, jw, bs, base int)     { unreachableFast() }
 
 func convSampleDWAxpy(chunk, srci, dyi, patches []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast1x1 bool) {
 	unreachableFast()

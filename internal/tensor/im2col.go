@@ -7,39 +7,11 @@ func ConvOutSize(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
-// Im2Col lowers one CHW image into a (C·kh·kw) × (outH·outW) column
-// matrix stored row-major in dst, the standard lowering that turns a
-// convolution into a GEMM. src holds C·H·W elements; dst must hold
-// C·kh·kw·outH·outW elements. Out-of-bounds taps read as zero
-// (zero padding).
-func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
-	outArea := outH * outW
-	if len(src) < c*h*w {
-		panic("tensor: Im2Col src too small")
-	}
-	if len(dst) < c*kh*kw*outArea {
-		panic("tensor: Im2Col dst too small")
-	}
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				im2colRow(dst[row*outArea:(row+1)*outArea], src,
-					chBase, ky, kx, h, w, outH, outW, stride, pad)
-				row++
-			}
-		}
-	}
-}
-
 // im2colRow fills one row of the column matrix: the (ky, kx) tap of the
 // channel whose plane starts at src[chBase], over every output
-// position. It is the shared inner body of Im2Col and of the implicit-
-// GEMM paths in convgemm.go that generate column rows on the fly, so
-// every lowering writes identical values.
+// position. It is the shared inner body of the implicit-GEMM paths in
+// convgemm.go that generate column rows on the fly and of the Im2Col
+// test oracle, so every lowering writes identical values.
 func im2colRow(d, src []float32, chBase, ky, kx, h, w, outH, outW, stride, pad int) {
 	di := 0
 	for oy := 0; oy < outH; oy++ {
@@ -65,37 +37,11 @@ func im2colRow(d, src []float32, chBase, ky, kx, h, w, outH, outW, stride, pad i
 	}
 }
 
-// Col2Im scatters a column matrix produced by Im2Col back into a CHW
-// image, accumulating where patches overlap. dst (C·H·W) is expected to
-// be pre-zeroed by the caller when a fresh gradient is wanted.
-func Col2Im(col []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
-	outArea := outH * outW
-	if len(dst) < c*h*w {
-		panic("tensor: Col2Im dst too small")
-	}
-	if len(col) < c*kh*kw*outArea {
-		panic("tensor: Col2Im col too small")
-	}
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				col2imRow(dst, col[row*outArea:(row+1)*outArea],
-					chBase, ky, kx, h, w, outH, outW, stride, pad)
-				row++
-			}
-		}
-	}
-}
-
 // col2imRow scatter-adds one column-matrix row — the (ky, kx) tap of
 // the channel whose plane starts at dst[chBase] — back into the image.
-// It is the shared inner body of Col2Im and of the fused col2im
-// consumer in convgemm.go, so both scatter paths perform identical
-// accumulations in identical order.
+// It is the shared inner body of the fused col2im consumer in
+// convgemm.go and of the Col2Im test oracle, so both scatter paths
+// perform identical accumulations in identical order.
 func col2imRow(dst, s []float32, chBase, ky, kx, h, w, outH, outW, stride, pad int) {
 	si := 0
 	for oy := 0; oy < outH; oy++ {

@@ -10,22 +10,27 @@ import (
 // The three products the training loop needs (A·B, Aᵀ·B, A·Bᵀ) are
 // cache-blocked, register-tiled kernels over raw float32 slices, with
 // Tensor wrappers that validate shapes. Each entry point dispatches on
-// the process-wide numerics tier (numerics.go): the scalar kernels in
-// this file are the exact tier; on amd64 hosts with AVX2+FMA the fast
-// tier swaps the inner loops for the microkernels in gemm_fast.go,
-// trading bit-identity for throughput (ULP-pinned instead). Two
-// invariants govern every exact kernel in this file:
+// the process-wide numerics tier (numerics.go): the loops in this file
+// define the exact tier; on amd64 hosts with AVX2+FMA the fast tier
+// swaps the inner loops for the microkernels in gemm_fast.go, trading
+// bit-identity for throughput (ULP-pinned instead). Two invariants
+// govern every exact kernel in this file:
 //
 //  1. Bit-identity. For each output element, the sequence of
-//     floating-point operations — including the skip-zero fast paths,
-//     which are observable through signed zeros — is exactly the
-//     sequence the reference kernels (matMulRows, matMulTARef,
-//     matMulTBRows) perform. Blocking and register tiling only
-//     reorder work across *different* output elements, never the
-//     accumulation order within one, so results are bitwise equal to
-//     the reference at any tile size and worker count. The oracle
-//     tests in matmul_oracle_test.go, where the reference kernels
-//     live, pin this.
+//     floating-point operations — every product and every sum rounded
+//     separately, in the reference association, with the reference's
+//     zero skips — is exactly the sequence the reference kernels
+//     (matMulRows, matMulTARef, matMulTBRows) perform. Blocking and
+//     register tiling only reorder work across *different* output
+//     elements, never the accumulation order within one, so results
+//     are bitwise equal to the reference at any tile size and worker
+//     count. Each product is wrapped in float32(): the Go spec lets a
+//     compiler fuse x*y + z into one rounding unless the product is
+//     converted explicitly, and gc does so on arm64. The A·B tiles
+//     also run as exact-order AVX kernels (gemm_exact.go) wherever the
+//     CPU has AVX, with the same bits. The oracle tests in
+//     matmul_oracle_test.go, where the reference kernels live, pin
+//     all of this.
 //
 //  2. Zero steady-state allocation. Packing buffers come from a
 //     sync.Pool of reusable panels; warm calls allocate nothing.
@@ -144,13 +149,33 @@ func gemmRows(od, ad, pb []float32, k, n, lo, hi int) {
 		base := j0 * k
 		i := lo
 		for ; i+2 <= hi; i += 2 {
-			gemmTile2(od[i*n+j0:i*n+j0+jw], od[(i+1)*n+j0:(i+1)*n+j0+jw],
+			exactTile2(od[i*n+j0:i*n+j0+jw], od[(i+1)*n+j0:(i+1)*n+j0+jw],
 				ad[i*k:i*k+k], ad[(i+1)*k:(i+1)*k+k], pb, jw, jw, base)
 		}
 		for ; i < hi; i++ {
-			gemmTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], pb, jw, jw, base)
+			exactTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], pb, jw, jw, base)
 		}
 	}
+}
+
+// exactTile2 runs the gemmTile2 update on the exact-order AVX kernel
+// where the CPU has AVX, and as the Go loop otherwise. Both give the
+// same bits; the oracle tests pin the kernel to the loop.
+func exactTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
+	if avxSupported {
+		avxTile2(o0, o1, a0, a1, pb, jw, bs, base)
+		return
+	}
+	gemmTile2(o0, o1, a0, a1, pb, jw, bs, base)
+}
+
+// exactTile1 is exactTile2 for one row: gemmTile1 or its AVX kernel.
+func exactTile1(orow, arow, pb []float32, jw, bs, base int) {
+	if avxSupported {
+		avxTile1(orow, arow, pb, jw, bs, base)
+		return
+	}
+	gemmTile1(orow, arow, pb, jw, bs, base)
 }
 
 // gemmTile2 computes the jw-wide output segments o0, o1 of two rows
@@ -187,18 +212,18 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 		if !z0 && !z1 {
 			for x := 0; x < jw; x++ {
 				bv0, bv1, bv2, bv3 := b0[x], b1[x], b2[x], b3[x]
-				o0[x] += w00*bv0 + w01*bv1 + w02*bv2 + w03*bv3
-				o1[x] += w10*bv0 + w11*bv1 + w12*bv2 + w13*bv3
+				o0[x] += float32(w00*bv0) + float32(w01*bv1) + float32(w02*bv2) + float32(w03*bv3)
+				o1[x] += float32(w10*bv0) + float32(w11*bv1) + float32(w12*bv2) + float32(w13*bv3)
 			}
 		} else if !z0 {
 			// Mixed skip pattern: per-row updates so the skipped row
 			// stays untouched, exactly as the reference does.
 			for x := range o0 {
-				o0[x] += w00*b0[x] + w01*b1[x] + w02*b2[x] + w03*b3[x]
+				o0[x] += float32(w00*b0[x]) + float32(w01*b1[x]) + float32(w02*b2[x]) + float32(w03*b3[x])
 			}
 		} else {
 			for x := range o1 {
-				o1[x] += w10*b0[x] + w11*b1[x] + w12*b2[x] + w13*b3[x]
+				o1[x] += float32(w10*b0[x]) + float32(w11*b1[x]) + float32(w12*b2[x]) + float32(w13*b3[x])
 			}
 		}
 	}
@@ -206,12 +231,12 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 		brow := pb[base+p*bs : base+p*bs+jw]
 		if av := a0[p]; av != 0 {
 			for x := range o0 {
-				o0[x] += av * brow[x]
+				o0[x] += float32(av * brow[x])
 			}
 		}
 		if av := a1[p]; av != 0 {
 			for x := range o1 {
-				o1[x] += av * brow[x]
+				o1[x] += float32(av * brow[x])
 			}
 		}
 	}
@@ -236,7 +261,7 @@ func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
 		b2 := pb[base+(p+2)*bs : base+(p+2)*bs+jw]
 		b3 := pb[base+(p+3)*bs : base+(p+3)*bs+jw]
 		for x := range orow {
-			orow[x] += a0*b0[x] + a1*b1[x] + a2*b2[x] + a3*b3[x]
+			orow[x] += float32(a0*b0[x]) + float32(a1*b1[x]) + float32(a2*b2[x]) + float32(a3*b3[x])
 		}
 	}
 	for ; p < k; p++ {
@@ -246,7 +271,7 @@ func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
 		}
 		brow := pb[base+p*bs : base+p*bs+jw]
 		for x := range orow {
-			orow[x] += av * brow[x]
+			orow[x] += float32(av * brow[x])
 		}
 	}
 }
@@ -335,16 +360,16 @@ func gemmTAShard(od, ad, bd []float32, k, m, n, lo, hi int) {
 				o1 := od[ob+n+j0 : ob+n+j0+jw]
 				if av0 != 0 && av1 != 0 {
 					for x, bv := range brow {
-						o0[x] += av0 * bv
-						o1[x] += av1 * bv
+						o0[x] += float32(av0 * bv)
+						o1[x] += float32(av1 * bv)
 					}
 				} else if av0 != 0 {
 					for x, bv := range brow {
-						o0[x] += av0 * bv
+						o0[x] += float32(av0 * bv)
 					}
 				} else {
 					for x, bv := range brow {
-						o1[x] += av1 * bv
+						o1[x] += float32(av1 * bv)
 					}
 				}
 			}
@@ -353,7 +378,7 @@ func gemmTAShard(od, ad, bd []float32, k, m, n, lo, hi int) {
 					ob := (lo + ii) * n
 					orow := od[ob+j0 : ob+j0+jw]
 					for x, bv := range brow {
-						orow[x] += av * bv
+						orow[x] += float32(av * bv)
 					}
 				}
 			}
@@ -446,17 +471,17 @@ func gemmTBBlock(od, ad, bd []float32, k, n, lo, hi, j0, j1 int) {
 			p := 0
 			for ; p+4 <= k; p += 4 {
 				a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-				s0 += a0*b0[p] + a1*b0[p+1] + a2*b0[p+2] + a3*b0[p+3]
-				s1 += a0*b1[p] + a1*b1[p+1] + a2*b1[p+2] + a3*b1[p+3]
-				s2 += a0*b2[p] + a1*b2[p+1] + a2*b2[p+2] + a3*b2[p+3]
-				s3 += a0*b3[p] + a1*b3[p+1] + a2*b3[p+2] + a3*b3[p+3]
+				s0 += float32(a0*b0[p]) + float32(a1*b0[p+1]) + float32(a2*b0[p+2]) + float32(a3*b0[p+3])
+				s1 += float32(a0*b1[p]) + float32(a1*b1[p+1]) + float32(a2*b1[p+2]) + float32(a3*b1[p+3])
+				s2 += float32(a0*b2[p]) + float32(a1*b2[p+1]) + float32(a2*b2[p+2]) + float32(a3*b2[p+3])
+				s3 += float32(a0*b3[p]) + float32(a1*b3[p+1]) + float32(a2*b3[p+2]) + float32(a3*b3[p+3])
 			}
 			for ; p < k; p++ {
 				av := arow[p]
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float32(av * b0[p])
+				s1 += float32(av * b1[p])
+				s2 += float32(av * b2[p])
+				s3 += float32(av * b3[p])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -465,11 +490,11 @@ func gemmTBBlock(od, ad, bd []float32, k, n, lo, hi, j0, j1 int) {
 			var s float32
 			p := 0
 			for ; p+4 <= k; p += 4 {
-				s += arow[p]*brow[p] + arow[p+1]*brow[p+1] +
-					arow[p+2]*brow[p+2] + arow[p+3]*brow[p+3]
+				s += float32(arow[p]*brow[p]) + float32(arow[p+1]*brow[p+1]) +
+					float32(arow[p+2]*brow[p+2]) + float32(arow[p+3]*brow[p+3])
 			}
 			for ; p < k; p++ {
-				s += arow[p] * brow[p]
+				s += float32(arow[p] * brow[p])
 			}
 			orow[j] = s
 		}
@@ -496,7 +521,7 @@ func MatVecInto(dst []float32, a *Tensor, x []float32) []float32 {
 		row := a.data[i*n : (i+1)*n]
 		var s float32
 		for j, v := range row {
-			s += v * x[j]
+			s += float32(v * x[j])
 		}
 		dst[i] = s
 	}

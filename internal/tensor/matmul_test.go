@@ -256,20 +256,6 @@ func BenchmarkMatMul64(b *testing.B) {
 	}
 }
 
-func BenchmarkIm2Col32(b *testing.B) {
-	r := NewRNG(1)
-	c, h, w := 16, 32, 32
-	src := make([]float32, c*h*w)
-	for i := range src {
-		src[i] = r.Normal(0, 1)
-	}
-	dst := make([]float32, c*9*h*w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2Col(src, c, h, w, 3, 3, 1, 1, dst)
-	}
-}
-
 // benchGemm256 times one of the packed kernels on the 256^3 reference
 // shape with a pinned worker count, so serial kernel speed is measured
 // apart from sharding. The numerics tier is pinned to exact so the

@@ -10,11 +10,16 @@ import (
 //
 // The two tiers make one contract explicit:
 //
-//   - NumericsExact (the zero value, and the default): the scalar
-//     kernels whose floating-point operation order is bitwise-pinned
-//     by the oracle suites. Every determinism-, checkpoint-, and
-//     repro-bearing path — distributed leases, checkpoint resume, the
-//     determinism-equivalence suites — is contractually exact.
+//   - NumericsExact (the zero value, and the default): a contract on
+//     each output element's operation sequence — every product and
+//     every sum rounded separately, in the reference kernels'
+//     association, with their zero skips — pinned bit for bit by the
+//     oracle suites. The Go loops meet it, and so do the exact-order
+//     AVX tile kernels the A·B products run wherever the CPU has AVX
+//     (a noasm build keeps the loops). Every determinism-,
+//     checkpoint-, and repro-bearing path — distributed leases,
+//     checkpoint resume, the determinism-equivalence suites — is
+//     contractually exact.
 //   - NumericsFast: AVX2+FMA microkernels. FMA fuses the multiply and
 //     add with a single rounding and the vectorized reduction sums in
 //     a different order, so results differ from exact in the last
@@ -28,7 +33,7 @@ import (
 type Numerics int32
 
 const (
-	// NumericsExact is the bitwise-pinned scalar tier (default).
+	// NumericsExact is the bitwise-pinned tier (default).
 	NumericsExact Numerics = iota
 	// NumericsFast is the AVX2+FMA vectorized tier, ULP-pinned
 	// against exact. Requesting it on hardware (or a noasm build)
