@@ -8,7 +8,7 @@ import (
 
 // ReLU is the rectified linear activation, max(0, x).
 type ReLU struct {
-	mask []bool
+	mask []uint32         // reluMask of each training input, for Backward
 	ws   tensor.Workspace // slot 0: forward out; slot 1: backward dX
 }
 
@@ -25,13 +25,13 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	xd, od := x.Data(), out.Data()
 	if train {
 		if len(r.mask) < len(xd) {
-			r.mask = make([]bool, len(xd))
+			r.mask = make([]uint32, len(xd))
 		}
 		mask := r.mask[:len(xd)]
 		for i, v := range xd {
 			m := reluMask(v)
 			od[i] = math.Float32frombits(math.Float32bits(v) & m)
-			mask[i] = m != 0
+			mask[i] = m
 		}
 	} else {
 		for i, v := range xd {
@@ -50,16 +50,15 @@ func reluMask(v float32) uint32 {
 	return uint32((int64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
 }
 
-// Backward gates the gradient by the cached activation mask.
+// Backward gates the gradient by the cached activation mask, as a bit
+// mask rather than a branch: +0 where the unit was inactive, and the
+// gradient's own bits where it was active.
 func (r *ReLU) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	dX := r.ws.Get(1, dOut.Shape()...)
 	dd, dxd := dOut.Data(), dX.Data()
+	mask := r.mask[:len(dd)]
 	for i, v := range dd {
-		if r.mask[i] {
-			dxd[i] = v
-		} else {
-			dxd[i] = 0
-		}
+		dxd[i] = math.Float32frombits(math.Float32bits(v) & mask[i])
 	}
 	return dX
 }

@@ -67,11 +67,11 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				for j := 0; j < area; j++ {
 					v := float64(xd[base+j])
 					sum += v
-					sq += v * v
+					sq += float64(v * v)
 				}
 			}
 			mean := sum / float64(cnt)
-			variance := sq/float64(cnt) - mean*mean
+			variance := sq/float64(cnt) - float64(mean*mean)
 			if variance < 0 {
 				variance = 0
 			}
@@ -84,7 +84,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				for j := 0; j < area; j++ {
 					xn := (xd[base+j] - m32) * inv
 					xh[base+j] = xn
-					od[base+j] = g*xn + b
+					od[base+j] = float32(g*xn) + b
 				}
 			}
 			// Unbiased variance for the running estimate, as PyTorch does.
@@ -93,8 +93,8 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				unb = variance * float64(cnt) / float64(cnt-1)
 			}
 			rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
-			rm[c] = float32((1-bn.Momentum)*float64(rm[c]) + bn.Momentum*mean)
-			rv[c] = float32((1-bn.Momentum)*float64(rv[c]) + bn.Momentum*unb)
+			rm[c] = float32(float64((1-bn.Momentum)*float64(rm[c])) + float64(bn.Momentum*mean))
+			rv[c] = float32(float64((1-bn.Momentum)*float64(rv[c])) + float64(bn.Momentum*unb))
 		}
 		bn.lastShape = append(bn.lastShape[:0], x.Shape()...)
 	} else {
@@ -105,7 +105,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for i := 0; i < n; i++ {
 				base := (i*bn.C + c) * area
 				for j := 0; j < area; j++ {
-					od[base+j] = g*(xd[base+j]-m)*inv + b
+					od[base+j] = float32(g*(xd[base+j]-m)*inv) + b
 				}
 			}
 		}
@@ -134,7 +134,7 @@ func (bn *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 			for j := 0; j < area; j++ {
 				dy := float64(dd[base+j])
 				sumDy += dy
-				sumDyXh += dy * float64(xh[base+j])
+				sumDyXh += float64(dy * float64(xh[base+j]))
 			}
 		}
 		gB[c] += float32(sumDy)
@@ -147,7 +147,7 @@ func (bn *BatchNorm2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 			for j := 0; j < area; j++ {
 				dy := float64(dd[base+j])
 				xn := float64(xh[base+j])
-				dxd[base+j] = float32(k * (dy - meanDy - xn*meanDyXh))
+				dxd[base+j] = float32(k * (dy - meanDy - float64(xn*meanDyXh)))
 			}
 		}
 	}

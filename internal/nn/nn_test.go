@@ -21,11 +21,10 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
-// TestReLUMaskMatchesComparison pins the branch-free select to the
-// comparison it replaces, `if v > 0 { v } else { +0 }`, bit for bit —
-// -0, both NaN signs, ±Inf, subnormals and the values around each
-// boundary included — in both modes, and the training mask to v > 0.
-func TestReLUMaskMatchesComparison(t *testing.T) {
+// reluEdgeBits are float32 bit patterns around every boundary of the
+// ReLU select: ±0, subnormals, ±1, the largest finite values, ±Inf,
+// signalling and quiet NaNs of both signs, and 256 random patterns.
+func reluEdgeBits() []uint32 {
 	bits := []uint32{
 		0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007fffff,
 		0x00800000, 0x3f800000, 0xbf800000, 0x7f7fffff, 0xff7fffff,
@@ -36,6 +35,16 @@ func TestReLUMaskMatchesComparison(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		bits = append(bits, uint32(r.Uint64()))
 	}
+	return bits
+}
+
+// TestReLUMaskMatchesComparison pins the branch-free select to the
+// comparison it replaces, `if v > 0 { v } else { +0 }`, bit for bit —
+// -0, both NaN signs, ±Inf, subnormals and the values around each
+// boundary included — in both modes, and the training mask to all ones
+// exactly where v > 0.
+func TestReLUMaskMatchesComparison(t *testing.T) {
+	bits := reluEdgeBits()
 	xs := make([]float32, len(bits))
 	for i, b := range bits {
 		xs[i] = math.Float32frombits(b)
@@ -52,9 +61,44 @@ func TestReLUMaskMatchesComparison(t *testing.T) {
 			if math.Float32bits(y[i]) != math.Float32bits(want) {
 				t.Fatalf("train=%v: ReLU(%#08x) = %#08x, want %#08x", train, bits[i], math.Float32bits(y[i]), math.Float32bits(want))
 			}
-			if train && relu.mask[i] != (v > 0) {
-				t.Fatalf("ReLU mask(%#08x) = %v, want %v", bits[i], relu.mask[i], v > 0)
+			wantMask := uint32(0)
+			if v > 0 {
+				wantMask = ^uint32(0)
 			}
+			if train && relu.mask[i] != wantMask {
+				t.Fatalf("ReLU mask(%#08x) = %#08x, want %#08x", bits[i], relu.mask[i], wantMask)
+			}
+		}
+	}
+}
+
+// TestReLUBackwardMatchesBranch pins the branch-free backward to the
+// branch it replaces, `if x > 0 { g } else { +0 }`, bit for bit, on
+// every pairing of an edge input x with an edge gradient g: NaN
+// gradients keep their payload where the unit was active, and ±Inf and
+// -0 pass through unchanged.
+func TestReLUBackwardMatchesBranch(t *testing.T) {
+	bits := reluEdgeBits()
+	n := len(bits)
+	xs := make([]float32, n*n)
+	gs := make([]float32, n*n)
+	for i, xb := range bits {
+		for j, gb := range bits {
+			xs[i*n+j] = math.Float32frombits(xb)
+			gs[i*n+j] = math.Float32frombits(gb)
+		}
+	}
+	relu := NewReLU()
+	relu.Forward(tensor.FromSlice(xs, n, n), true)
+	d := relu.Backward(tensor.FromSlice(gs, n, n)).Data()
+	for i, x := range xs {
+		var want float32
+		if x > 0 {
+			want = gs[i]
+		}
+		if math.Float32bits(d[i]) != math.Float32bits(want) {
+			t.Fatalf("ReLU backward at x=%#08x, g=%#08x gives %#08x, want %#08x",
+				math.Float32bits(x), math.Float32bits(gs[i]), math.Float32bits(d[i]), math.Float32bits(want))
 		}
 	}
 }

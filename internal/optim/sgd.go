@@ -56,15 +56,15 @@ func (s *SGD) Step() {
 		}
 		if s.Nesterov {
 			for j := range w {
-				gj := g[j] + wd*w[j]
-				v[j] = mu*v[j] + gj
-				w[j] -= lr * (gj + mu*v[j])
+				gj := g[j] + float32(wd*w[j])
+				v[j] = float32(mu*v[j]) + gj
+				w[j] -= float32(lr * (gj + float32(mu*v[j])))
 			}
 		} else {
 			for j := range w {
-				gj := g[j] + wd*w[j]
-				v[j] = mu*v[j] + gj
-				w[j] -= lr * v[j]
+				gj := g[j] + float32(wd*w[j])
+				v[j] = float32(mu*v[j]) + gj
+				w[j] -= float32(lr * v[j])
 			}
 		}
 		p.ApplyMask()

@@ -17,11 +17,16 @@ package tensor
 //     contiguous run per tap, with no gather (convForwardPlanes);
 //     strided convolutions gather their patches (im2colSeg). Work
 //     parallelizes across panels, not only across samples.
-//   - Backward streams: dX stages Wᵀ·dY in a pooled scratch block and
-//     a fused col2im consumer scatters it row-by-row into the image
-//     (no per-layer dcol buffer is retained), and dW is computed as
-//     per-sample chunks with column rows generated on the fly (no col
-//     buffer at all).
+//   - Backward streams per sample: dX stages Wᵀ·dY in a pooled scratch
+//     block, computed by the exact GemmTA's register-resident kernel,
+//     and a fused col2im consumer scatters it row by row into the
+//     image (no per-layer dcol buffer is retained). On the exact tier
+//     dW runs on the same A·B tiles as the forward, with their zero
+//     skips off, over the sample's patch-major panel (one receptive
+//     field per row); without AVX, and on the fast tier, its dot loops
+//     read column rows generated on the fly. Stride-1 convolutions
+//     build the panel from, and scatter dX into, zero-bordered planes,
+//     with no per-element bounds test (ConvGemmBackward).
 //
 // Bit-identity contract (§6/§7 of DESIGN.md): every output element's
 // floating-point accumulation order is exactly that of the
@@ -195,12 +200,7 @@ func convForwardPlanes(dst, wd, src []float32, c, h, w, outC, kh, kw, pad, rows,
 		i, oy0 := u/blocks, (u%blocks)*rows
 		oy1 := min(oy0+rows, outH)
 		if i != filled {
-			si := src[i*chw : (i+1)*chw]
-			for ch := 0; ch < c; ch++ {
-				for y := 0; y < h; y++ {
-					copy(plane[(ch*hp+y+pad)*wp+pad:][:w], si[(ch*h+y)*w:][:w])
-				}
-			}
+			toPlane(plane, src[i*chw:(i+1)*chw], c, h, w, pad)
 			filled = i
 		}
 		jw := (oy1-oy0-1)*wp + outW
@@ -312,23 +312,36 @@ func convForward1x1(dst, wd, src []float32, n, c, area, outC int) {
 //
 //   - dwChunks receives n per-sample weight-gradient chunks, chunk i
 //     (outC×(c·kh·kw) row-major, dY_i · col_iᵀ) at
-//     dwChunks[i*outC*c*kh*kw:]. Column rows are generated on the fly
-//     from src — the per-sample column matrix is never materialized.
-//     The caller adds the chunks to the gradient in ascending sample
-//     order, preserving the per-sample accumulation the serial
-//     GemmTB+AddInPlace loop performed.
-//   - dX (n×c×h×w, pre-zeroed by the caller) receives the fused
-//     col2im of Wᵀ·dY: each dcol row pair is computed into pooled
-//     scratch and scattered into the image immediately, in ascending
-//     row order — exactly Col2Im's accumulation order — without a
-//     dcol buffer.
+//     dwChunks[i*outC*c*kh*kw:]. The caller adds the chunks to the
+//     gradient in ascending sample order, preserving the per-sample
+//     accumulation the serial GemmTB+AddInPlace loop performed. On
+//     the exact tier with AVX a chunk is dY_i (outC × outArea) times
+//     the sample's patch-major panel (outArea × c·kh·kw, one receptive
+//     field per row) on the A·B tiles with their zero skips off. Each
+//     element then is s = s + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)
+//     over quads of output positions, and s = s + a·b over the
+//     outArea mod 4 left, from +0: GemmTB's dot, skipping nothing.
+//     Elsewhere convSampleDW's dot loops (or the fast tier's kernels)
+//     run over column rows generated on the fly.
+//   - dX (n×c×h×w, pre-zeroed by the caller) receives the col2im of
+//     Wᵀ·dY: each sample's dcol block is computed into pooled scratch
+//     by the exact GemmTA's kernel (exactTAShard) and scattered in
+//     ascending row order — exactly Col2Im's accumulation order —
+//     without a per-layer dcol buffer.
+//
+// Stride-1 convolutions gather and scatter without a bounds test. The
+// sample is copied once into a zero-bordered plane, where every tap of
+// a receptive field row is one contiguous kw-long run (planePatches),
+// and dX accumulates in a second zero-bordered plane, one outW-long
+// run add per output row, before its interior is copied out. An
+// out-of-image tap reads the border's +0, where im2rowPatch writes 0,
+// and scatters into the border, where Col2Im drops it. Strided
+// convolutions gather with im2rowPatch and scatter with col2imRow.
 //
 // Samples are independent, so the batch shards across Workers()
 // goroutines above matMulShardFlops; per-sample results are
 // bit-identical to the materialized GemmTB / GemmTA+Col2Im composition
-// at any worker count. 1×1/stride-1/pad-0 convolutions skip column-row
-// generation (src rows are the column rows, zero-copy) and scatter via
-// straight row additions.
+// at any worker count.
 func ConvGemmBackward(dX, dwChunks, wd, src, dY []float32, n, c, h, w, outC, kh, kw, stride, pad int) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
@@ -359,21 +372,33 @@ func ConvGemmBackward(dX, dwChunks, wd, src, dY []float32, n, c, h, w, outC, kh,
 }
 
 // convBackwardSamples processes samples [lo, hi): the dW chunk and the
-// fused col2im dX of each sample in turn.
+// dX of each sample in turn.
 func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW, lo, hi int) {
 	outArea := outH * outW
 	k := c * kh * kw
 	chw := c * h * w
 	outStride := outC * outArea
-	fast := kh == 1 && kw == 1 && stride == 1 && pad == 0
-	vec := useFast()
-	// Scratch: 4 generated column rows for the exact-tier dW quads, 4
-	// gathered patch rows for the fast-tier axpy dW, and a k-row dcol
-	// block for dX, all from one pooled panel.
-	buf := getPanel(4*outArea + 4*k + k*outArea)
-	gen := buf.f[:4*outArea]
-	patches := buf.f[4*outArea : 4*outArea+4*k]
-	sb := buf.f[4*outArea+4*k:]
+	fast := useFast()
+	tiles := avxSupported && !fast
+	kp := (k + 7) &^ 7 // the dW tiles' width; see convSampleDWTiles
+	planeLen := 0
+	if stride == 1 {
+		planeLen = c * (h + 2*pad) * (w + 2*pad)
+	}
+	// Scratch, all from one pooled panel: the sample's zero-bordered
+	// plane and the dX plane (stride 1 only); a kp·outArea block that
+	// holds the patch-major panel for dW and then dcol for dX; the
+	// tiles' outC×kp chunk; 4 generated column rows for convSampleDW's
+	// dot loops and 4 patch rows for the fast tier's axpy dW.
+	buf := getPanel(2*planeLen + kp*outArea + outC*kp + 4*outArea + 4*k)
+	f := buf.f
+	plane, f := f[:planeLen], f[planeLen:]
+	dxPlane, f := f[:planeLen], f[planeLen:]
+	blk, f := f[:kp*outArea], f[kp*outArea:]
+	tileChunk, f := f[:outC*kp], f[outC*kp:]
+	gen, patches := f[:4*outArea], f[4*outArea:]
+	clear(plane) // the border; each sample rewrites only the interior
+	pointwise := kh == 1 && kw == 1 && stride == 1 && pad == 0
 	// Fast-tier dW dispatch is by shape: the axpy batching streams
 	// rank-1 updates over k-length chunk rows, which wins when the dot
 	// kernels would pay a horizontal reduction per element over short
@@ -381,21 +406,185 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 	// chunk-row load/store traffic when outArea dominates (early
 	// layers). The predicate depends only on the layer shape, never on
 	// data or worker count, so results stay deterministic.
-	axpy := vec && k >= outArea
+	axpy := fast && k >= outArea
 	for i := lo; i < hi; i++ {
 		srci := src[i*chw : (i+1)*chw]
 		dyi := dY[i*outStride : (i+1)*outStride]
-		if axpy {
-			convSampleDWAxpy(dwChunks[i*outC*k:(i+1)*outC*k], srci, dyi, patches,
-				c, h, w, outC, kh, kw, stride, pad, outH, outW, fast)
-		} else {
-			convSampleDW(dwChunks[i*outC*k:(i+1)*outC*k], srci, dyi, gen,
-				c, h, w, outC, kh, kw, stride, pad, outH, outW, fast, vec)
+		chunk := dwChunks[i*outC*k : (i+1)*outC*k]
+		switch {
+		case tiles:
+			convSampleDWTiles(chunk, srci, dyi, blk, tileChunk, plane, c, h, w, outC, kh, kw, stride, pad, outH, outW)
+		case axpy:
+			convSampleDWAxpy(chunk, srci, dyi, patches, c, h, w, outC, kh, kw, stride, pad, outH, outW, pointwise)
+		default:
+			convSampleDW(chunk, srci, dyi, gen, c, h, w, outC, kh, kw, stride, pad, outH, outW, pointwise, fast)
 		}
-		convSampleDX(dX[i*chw:(i+1)*chw], wd, dyi, sb,
+		convSampleDX(dX[i*chw:(i+1)*chw], wd, dyi, blk[:k*outArea], dxPlane,
 			c, h, w, outC, kh, kw, stride, pad, outH, outW, fast)
 	}
 	panelPool.Put(buf)
+}
+
+// convSampleDX computes one sample's input gradient: the dcol block
+// Wᵀ·dY_i goes into the pooled scratch dcol (k × outArea) and is
+// scattered into the pre-zeroed dxi in ascending row order, exactly
+// Col2Im's accumulation order. A stride-1 convolution scatters into
+// the zero-bordered dxPlane, one outW-long run add per output row, and
+// copies its interior out; the out-of-image taps land in the border,
+// which is Col2Im dropping them. Strided convolutions scatter with
+// col2imRow.
+func convSampleDX(dxi, wd, dyi, dcol, dxPlane []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast bool) {
+	outArea := outH * outW
+	k := c * kh * kw
+	if fast {
+		// Serial fast variant: this runs inside the per-sample
+		// ParallelFor, so it must not fan out again.
+		fastGemmTASerial(dcol, wd, dyi, outC, k, outArea)
+	} else {
+		exactTAShard(dcol, wd, dyi, outC, k, outArea, 0, k)
+	}
+	if stride != 1 {
+		kk := kh * kw
+		for r := 0; r < k; r++ {
+			col2imRow(dxi, dcol[r*outArea:(r+1)*outArea], (r/kk)*h*w, (r%kk)/kw, r%kw, h, w, outH, outW, stride, pad)
+		}
+		return
+	}
+	hp, wp := h+2*pad, w+2*pad
+	clear(dxPlane)
+	r := 0
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				addRuns(dxPlane[(ch*hp+ky)*wp+kx:], dcol[r*outArea:(r+1)*outArea], outH, outW, wp)
+				r++
+			}
+		}
+	}
+	fromPlane(dxi, dxPlane, c, h, w, pad)
+}
+
+// toPlane copies the c×h×w sample x into the interior of the
+// zero-bordered plane (c × (h+2·pad) × (w+2·pad)), leaving the border
+// as it is.
+func toPlane(plane, x []float32, c, h, w, pad int) {
+	hp, wp := h+2*pad, w+2*pad
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			copy(plane[(ch*hp+y+pad)*wp+pad:][:w], x[(ch*h+y)*w:][:w])
+		}
+	}
+}
+
+// fromPlane copies the interior of the plane back into x: toPlane's
+// inverse.
+func fromPlane(x, plane []float32, c, h, w, pad int) {
+	hp, wp := h+2*pad, w+2*pad
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			copy(x[(ch*h+y)*w:][:w], plane[(ch*hp+y+pad)*wp+pad:][:w])
+		}
+	}
+}
+
+// planePatches writes the patch-major panel of a stride-1 convolution
+// from the sample's zero-bordered plane (c × hp × wp): panel row q =
+// (oy, ox), at panel[q·ps:], is the receptive field of output (oy, ox)
+// in (ch, ky, kx) order, c·kh runs of kw values that each lie
+// contiguous in the plane at (ch·hp + oy + ky)·wp + ox. The border
+// holds +0 where im2rowPatch writes 0, so the panel holds im2rowPatch's
+// values. A 3×3 kernel's runs are copied by an AVX kernel where the CPU
+// has AVX.
+func planePatches(panel []float32, ps int, plane []float32, c, hp, wp, kh, kw, outH, outW int) {
+	if avxSupported && kh == 3 && kw == 3 {
+		avxPatches3x3(panel, ps, plane, c, hp, wp, outH, outW)
+		return
+	}
+	planePatchesLoop(panel, ps, plane, c, hp, wp, kh, kw, outH, outW)
+}
+
+// planePatchesLoop is planePatches in Go, one panel column at a time:
+// column (ch, ky, kx) of panel row (oy, ox) is plane value
+// (ch·hp + oy + ky)·wp + kx + ox, so each output row's outW values
+// come from one contiguous plane run.
+func planePatchesLoop(panel []float32, ps int, plane []float32, c, hp, wp, kh, kw, outH, outW int) {
+	r := 0
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				for oy := 0; oy < outH; oy++ {
+					d := panel[oy*outW*ps+r:]
+					for ox, v := range plane[(ch*hp+oy+ky)*wp+kx:][:outW] {
+						d[ox*ps] = v
+					}
+				}
+				r++
+			}
+		}
+	}
+}
+
+// addRuns runs addRunsLoop on the AVX kernel where the CPU has AVX.
+// Each element takes one rounded add either way, so both give the same
+// bits.
+func addRuns(dst, src []float32, rows, n, ds int) {
+	if avxSupported {
+		avxAddRuns(dst, src, rows, n, ds)
+		return
+	}
+	addRunsLoop(dst, src, rows, n, ds)
+}
+
+// addRunsLoop adds rows runs of n values: dst[y·ds+x] += src[y·n+x]
+// for y < rows and x < n.
+func addRunsLoop(dst, src []float32, rows, n, ds int) {
+	for y := 0; y < rows; y++ {
+		d := dst[y*ds:][:n]
+		for x, v := range src[y*n : (y+1)*n] {
+			d[x] += v
+		}
+	}
+}
+
+// convSampleDWTiles computes one sample's weight-gradient chunk on the
+// exact AVX tiles with their zero skips off: chunk row oc is dY_i's row
+// oc (outArea coefficients) times the sample's patch-major panel
+// (outArea × k), whose quad association is GemmTB's dot's. The skips
+// must be off: a zero dY quad against ±Inf or NaN in the panel gives
+// NaN in the dot, where a skip would leave the sum as it was.
+//
+// A stride-1 panel is copied from the zero-bordered plane (c ×
+// (h+2·pad) × (w+2·pad), border +0), which receives the sample first;
+// a strided one is gathered by im2rowPatch. The panel's rows lie kp =
+// k rounded up to 8 apart, and the tiles run kp wide into the outC × kp
+// scratch tc, whose first k columns are then the chunk: at a width of
+// whole vectors the tiles run no masked tail, whose masked load of an
+// output row would wait for the previous quad's masked store to
+// retire. The padding columns hold stale values and give stale
+// results, which are not copied out.
+func convSampleDWTiles(chunk, srci, dyi, panel, tc, plane []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int) {
+	outArea := outH * outW
+	k := c * kh * kw
+	kp := (k + 7) &^ 7
+	if stride == 1 {
+		toPlane(plane, srci, c, h, w, pad)
+		planePatches(panel, kp, plane, c, h+2*pad, w+2*pad, kh, kw, outH, outW)
+	} else {
+		for q := 0; q < outArea; q++ {
+			im2rowPatch(panel[q*kp:q*kp+k], srci, c, h, w, kh, kw, stride, pad, q/outW, q%outW)
+		}
+	}
+	oc := 0
+	for ; oc+2 <= outC; oc += 2 {
+		avxTile2(tc[oc*kp:(oc+1)*kp], tc[(oc+1)*kp:(oc+2)*kp],
+			dyi[oc*outArea:(oc+1)*outArea], dyi[(oc+1)*outArea:(oc+2)*outArea], panel, kp, kp, 0, false)
+	}
+	if oc < outC {
+		avxTile1(tc[oc*kp:(oc+1)*kp], dyi[oc*outArea:(oc+1)*outArea], panel, kp, kp, 0, false)
+	}
+	for oc := 0; oc < outC; oc++ {
+		copy(chunk[oc*k:(oc+1)*k], tc[oc*kp:])
+	}
 }
 
 // im2rowPatch gathers the receptive field of output position (oy, ox)
@@ -431,8 +620,10 @@ func im2rowPatch(dst, src []float32, c, h, w, kh, kw, stride, pad, oy, ox int) {
 
 // convSampleDW computes one sample's weight-gradient chunk
 // dY_i · col_iᵀ with column rows generated on demand — the dot-form
-// kernel (fast-tier deep shapes with k >= outArea run convSampleDWAxpy
-// instead; see convBackwardSamples). The dot-product bodies are
+// kernel of exact builds without AVX and of the fast tier (fast-tier
+// deep shapes with k >= outArea run convSampleDWAxpy instead; see
+// convBackwardSamples), and the reference the exact tier's dW tiles
+// are tested against. The dot-product bodies are
 // exactly gemmTBRows' 1×4 and single-column tiles (fastDot4/fastDot on
 // the fast tier — the same microkernels the fast GemmTB runs, keeping
 // this form bit-identical to the composed oracle within either tier),
@@ -505,37 +696,5 @@ func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride
 			}
 			chunk[oc*k+j] = s
 		}
-	}
-}
-
-// convSampleDX computes one sample's input gradient: the dcol block
-// Wᵀ·dY_i is produced by gemmTAShard — the exact kernel behind GemmTA,
-// so every dcol element accumulates in the reference order with the
-// reference zero skips — into a pooled scratch block shared across the
-// shard's samples, then scattered into the pre-zeroed image via
-// col2imRow in ascending row order, exactly Col2Im's accumulation
-// order. No per-layer dcol buffer is retained; 1×1/stride-1/pad-0
-// convolutions skip the index arithmetic and add rows directly.
-func convSampleDX(dxi, wd, dyi, sb []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast bool) {
-	outArea := outH * outW
-	k := c * kh * kw
-	kk := kh * kw
-	if useFast() {
-		// Serial fast variant: this runs inside the per-sample
-		// ParallelFor, so it must not fan out again.
-		fastGemmTASerial(sb, wd, dyi, outC, k, outArea)
-	} else {
-		gemmTAShard(sb, wd, dyi, outC, k, outArea, 0, k)
-	}
-	for r := 0; r < k; r++ {
-		s := sb[r*outArea : (r+1)*outArea]
-		if fast {
-			drow := dxi[r*outArea : (r+1)*outArea]
-			for x, v := range s {
-				drow[x] += v
-			}
-			continue
-		}
-		col2imRow(dxi, s, (r/kk)*h*w, (r%kk)/kw, r%kw, h, w, outH, outW, stride, pad)
 	}
 }

@@ -203,7 +203,10 @@ func plantPerSample(seed uint64, x []float32, n, per int) {
 // backwardSkipWitnesses adds the conv witnesses to the backward
 // operands, and specials to dY (the B side of the dX product), on the
 // exact tier only: the fast tier's dW is error-bounded against the
-// oracle, a bound that needs finite data.
+// oracle, a bound that needs finite data. The dW dot skips nothing, so
+// it needs the opposite witness: output channel 1 of every sample gets
+// an all-zero dY row, whose zero quads and singles meet the ±Inf and
+// NaN planted in src, where 0·Inf makes NaN and a skip would not.
 func backwardSkipWitnesses(seed uint64, wd, src, dY []float32, s convShape) {
 	if ActiveNumerics() != NumericsExact {
 		return
@@ -211,6 +214,11 @@ func backwardSkipWitnesses(seed uint64, wd, src, dY []float32, s convShape) {
 	outArea := ConvOutSize(s.h, s.kh, s.stride, s.pad) * ConvOutSize(s.w, s.kw, s.stride, s.pad)
 	convSkipWitnesses(seed, wd, src, s)
 	plantPerSample(seed^0x5EED, dY, s.n, s.outC*outArea)
+	if s.outC >= 2 {
+		for i := 0; i < s.n; i++ {
+			clear(dY[(i*s.outC+1)*outArea : (i*s.outC+2)*outArea])
+		}
+	}
 }
 
 func (s convShape) String() string {

@@ -95,7 +95,7 @@ func checkExactTiles(t *testing.T, seed uint64, k, jw, bs, base int) {
 	gemmTile2(want0, want1, a0, a1, pb, jw, bs, base)
 	got0, ok0 := guardedRow(jw)
 	got1, ok1 := guardedRow(jw)
-	avxTile2(got0, got1, a0, a1, pb, jw, bs, base)
+	avxTile2(got0, got1, a0, a1, pb, jw, bs, base, true)
 	if !ok0() || !ok1() || !ok() {
 		t.Fatalf("k=%d jw=%d bs=%d base=%d: tile2 wrote outside its rows", k, jw, bs, base)
 	}
@@ -109,7 +109,7 @@ func checkExactTiles(t *testing.T, seed uint64, k, jw, bs, base int) {
 		want, _ := guardedRow(jw)
 		gemmTile1(want, a, pb, jw, bs, base)
 		got, okg := guardedRow(jw)
-		avxTile1(got, a, pb, jw, bs, base)
+		avxTile1(got, a, pb, jw, bs, base, true)
 		if !okg() {
 			t.Fatalf("k=%d jw=%d bs=%d base=%d: tile1 wrote outside its row", k, jw, bs, base)
 		}
@@ -150,5 +150,224 @@ func FuzzExactTilesAVXVsGo(f *testing.F) {
 		k := int(kRaw)
 		jw := int(jwRaw)%320 + 1
 		checkExactTiles(t, seed, k, jw, jw+int(extraRaw)%32, int(baseRaw)%64)
+	})
+}
+
+// The exact conv backward has four more AVX kernels, each with a Go
+// loop of the same bits: the Aᵀ·B shard behind GemmTA and dX
+// (avxTAShard, gemmTAShard), the dW tiles with their zero skips off
+// (convSampleDWTiles, convSampleDW's dot loop), the stride-1 dW
+// panel's 3×3 patch copy (avxPatches3x3, planePatchesLoop) and the
+// stride-1 scatter's run adds (avxAddRuns, addRunsLoop).
+
+// taOperands builds A (k×m) and B (k×n) for one Aᵀ·B shard: A's
+// coefficient pairs meet every skip pattern — both live, one ±0, both
+// zero, a whole zero column — and B holds ±Inf and NaN, so a skipped
+// zero and a multiplied one give different bits.
+func taOperands(seed uint64, k, m, n int) (a, b []float32) {
+	rng := NewRNG(seed)
+	at := New(k, m)
+	FillNormal(at, rng, 0, 1)
+	a = at.Data()
+	for x := 0; x < len(a); x += 3 {
+		a[x] = 0
+	}
+	for p := 0; p < k; p++ {
+		if m > 2 {
+			a[p*m+2] = 0
+		}
+		if p%4 == 1 && m > 5 {
+			a[p*m+4], a[p*m+5] = 0, float32(math.Copysign(0, -1))
+		}
+	}
+	if len(a) > 1 {
+		a[1] = float32(math.Copysign(0, -1))
+	}
+	bt := New(k, n)
+	FillNormal(bt, rng, 0, 1)
+	b = bt.Data()
+	plantSpecials(b, k, n)
+	return a, b
+}
+
+// checkTAShard runs the AVX and Go Aᵀ·B shards on one input and fails
+// on the first difference in bits, or on a write outside rows [lo, hi).
+func checkTAShard(t *testing.T, seed uint64, k, m, n, lo, hi int) {
+	t.Helper()
+	a, b := taOperands(seed, k, m, n)
+	const canary = 12345.5
+	want := make([]float32, m*n)
+	got := make([]float32, m*n)
+	for i := range want {
+		want[i], got[i] = canary, canary
+	}
+	gemmTAShard(want, a, b, k, m, n, lo, hi)
+	avxTAShard(got, a, b, k, m, n, lo, hi)
+	for x, v := range got {
+		if (x < lo*n || x >= hi*n) && v != canary {
+			t.Fatalf("k=%d m=%d n=%d rows [%d,%d): avxTAShard wrote outside its rows at %d", k, m, n, lo, hi, x)
+		}
+	}
+	if i := exactMismatch(want, got); i >= 0 {
+		t.Fatalf("k=%d m=%d n=%d rows [%d,%d): avxTAShard differs at %d: %v, Go loop %v", k, m, n, lo, hi, i, got[i], want[i])
+	}
+}
+
+// dwTileData builds one sample's dW inputs for checkDWTiles: src with
+// ±Inf and NaN, and dY with a whole zero row (output channel 1), a
+// zero quad and a zero single in row 0, and a -0.
+func dwTileData(seed uint64, s convShape) (src, dY []float32) {
+	_, src, dY = convOracleData(seed, s)
+	outArea := ConvOutSize(s.h, s.kh, s.stride, s.pad) * ConvOutSize(s.w, s.kw, s.stride, s.pad)
+	plantPerSample(seed, src, s.n, s.c*s.h*s.w)
+	if s.outC >= 2 {
+		clear(dY[outArea : 2*outArea])
+	}
+	if outArea >= 4 {
+		clear(dY[outArea&^3-4 : outArea&^3])
+	}
+	dY[outArea-1] = float32(math.Copysign(0, -1))
+	return src, dY
+}
+
+// checkDWTiles runs the dW tiles with their skips off and the dW dot
+// loop on the first sample of s and fails on the first difference.
+func checkDWTiles(t *testing.T, seed uint64, s convShape) {
+	t.Helper()
+	src, dY := dwTileData(seed, s)
+	outH := ConvOutSize(s.h, s.kh, s.stride, s.pad)
+	outW := ConvOutSize(s.w, s.kw, s.stride, s.pad)
+	outArea := outH * outW
+	k := s.c * s.kh * s.kw
+	kp := (k + 7) &^ 7
+	srci, dyi := src[:s.c*s.h*s.w], dY[:s.outC*outArea]
+	want := make([]float32, s.outC*k)
+	convSampleDW(want, srci, dyi, make([]float32, 4*outArea), s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, outH, outW,
+		s.kh == 1 && s.kw == 1 && s.stride == 1 && s.pad == 0, false)
+	got := make([]float32, s.outC*k)
+	plane := make([]float32, s.c*(s.h+2*s.pad)*(s.w+2*s.pad))
+	panel := make([]float32, kp*outArea)
+	for i := range panel {
+		panel[i] = float32(math.NaN()) // the padding columns' stale values
+	}
+	convSampleDWTiles(got, srci, dyi, panel, make([]float32, s.outC*kp), plane,
+		s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, outH, outW)
+	if i := exactMismatch(want, got); i >= 0 {
+		t.Fatalf("%v: dW tiles differ from the dot loop at %d: %v, dot %v", s, i, got[i], want[i])
+	}
+}
+
+// checkAddRuns runs the AVX and Go run adds on one input and fails on
+// the first difference, or on a write between or after the runs.
+func checkAddRuns(t *testing.T, seed uint64, rows, n, ds int) {
+	t.Helper()
+	rng := NewRNG(seed)
+	src := New(rows*n + 1)
+	FillNormal(src, rng, 0, 1)
+	plantSpecials(src.Data(), 1, rows*n+1)
+	dst := New(rows*ds + 9)
+	FillNormal(dst, rng, 0, 1)
+	want := dst.Clone().Data()
+	got := dst.Clone().Data()
+	addRunsLoop(want, src.Data(), rows, n, ds)
+	avxAddRuns(got, src.Data(), rows, n, ds)
+	if i := exactMismatch(want, got); i >= 0 {
+		t.Fatalf("rows=%d n=%d ds=%d: avxAddRuns differs at %d: %v, Go loop %v", rows, n, ds, i, got[i], want[i])
+	}
+}
+
+// checkPatches3x3 copies the 3×3 patch-major panel of a c×h×w sample
+// with pad both ways, rows ps apart, and fails on the first
+// difference, or on a write to a padding column.
+func checkPatches3x3(t *testing.T, seed uint64, c, h, w, pad, ps int) {
+	t.Helper()
+	hp, wp := h+2*pad, w+2*pad
+	outH, outW := hp-2, wp-2
+	plane := New(c * hp * wp)
+	FillNormal(plane, NewRNG(seed), 0, 1)
+	want := make([]float32, outH*outW*ps)
+	got := make([]float32, outH*outW*ps)
+	for i := range want {
+		want[i], got[i] = 12345.5, 12345.5
+	}
+	planePatchesLoop(want, ps, plane.Data(), c, hp, wp, 3, 3, outH, outW)
+	avxPatches3x3(got, ps, plane.Data(), c, hp, wp, outH, outW)
+	if i := exactMismatch(want, got); i >= 0 {
+		t.Fatalf("c=%d %dx%d pad=%d ps=%d: avxPatches3x3 differs at %d: %v, Go loop %v", c, h, w, pad, ps, i, got[i], want[i])
+	}
+}
+
+func TestExactBackwardAVXMatchesGoLoops(t *testing.T) {
+	if !avxSupported {
+		t.Skip("no AVX kernels in this build or on this CPU: the Go loops are the only exact backward")
+	}
+	for _, k := range []int{1, 2, 3, 4, 5, 9, 16, 17, 64} {
+		for _, m := range []int{1, 2, 3, 5, 8, 27} {
+			for _, n := range []int{1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 144} {
+				seed := uint64(k*10000 + m*100 + n)
+				checkTAShard(t, seed, k, m, n, 0, m)
+				checkTAShard(t, seed, k, m, n, m/2, m)
+				checkTAShard(t, seed, k, m, n, 0, (m+1)/2)
+			}
+		}
+	}
+	for _, s := range append([]convShape{
+		{1, 3, 12, 12, 4, 3, 3, 1, 1}, // the stem: k=27
+		{1, 4, 12, 12, 5, 3, 3, 1, 1}, // odd outC, k=36
+		{1, 2, 5, 7, 3, 3, 3, 1, 0},   // outArea=15: a single tail
+		{1, 8, 6, 6, 8, 3, 3, 2, 1},   // strided: im2rowPatch panel
+		{1, 16, 3, 3, 16, 3, 3, 1, 1}, // outArea=9, k=144
+		{1, 5, 4, 4, 3, 1, 1, 1, 0},   // 1×1
+		{1, 2, 6, 5, 3, 2, 4, 1, 2},   // kw=4, pad 2
+	}, convShapes...) {
+		checkDWTiles(t, 0xD0, s)
+	}
+	for _, c := range []int{1, 3, 4, 16} {
+		for _, hw := range [][2]int{{1, 1}, {3, 3}, {6, 6}, {12, 12}, {5, 9}} {
+			for _, pad := range []int{1, 2} {
+				checkPatches3x3(t, uint64(c*100+hw[0]), c, hw[0], hw[1], pad, 9*c)
+				checkPatches3x3(t, uint64(c*100+hw[0]), c, hw[0], hw[1], pad, 9*c+5)
+			}
+		}
+	}
+	for _, rows := range []int{1, 2, 3, 12} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17} {
+			checkAddRuns(t, uint64(rows*100+n), rows, n, n)
+			checkAddRuns(t, uint64(rows*100+n), rows, n, n+2)
+		}
+	}
+}
+
+// FuzzExactBackwardAVXVsGo drives the three exact backward kernels
+// against their Go loops on fuzz-chosen shapes: Aᵀ·B shards of any
+// depth, width and row range, dW tiles on conv shapes of any stride
+// and padding, and run adds of any length and stride.
+func FuzzExactBackwardAVXVsGo(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(27), uint16(144), uint8(3), uint8(12), uint8(5), uint8(3), uint8(1), uint8(1))
+	f.Add(uint64(2), uint8(16), uint8(7), uint16(9), uint8(16), uint8(3), uint8(16), uint8(3), uint8(1), uint8(1))
+	f.Add(uint64(3), uint8(1), uint8(1), uint16(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0))
+	f.Add(uint64(4), uint8(64), uint8(36), uint16(33), uint8(8), uint8(6), uint8(8), uint8(3), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw, mRaw uint8, nRaw uint16, cRaw, hwRaw, ocRaw, kerRaw, strideRaw, padRaw uint8) {
+		if !avxSupported {
+			t.Skip("no AVX kernels in this build or on this CPU")
+		}
+		k, m, n := int(kRaw)%80+1, int(mRaw)%40+1, int(nRaw)%300+1
+		lo := int(seed % uint64(m))
+		checkTAShard(t, seed, k, m, n, lo, m)
+		s := convShape{
+			n:      1,
+			c:      int(cRaw)%17 + 1,
+			h:      int(hwRaw)%14 + 1,
+			outC:   int(ocRaw)%17 + 1,
+			kh:     int(kerRaw)%4 + 1,
+			stride: int(strideRaw)%3 + 1,
+			pad:    int(padRaw) % 3,
+		}
+		s.w, s.kw = s.h, s.kh
+		if s.h+2*s.pad >= s.kh {
+			checkDWTiles(t, seed, s)
+		}
+		checkAddRuns(t, seed, int(hwRaw)%5+1, n%20+1, n%20+1+int(padRaw)%4)
+		checkPatches3x3(t, seed, s.c, s.h, int(kRaw)%14+1, s.pad+1, 9*s.c+int(mRaw)%9)
 	})
 }

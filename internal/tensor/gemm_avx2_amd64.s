@@ -4,16 +4,21 @@
 
 // Float GEMM microkernels for both numerics tiers (see numerics.go).
 //
-// The exact-tier kernels (tile2AVX, tile1AVX) come first. They need
-// AVX only, and they give the Go loops' bits: each output element sees
-// the operation sequence gemmTile2/gemmTile1 define, with every product
-// (VMULPS) and every sum (VADDPS) rounded separately, in the reference
-// association o + (((a0·b0 + a1·b1) + a2·b2) + a3·b3), and with the
-// reference skip of an all-zero coefficient quad (and of a zero single
-// coefficient). Eight lanes carry eight output columns, which never
+// The exact-tier kernels (tile2AVX, tile1AVX, taAVX, addRunsAVX, and
+// patches3x3AVX, which only copies) come first. They need AVX only,
+// and they give the Go loops' bits: each
+// output element sees the operation sequence the Go loop defines, with
+// every product (VMULPS) and every sum (VADDPS) rounded separately.
+// The A·B tiles (gemmTile2/gemmTile1) add a coefficient quad in the
+// reference association o + (((a0·b0 + a1·b1) + a2·b2) + a3·b3) and
+// skip an all-zero quad (and a zero single coefficient); with their
+// skips argument false they skip nothing, which is the conv dW dot's
+// sequence. The Aᵀ·B kernel (gemmTAShard) adds o + a·b per
+// coefficient, p ascending, and skips a ±0 one; the run adds are one
+// add per element. Eight lanes carry eight output columns, which never
 // interact, so vector width changes which elements run together and
-// nothing else. The last jw mod 8 columns run through VMASKMOVPS, which
-// neither reads nor writes memory in a masked-off lane.
+// nothing else. The last columns run through VMASKMOVPS, which neither
+// reads nor writes memory in a masked-off lane.
 //
 // The fast-tier kernels (axpy4FMA and below) need AVX2 and FMA and
 // take n as a positive multiple of 8; Go callers handle the scalar
@@ -57,10 +62,12 @@ GLOBL absmask<>(SB), RODATA|NOPTR, $8
 // the others, with no memory access there).
 #define MASKLOAD(addr, dst) VMASKMOVPS addr, Y14, dst
 
-// func tile2AVX(o0, o1, a0, a1, b *float32, k, jw, bs int)
+// func tile2AVX(o0, o1, a0, a1, b *float32, k, jw, bs int, skips bool)
 // The body of gemmTile2: o0, o1 (jw floats each) = rows a0, a1 (k
 // coefficients each) times the panel whose row p starts at b + p·bs.
-TEXT ·tile2AVX(SB), NOSPLIT, $24-64
+// With skips false no quad and no single is skipped: every
+// coefficient is multiplied, zeros included.
+TEXT ·tile2AVX(SB), NOSPLIT, $24-65
 	MOVQ o0+0(FP), DI
 	MOVQ o1+8(FP), SI
 	MOVQ a0+16(FP), R8
@@ -108,6 +115,8 @@ t2_quad:
 	LEAQ (R10)(DX*1), R11
 	LEAQ (R11)(DX*1), R12
 	LEAQ (R12)(DX*1), R13
+	CMPB skips+64(FP), $0
+	JEQ  t2_live
 	MOVQ (R8), AX
 	ORQ  8(R8), AX
 	ANDQ absmask<>(SB), AX
@@ -120,6 +129,7 @@ t2_quad:
 	JZ    t2_row0_only
 
 	// Both rows live: they share each loaded panel vector.
+t2_live:
 	VBROADCASTSS (R8), Y0
 	VBROADCASTSS 4(R8), Y1
 	VBROADCASTSS 8(R8), Y2
@@ -277,9 +287,13 @@ t2_single_row1:
 	MOVQ $1, R11
 
 t2_single_row:
+	CMPB skips+64(FP), $0
+	JEQ  t2_single_live
 	MOVL (DX), R12
 	ANDL $0x7fffffff, R12
 	JZ   t2_single_row_done
+
+t2_single_live:
 	VBROADCASTSS (DX), Y0
 	XORQ BX, BX
 
@@ -316,10 +330,11 @@ t2_done:
 	VZEROUPPER
 	RET
 
-// func tile1AVX(o, a, b *float32, k, jw, bs int)
+// func tile1AVX(o, a, b *float32, k, jw, bs int, skips bool)
 // The body of gemmTile1: o (jw floats) = row a (k coefficients) times
-// the panel whose row p starts at b + p·bs.
-TEXT ·tile1AVX(SB), NOSPLIT, $24-48
+// the panel whose row p starts at b + p·bs, skipping nothing when
+// skips is false.
+TEXT ·tile1AVX(SB), NOSPLIT, $24-49
 	MOVQ o+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ b+16(FP), R10
@@ -362,10 +377,14 @@ t1_quad:
 	LEAQ (R10)(DX*1), R11
 	LEAQ (R11)(DX*1), R12
 	LEAQ (R12)(DX*1), R13
+	CMPB skips+48(FP), $0
+	JEQ  t1_live
 	MOVQ (R8), AX
 	ORQ  8(R8), AX
 	ANDQ absmask<>(SB), AX
 	JZ   t1_next
+
+t1_live:
 	VBROADCASTSS (R8), Y0
 	VBROADCASTSS 4(R8), Y1
 	VBROADCASTSS 8(R8), Y2
@@ -425,9 +444,13 @@ t1_singles:
 t1_single:
 	CMPQ left-24(SP), $0
 	JEQ  t1_done
+	CMPB skips+48(FP), $0
+	JEQ  t1_single_live
 	MOVL (R8), AX
 	ANDL $0x7fffffff, AX
 	JZ   t1_single_next
+
+t1_single_live:
 	VBROADCASTSS (R8), Y0
 	XORQ BX, BX
 
@@ -459,6 +482,242 @@ t1_single_next:
 
 t1_done:
 	VZEROUPPER
+	RET
+
+// func taAVX(o, a, b *float32, k, am, n int)
+// Two rows of gemmTAShard's Aᵀ·B: output row 0 at o and row 1 at
+// o + n (n floats each) take the coefficient pairs a[p·am], a[p·am+1]
+// (two adjacent columns of A, row stride am) against B's row p at
+// b + p·n, for p ascending from 0 to k-1. Each row starts at +0 and
+// takes o = o + a·b[x] for every coefficient that is not ±0, so every
+// element sees the Go loop's operation sequence. A block of 16 columns
+// of both rows stays in Y0-Y3 for all k coefficients and is stored
+// once; the n mod 16 columns left run 8 at a time under the mask in
+// Y14, the last n mod 8 of them masked off. k must be positive.
+TEXT ·taAVX(SB), NOSPLIT, $0-48
+	MOVQ o+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), R10
+	MOVQ k+24(FP), R11
+	MOVQ am+32(FP), AX
+	SHLQ $2, AX
+	MOVQ n+40(FP), CX
+	MOVQ CX, DX
+	SHLQ $2, DX
+	LEAQ (DI)(DX*1), SI
+	XORQ BX, BX
+
+ta_block16:
+	LEAQ 16(BX), R9
+	CMPQ R9, CX
+	JGT  ta_block8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ R8, R12
+	LEAQ (R10)(BX*4), R13
+	MOVQ R11, R9
+
+ta_p16:
+	VMOVUPS (R13), Y8
+	VMOVUPS 32(R13), Y9
+	TESTL $0x7fffffff, (R12)
+	JZ    ta_p16_row1
+	VBROADCASTSS (R12), Y4
+	VMULPS Y8, Y4, Y6
+	VADDPS Y6, Y0, Y0
+	VMULPS Y9, Y4, Y7
+	VADDPS Y7, Y1, Y1
+
+ta_p16_row1:
+	TESTL $0x7fffffff, 4(R12)
+	JZ    ta_p16_next
+	VBROADCASTSS 4(R12), Y5
+	VMULPS Y8, Y5, Y6
+	VADDPS Y6, Y2, Y2
+	VMULPS Y9, Y5, Y7
+	VADDPS Y7, Y3, Y3
+
+ta_p16_next:
+	ADDQ AX, R12
+	ADDQ DX, R13
+	DECQ R9
+	JNZ  ta_p16
+	VMOVUPS Y0, (DI)(BX*4)
+	VMOVUPS Y1, 32(DI)(BX*4)
+	VMOVUPS Y2, (SI)(BX*4)
+	VMOVUPS Y3, 32(SI)(BX*4)
+	ADDQ $16, BX
+	JMP  ta_block16
+
+	// Blocks of 8 columns, masked: every lane set while 8 or more
+	// columns remain, the first n-BX lanes in the last block.
+ta_block8:
+	MOVQ CX, R9
+	SUBQ BX, R9
+	JLE  ta_done
+	CMPQ R9, $8
+	JLT  ta_mask
+	MOVQ $8, R9
+
+ta_mask:
+	LEAQ tailmask<>(SB), R12
+	NEGQ R9
+	VMOVUPS 32(R12)(R9*4), Y14
+	VXORPS Y0, Y0, Y0
+	VXORPS Y2, Y2, Y2
+	MOVQ R8, R12
+	LEAQ (R10)(BX*4), R13
+	MOVQ R11, R9
+
+ta_p8:
+	MASKLOAD((R13), Y8)
+	TESTL $0x7fffffff, (R12)
+	JZ    ta_p8_row1
+	VBROADCASTSS (R12), Y4
+	VMULPS Y8, Y4, Y6
+	VADDPS Y6, Y0, Y0
+
+ta_p8_row1:
+	TESTL $0x7fffffff, 4(R12)
+	JZ    ta_p8_next
+	VBROADCASTSS 4(R12), Y5
+	VMULPS Y8, Y5, Y6
+	VADDPS Y6, Y2, Y2
+
+ta_p8_next:
+	ADDQ AX, R12
+	ADDQ DX, R13
+	DECQ R9
+	JNZ  ta_p8
+	VMASKMOVPS Y0, Y14, (DI)(BX*4)
+	VMASKMOVPS Y2, Y14, (SI)(BX*4)
+	ADDQ $8, BX
+	JMP  ta_block8
+
+ta_done:
+	VZEROUPPER
+	RET
+
+// func addRunsAVX(dst, src *float32, rows, n, ds int)
+// dst[y·ds + x] += src[y·n + x] for y < rows and x < n: one rounded
+// add per element, as the Go loop's d[x] += v. Each run goes 8, then 4
+// elements at a time, and its last n mod 4 under the 4-lane mask in
+// X14. A load that overlaps a recent masked store, even only in its
+// masked-off lanes, waits for the store to retire, and an 8-lane mask
+// would reach into the next run of a small plane.
+TEXT ·addRunsAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ ds+32(FP), DX
+	SHLQ $2, DX
+	MOVQ CX, R10
+	SHLQ $2, R10
+	MOVQ CX, AX
+	ANDQ $3, AX
+	MOVQ AX, R11
+	LEAQ tailmask<>(SB), R9
+	NEGQ AX
+	VMOVUPS 32(R9)(AX*4), X14
+
+add_row:
+	TESTQ R8, R8
+	JZ    add_done
+	XORQ BX, BX
+
+add_8:
+	LEAQ 8(BX), AX
+	CMPQ AX, CX
+	JGT  add_4
+	VMOVUPS (SI)(BX*4), Y0
+	VADDPS  (DI)(BX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	MOVQ AX, BX
+	JMP  add_8
+
+add_4:
+	LEAQ 4(BX), AX
+	CMPQ AX, CX
+	JGT  add_tail
+	VMOVUPS (SI)(BX*4), X0
+	VADDPS  (DI)(BX*4), X0, X0
+	VMOVUPS X0, (DI)(BX*4)
+	MOVQ AX, BX
+
+add_tail:
+	CMPQ R11, $0
+	JEQ  add_next
+	VMASKMOVPS (SI)(BX*4), X14, X0
+	VMASKMOVPS (DI)(BX*4), X14, X1
+	VADDPS X1, X0, X0
+	VMASKMOVPS X0, X14, (DI)(BX*4)
+
+add_next:
+	ADDQ R10, SI
+	ADDQ DX, DI
+	DECQ R8
+	JMP  add_row
+
+add_done:
+	VZEROUPPER
+	RET
+
+// func patches3x3AVX(dst, src *float32, c, outH, outW, hpwp, wp, ps int)
+// planePatchesLoop for a 3×3 kernel: panel row q = (oy, ox), at
+// dst + q·ps, gets for each channel ch and tap row ky the 3 plane
+// values at src + ch·hpwp + (oy+ky)·wp + ox, copied 2 + 1 at a time
+// so that nothing outside the run is read or written.
+TEXT ·patches3x3AVX(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ c+16(FP), R8
+	MOVQ outH+24(FP), CX
+	MOVQ hpwp+40(FP), R9
+	SHLQ $2, R9
+	MOVQ wp+48(FP), R10
+	SHLQ $2, R10
+	MOVQ ps+56(FP), R13
+	SHLQ $2, R13
+	// AX: from one output row's last run to the next row's first.
+	MOVQ wp+48(FP), AX
+	SUBQ outW+32(FP), AX
+	SHLQ $2, AX
+
+p3_row:
+	MOVQ outW+32(FP), BX
+
+p3_col:
+	MOVQ SI, R11
+	MOVQ DI, R12
+	MOVQ R8, DX
+
+p3_ch:
+	VMOVSD (R11), X0
+	VMOVSS 8(R11), X1
+	VMOVSD X0, (R12)
+	VMOVSS X1, 8(R12)
+	VMOVSD (R11)(R10*1), X0
+	VMOVSS 8(R11)(R10*1), X1
+	VMOVSD X0, 12(R12)
+	VMOVSS X1, 20(R12)
+	VMOVSD (R11)(R10*2), X0
+	VMOVSS 8(R11)(R10*2), X1
+	VMOVSD X0, 24(R12)
+	VMOVSS X1, 32(R12)
+	ADDQ R9, R11
+	ADDQ $36, R12
+	DECQ DX
+	JNZ  p3_ch
+	ADDQ $4, SI
+	ADDQ R13, DI
+	DECQ BX
+	JNZ  p3_col
+	ADDQ AX, SI
+	DECQ CX
+	JNZ  p3_row
 	RET
 
 // func axpy4FMA(dst, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int)

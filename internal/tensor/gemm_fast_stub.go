@@ -27,8 +27,13 @@ func fastGemmTB(dst, a, b []float32, m, k, n int)       { unreachableFast() }
 
 func fastTile1(orow, arow, pb []float32, jw, bs, base int) { unreachableFast() }
 
-func avxTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) { unreachableFast() }
-func avxTile1(orow, arow, pb []float32, jw, bs, base int)     { unreachableFast() }
+func avxTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int, skips bool) { unreachableFast() }
+func avxTile1(orow, arow, pb []float32, jw, bs, base int, skips bool)     { unreachableFast() }
+func avxTAShard(od, ad, bd []float32, k, m, n, lo, hi int)                { unreachableFast() }
+func avxAddRuns(dst, src []float32, rows, n, ds int)                      { unreachableFast() }
+func avxPatches3x3(panel []float32, ps int, plane []float32, c, hp, wp, outH, outW int) {
+	unreachableFast()
+}
 
 func convSampleDWAxpy(chunk, srci, dyi, patches []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast1x1 bool) {
 	unreachableFast()

@@ -27,8 +27,9 @@ import (
 //     count. Each product is wrapped in float32(): the Go spec lets a
 //     compiler fuse x*y + z into one rounding unless the product is
 //     converted explicitly, and gc does so on arm64. The A·B tiles
-//     also run as exact-order AVX kernels (gemm_exact.go) wherever the
-//     CPU has AVX, with the same bits. The oracle tests in
+//     and the Aᵀ·B shards also run as exact-order AVX kernels
+//     (gemm_exact.go) wherever the CPU has AVX, with the same bits. The
+//     oracle tests in
 //     matmul_oracle_test.go, where the reference kernels live, pin
 //     all of this.
 //
@@ -163,7 +164,7 @@ func gemmRows(od, ad, pb []float32, k, n, lo, hi int) {
 // same bits; the oracle tests pin the kernel to the loop.
 func exactTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 	if avxSupported {
-		avxTile2(o0, o1, a0, a1, pb, jw, bs, base)
+		avxTile2(o0, o1, a0, a1, pb, jw, bs, base, true)
 		return
 	}
 	gemmTile2(o0, o1, a0, a1, pb, jw, bs, base)
@@ -172,7 +173,7 @@ func exactTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 // exactTile1 is exactTile2 for one row: gemmTile1 or its AVX kernel.
 func exactTile1(orow, arow, pb []float32, jw, bs, base int) {
 	if avxSupported {
-		avxTile1(orow, arow, pb, jw, bs, base)
+		avxTile1(orow, arow, pb, jw, bs, base, true)
 		return
 	}
 	gemmTile1(orow, arow, pb, jw, bs, base)
@@ -286,9 +287,8 @@ func MatMulTA(a, b *Tensor) *Tensor {
 
 // MatMulTAInto computes out = Aᵀ·B into out (m×n), A (k×m), B (k×n).
 // Above matMulShardFlops the output rows (A's columns) are sharded
-// across Workers() goroutines; each shard packs its column slice of A
-// into a contiguous pooled panel and accumulates rank-1 updates in
-// ascending p, exactly as the serial reference does, so results are
+// across Workers() goroutines; each shard accumulates rank-1 updates
+// in ascending p, exactly as the serial reference does, so results are
 // bit-identical at any worker count.
 func MatMulTAInto(out, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
@@ -311,20 +311,33 @@ func GemmTA(dst, a, b []float32, k, m, n int) {
 	}
 	if m >= 2 && m*k*n >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(m, func(_, lo, hi int) {
-			gemmTAShard(dst, a, b, k, m, n, lo, hi)
+			exactTAShard(dst, a, b, k, m, n, lo, hi)
 		})
 		return
 	}
-	gemmTAShard(dst, a, b, k, m, n, 0, m)
+	exactTAShard(dst, a, b, k, m, n, 0, m)
 }
 
-// gemmTAShard computes output rows [lo, hi) of dst = Aᵀ·B. The rank-1
-// updates run p-outer in ascending order — the per-element accumulation
-// order of the reference kernel — while the j dimension is tiled so the
-// output block being accumulated stays cache-resident across all k
-// updates, and row pairs share each loaded B value. When the shard is a
-// strict column subrange of A (parallel path), that subrange is packed
-// into a contiguous pooled k×iw panel reused across the column tiles.
+// exactTAShard runs gemmTAShard's update on the register-resident AVX
+// kernel where the CPU has AVX, and as the Go loop otherwise. Both
+// give the same bits; the kernel tests pin one to the other.
+func exactTAShard(od, ad, bd []float32, k, m, n, lo, hi int) {
+	if avxSupported {
+		avxTAShard(od, ad, bd, k, m, n, lo, hi)
+		return
+	}
+	gemmTAShard(od, ad, bd, k, m, n, lo, hi)
+}
+
+// gemmTAShard computes output rows [lo, hi) of dst = Aᵀ·B in Go: the
+// exact Aᵀ·B of builds and CPUs without AVX, and the loop the kernel
+// tests pin avxTAShard to. The rank-1 updates run p-outer in ascending
+// order — the per-element accumulation order of the reference kernel —
+// while the j dimension is tiled so the output block being accumulated
+// stays cache-resident across all k updates, and row pairs share each
+// loaded B value. When the shard is a strict column subrange of A
+// (parallel path), that subrange is packed into a contiguous pooled
+// k×iw panel reused across the column tiles.
 func gemmTAShard(od, ad, bd []float32, k, m, n, lo, hi int) {
 	for x := lo * n; x < hi*n; x++ {
 		od[x] = 0
