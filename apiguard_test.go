@@ -11,6 +11,9 @@ package ftpim
 //   - Float state goes to disk only through the checksummed FTCK
 //     container (internal/ckpt) and the tensor-list codec, so no file
 //     may import encoding/gob.
+//   - The float kernels have one numerics contract, exact. The tensor
+//     package's numerics names remain only as a shim for perfbench,
+//     a separate module, so nothing outside perfbench/ may use them.
 
 import (
 	"go/ast"
@@ -23,7 +26,10 @@ import (
 	"testing"
 )
 
-const faultImportPath = "github.com/ftpim/ftpim/internal/fault"
+const (
+	faultImportPath  = "github.com/ftpim/ftpim/internal/fault"
+	tensorImportPath = "github.com/ftpim/ftpim/internal/tensor"
+)
 
 // walkGoFiles parses every .go file of the module with mode and hands
 // it to visit, skipping directories that hold no module source.
@@ -55,6 +61,20 @@ func walkGoFiles(t *testing.T, fset *token.FileSet, mode parser.Mode, visit func
 	}
 }
 
+// importName returns the identifier that names the package at path in
+// f, honoring a renamed import, or "" when f does not import it.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == path {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return path[strings.LastIndex(path, "/")+1:]
+		}
+	}
+	return ""
+}
+
 func TestNoFaultModelLiteralsOutsideFaultPackage(t *testing.T) {
 	fset := token.NewFileSet()
 	var violations []string
@@ -62,19 +82,7 @@ func TestNoFaultModelLiteralsOutsideFaultPackage(t *testing.T) {
 		if filepath.ToSlash(filepath.Dir(path)) == "internal/fault" {
 			return // the shim's home package is exempt
 		}
-		// Resolve what identifier (if any) names the fault package in
-		// this file, honoring renamed imports.
-		alias := ""
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if p != faultImportPath {
-				continue
-			}
-			alias = "fault"
-			if imp.Name != nil {
-				alias = imp.Name.Name
-			}
-		}
+		alias := importName(f, faultImportPath)
 		if alias == "" || alias == "_" {
 			return
 		}
@@ -117,5 +125,48 @@ func TestNoEncodingGobImports(t *testing.T) {
 	if len(violations) > 0 {
 		t.Fatalf("encoding/gob imports (write float state as ckpt sections "+
 			"with tensor.AppendTensors instead):\n  %s", strings.Join(violations, "\n  "))
+	}
+}
+
+// numericsShim lists the tensor names kept only for perfbench.
+var numericsShim = map[string]bool{
+	"Numerics": true, "NumericsExact": true, "SetNumerics": true, "ActiveNumerics": true,
+}
+
+func TestNumericsShimOnlyInPerfbench(t *testing.T) {
+	fset := token.NewFileSet()
+	var violations []string
+	walkGoFiles(t, fset, 0, func(path string, f *ast.File) {
+		path = filepath.ToSlash(path)
+		if strings.HasPrefix(path, "perfbench/") || path == "internal/tensor/numerics.go" {
+			return
+		}
+		if filepath.Dir(path) == "internal/tensor" {
+			// Inside the package a use is a name this file leaves
+			// unresolved: one declared in another of its files.
+			for _, id := range f.Unresolved {
+				if numericsShim[id.Name] {
+					violations = append(violations, fset.Position(id.Pos()).String())
+				}
+			}
+			return
+		}
+		alias := importName(f, tensorImportPath)
+		if alias == "" || alias == "_" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == alias && numericsShim[sel.Sel.Name] {
+					violations = append(violations, fset.Position(sel.Pos()).String())
+				}
+			}
+			return true
+		})
+	})
+	if len(violations) > 0 {
+		t.Fatalf("uses of tensor's numerics shim outside perfbench/ "+
+			"(there is one numerics contract, exact; select nothing):\n  %s",
+			strings.Join(violations, "\n  "))
 	}
 }

@@ -31,16 +31,6 @@
 // schemes under every built-in scenario (or the specs given as
 // positional arguments).
 //
-// -numerics exact|fast selects the GEMM tier: "exact" is the
-// bitwise-pinned scalar order every byte-identity contract (caching,
-// checkpoint resume, distributed sweeps) is defined against; "fast"
-// dispatches to AVX2+FMA microkernels that are ULP-pinned against
-// exact and 2-8x faster. Empty inherits FTPIM_NUMERICS (default
-// exact). Requesting fast on a host without AVX2+FMA warns and runs
-// exact. coordinator/worker always force exact: a fleet cannot
-// guarantee a uniform tier, and the folded table must stay
-// byte-identical to the single-process sweep.
-//
 // -workers N parallelizes the defect-evaluation Monte-Carlo loop and
 // the large tensor kernels over N goroutines (default: all cores).
 // Results are bit-identical at every worker count; -workers 1 is the
@@ -158,8 +148,6 @@ func run() int {
 		"fault scenario spec (name[:key=value,...], e.g. chen, transient, cluster:len=8, drop); empty = chen defaults")
 	verbose := fs.Bool("v", true, "log training progress")
 	events := fs.String("events", "", "write schema-versioned JSONL run events to FILE")
-	numerics := fs.String("numerics", "",
-		"GEMM tier: exact (bitwise-pinned scalar) or fast (AVX2+FMA, ULP-pinned vs exact); empty = $FTPIM_NUMERICS or exact")
 	workers := fs.Int("workers", runtime.NumCPU(),
 		"worker goroutines for defect evaluation and sharded kernels (1 = serial legacy path; results are identical at any count)")
 	checkpoint := fs.String("checkpoint", "",
@@ -245,27 +233,6 @@ func run() int {
 	if *modelFile != "" && cmd != "serve" {
 		return usageErr("-model is a serve flag")
 	}
-	if *numerics != "" {
-		n, nerr := tensor.ParseNumerics(*numerics)
-		if nerr != nil {
-			return usageErr("-numerics: %v", nerr)
-		}
-		if n == tensor.NumericsFast && (cmd == "coordinator" || cmd == "worker") {
-			return usageErr("-numerics=fast is not allowed for %s: the distributed sweep is a byte-identity contract and a mixed fleet cannot guarantee one tier", cmd)
-		}
-		tensor.SetNumerics(n)
-	}
-	if cmd == "coordinator" || cmd == "worker" {
-		// The dist protocol promises the folded table is byte-identical
-		// to the single-process sweep, which only holds if every process
-		// in the fleet runs the same tier; exact is the one tier every
-		// host has, so force it even over an inherited FTPIM_NUMERICS.
-		if prev := tensor.SetNumerics(tensor.NumericsExact); prev != tensor.NumericsExact {
-			fmt.Fprintf(os.Stderr, "ftpim: %s forces exact numerics (FTPIM_NUMERICS requested %s)\n", cmd, prev)
-		}
-	} else if tensor.RequestedNumerics() == tensor.NumericsFast && !tensor.FastSupported() {
-		fmt.Fprintln(os.Stderr, "ftpim: fast numerics requested but this CPU lacks AVX2+FMA; running exact")
-	}
 	var scenario fault.Scenario
 	if *faultSpec != "" {
 		var perr error
@@ -291,18 +258,6 @@ func run() int {
 		sinks = append(sinks, newCrashAfterSink(n))
 	}
 	sink := obs.Multi(sinks...)
-
-	// One-shot startup event so every progress stream and JSONL event
-	// file records which numerics tier produced its numbers (and why,
-	// when a requested fast tier had to demote to exact).
-	if sink.Enabled() {
-		sink.Emit(obs.Event{
-			Kind:  obs.KindNumerics,
-			Phase: tensor.ActiveNumerics().String(),
-			Key:   tensor.RequestedNumerics().String(),
-			Msg:   tensor.CPUFeatures(),
-		})
-	}
 
 	// SIGINT/SIGTERM cancel the context; every training batch and
 	// Monte-Carlo run checks it, so interruption lands on a clean
@@ -627,10 +582,8 @@ func fail(format string, a ...any) int {
 	return 1
 }
 
-// printVersion reports the build plus this host's numeric
-// capabilities: the active GEMM tier and the CPU vector features
-// backing the fast tier, so "which tier will this machine run?" is
-// answerable without starting an experiment.
+// printVersion reports the build plus the CPU vector features the
+// kernels use on this host.
 func printVersion(w io.Writer) {
 	version := "devel"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" && bi.Main.Version != "(devel)" {
@@ -640,14 +593,8 @@ func printVersion(w io.Writer) {
 	if cpu == "" {
 		cpu = "none"
 	}
-	tier := tensor.ActiveNumerics().String()
-	if tensor.FastSupported() {
-		tier += " (fast tier available)"
-	} else {
-		tier += " (fast tier unavailable)"
-	}
-	fmt.Fprintf(w, "ftpim %s %s %s/%s\nnumerics: %s\ncpu features: %s\nmodel format: %s (int8 symmetric, zero-copy mmap)\n",
-		version, runtime.Version(), runtime.GOOS, runtime.GOARCH, tier, cpu, ftpm.FormatName)
+	fmt.Fprintf(w, "ftpim %s %s %s/%s\ncpu features: %s\nmodel format: %s (int8 symmetric, zero-copy mmap)\n",
+		version, runtime.Version(), runtime.GOOS, runtime.GOARCH, cpu, ftpm.FormatName)
 }
 
 // usageErr reports a flag-validation failure with the usage exit code.
@@ -738,15 +685,12 @@ commands:
             sweep at any worker count
   worker    join a coordinator's pool (-connect HOST:PORT, -worker-id,
             -dist-slow-ms); dials with jittered exponential backoff
-  version   print build, numerics tier, and detected CPU features
+  version   print build and detected CPU features
 
 common flags: -preset smoke|quick|repro|paper   -cache DIR   -dataset c10|c100|both
               -workers N   -events FILE (JSONL run events)   -v=false (quiet)
               -checkpoint DIR   -ckpt-every N   -resume
               -fault SPEC (fault scenario: chen, transient, cluster:len=8, drop, ...)
-              -numerics exact|fast (GEMM tier; fast = AVX2+FMA microkernels,
-              ULP-pinned against the bitwise-pinned exact tier; default exact,
-              or $FTPIM_NUMERICS; coordinator/worker always run exact)
 
 Ctrl-C cancels at the next batch / Monte-Carlo run boundary (exit 130);
 partially trained models are never cached. With -checkpoint DIR every

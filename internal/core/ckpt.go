@@ -39,12 +39,6 @@ type trainMeta struct {
 	FaultRate float64
 	Samples   int
 
-	// Numerics records the kernel numerics tier active when the
-	// snapshot was written. Resuming under a different tier would
-	// break the bit-identical-resume contract, so restore starts fresh
-	// instead.
-	Numerics tensor.Numerics
-
 	BestEvalAcc float64
 	BestEpoch   int
 	HasBest     bool
@@ -64,7 +58,7 @@ type trainMeta struct {
 // are stored as bit patterns, ints as 64-bit two's complement:
 //
 //	u64 Seed; i64 Stage, Epochs, Epoch; f64 FaultRate; i64 Samples;
-//	u8 Numerics; f64 BestEvalAcc; i64 BestEpoch; u8 HasBest;
+//	u8 0; f64 BestEvalAcc; i64 BestEpoch; u8 HasBest;
 //	History, Prefix: u32 count, then per epoch i64 Epoch and
 //	f64 LR, Loss, TrainAcc, EvalAcc, FaultRate;
 //	Perm: u32 count, then u32 indices
@@ -73,7 +67,7 @@ func marshalMeta(m *trainMeta) []byte {
 	b = appendI64(b, m.Stage, m.Epochs, m.Epoch)
 	b = appendF64(b, m.FaultRate)
 	b = appendI64(b, m.Samples)
-	b = append(b, byte(m.Numerics))
+	b = append(b, 0) // once the numerics tier; only exact is left
 	b = appendF64(b, m.BestEvalAcc)
 	b = appendI64(b, m.BestEpoch)
 	b = append(b, boolByte(m.HasBest))
@@ -95,16 +89,19 @@ func marshalMeta(m *trainMeta) []byte {
 const epochStatsSize = 6 * 8
 
 // unmarshalMeta decodes marshalMeta's output, accepting nothing else:
-// the tier byte must name a tier, HasBest must be 0 or 1, and the
-// payload must be consumed exactly. Loader.SetPermState validates Perm.
+// the byte at offset 48 must be 0, HasBest must be 0 or 1, and the
+// payload must be consumed exactly. The byte once recorded the numerics
+// tier; 1 marks a checkpoint of the retired fast tier, which cannot
+// resume bit-identically under exact. Loader.SetPermState validates
+// Perm.
 func unmarshalMeta(b []byte) (*trainMeta, error) {
 	r := ckpt.NewReader(b)
 	i64 := func() int { return int(int64(r.U64())) }
 	m := &trainMeta{Seed: r.U64(), Stage: i64(), Epochs: i64(), Epoch: i64(), FaultRate: r.F64(), Samples: i64()}
-	m.Numerics = tensor.Numerics(r.U8())
+	tier := r.U8()
 	m.BestEvalAcc, m.BestEpoch, m.HasBest = r.F64(), i64(), r.Bool()
-	if m.Numerics != tensor.NumericsExact && m.Numerics != tensor.NumericsFast {
-		return nil, fmt.Errorf("unknown numerics tier %d", m.Numerics)
+	if tier != 0 {
+		return nil, fmt.Errorf("numerics tier byte %d: only exact (0) checkpoints resume", tier)
 	}
 	for _, h := range []*[]EpochStats{&m.History, &m.Prefix} {
 		n := int(r.U32())
@@ -210,7 +207,6 @@ func (c *ckptSaver) capture(epoch int, res *Result, bestState []byte, samples in
 	meta := trainMeta{
 		Seed: c.seed, Stage: c.stage, Epochs: c.epochs, Epoch: epoch + 1,
 		FaultRate: c.rate, Samples: samples,
-		Numerics:    tensor.ActiveNumerics(),
 		BestEvalAcc: res.BestEvalAcc, BestEpoch: res.BestEpoch,
 		HasBest: bestState != nil,
 		History: res.History, Prefix: c.prefix,
@@ -309,10 +305,6 @@ func (c *ckptSaver) restore(res *Result) (startEpoch int, bestState []byte, samp
 	if meta.Seed != c.seed || meta.Epochs != c.epochs || meta.FaultRate != c.rate ||
 		meta.Epoch < 1 || meta.Epoch > c.epochs || len(meta.History) != meta.Epoch {
 		obs.Logf(c.sink, "checkpoint %s belongs to a different run (seed/budget/rate mismatch); starting fresh", path)
-		return 0, nil, 0
-	}
-	if active := tensor.ActiveNumerics(); meta.Numerics != active {
-		obs.Logf(c.sink, "checkpoint %s was written under %s numerics but the process tier is %s; starting fresh (resume must be bit-identical)", path, meta.Numerics, active)
 		return 0, nil, 0
 	}
 	want := []string{secMeta, secNet, secOpt, secRNG}

@@ -346,7 +346,7 @@ func TestMetaRoundTripsNonFiniteBitForBit(t *testing.T) {
 	weird := []float64{math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	m := &trainMeta{
 		Seed: 1<<63 + 5, Stage: 2, Epochs: 7, Epoch: 3, FaultRate: 0.05, Samples: 960,
-		Numerics: tensor.NumericsFast, BestEvalAcc: 0.75, BestEpoch: -1, HasBest: true,
+		BestEvalAcc: 0.75, BestEpoch: -1, HasBest: true,
 		Prefix: []EpochStats{{Epoch: 0, LR: 0.1, Loss: 1.5}},
 		Perm:   []int{2, 0, 1},
 	}
@@ -369,9 +369,27 @@ func TestMetaRoundTripsNonFiniteBitForBit(t *testing.T) {
 			}
 		}
 	}
-	if got.Seed != m.Seed || got.BestEpoch != -1 || !got.HasBest || got.Numerics != tensor.NumericsFast ||
+	if got.Seed != m.Seed || got.BestEpoch != -1 || !got.HasBest ||
 		len(got.Prefix) != 1 || len(got.Perm) != 3 || got.Perm[0] != 2 {
 		t.Fatalf("meta fields changed: %+v", got)
+	}
+}
+
+// The byte at offset 48 once named the numerics tier. A checkpoint
+// written under the retired fast tier (1) cannot resume bit-identically,
+// so the decoder refuses it and restore starts fresh; exact (0), what
+// every checkpoint is written with, decodes.
+func TestMetaRejectsRetiredFastTier(t *testing.T) {
+	b := marshalMeta(&trainMeta{Seed: 3, Epochs: 2, Epoch: 1})
+	if b[48] != 0 {
+		t.Fatalf("byte 48 = %d, want 0", b[48])
+	}
+	if _, err := unmarshalMeta(b); err != nil {
+		t.Fatal(err)
+	}
+	b[48] = 1
+	if _, err := unmarshalMeta(b); err == nil {
+		t.Fatal("a fast-tier checkpoint (byte 48 = 1) decoded")
 	}
 }
 

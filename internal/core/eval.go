@@ -33,12 +33,6 @@ type DefectEval struct {
 	Seed    uint64
 	Workers int // 0 = all cores, 1 = serial reference path
 
-	// Numerics, when non-empty ("exact" or "fast"), declares the
-	// kernel numerics tier this evaluation's results are pinned to;
-	// the Eval* entry points fail fast when the process tier differs.
-	// See core.CheckNumerics. Empty follows the process tier.
-	Numerics string
-
 	// Scenario selects the fault distribution. Nil resolves to the
 	// persistent stuck-at scenario over Model — i.e. fault.Default()
 	// when Model is also unset — so legacy configurations behave
@@ -256,9 +250,6 @@ func evalRun(net *nn.Network, ds *data.Dataset, cfg DefectEval, inj fault.Inject
 // always restored. On cancellation the Summary is the zero value and
 // the error is ctx's.
 func EvalDefect(ctx context.Context, net *nn.Network, ds *data.Dataset, psa float64, cfg DefectEval) (metrics.Summary, error) {
-	if err := CheckNumerics(cfg.Numerics); err != nil {
-		return metrics.Summary{}, err
-	}
 	return evalDefect(ctx, net, ds, psa, cfg.Normalize(), nil)
 }
 
@@ -399,9 +390,6 @@ func EvalDefectRuns(ctx context.Context, net *nn.Network, ds *data.Dataset, psa 
 	if start < 0 || end < start {
 		return nil, fmt.Errorf("core: invalid run range [%d, %d)", start, end)
 	}
-	if err := CheckNumerics(cfg.Numerics); err != nil {
-		return nil, err
-	}
 	cfg = cfg.Normalize()
 	if start == end {
 		return nil, ctx.Err()
@@ -421,9 +409,6 @@ func EvalDefectRuns(ctx context.Context, net *nn.Network, ds *data.Dataset, psa 
 // On cancellation the summaries of the rates completed so far are
 // returned together with ctx's error; the in-flight rate is dropped.
 func EvalDefectSweep(ctx context.Context, net *nn.Network, ds *data.Dataset, rates []float64, cfg DefectEval) ([]metrics.Summary, error) {
-	if err := CheckNumerics(cfg.Numerics); err != nil {
-		return nil, err
-	}
 	cfg = cfg.Normalize()
 	sink := cfg.Sink
 	var pool *ClonePool

@@ -51,15 +51,6 @@ type Config struct {
 	Aug         data.Augment
 	Seed        uint64
 
-	// Numerics, when non-empty ("exact" or "fast"), declares the
-	// kernel numerics tier this run's results are pinned to. Train
-	// fails fast when the process-wide tier (tensor.SetNumerics /
-	// ftpim -numerics) differs, instead of silently producing results
-	// under the wrong tier. Empty follows the process tier — correct
-	// for everything except runs whose outputs feed byte-identity
-	// contracts, which should pin "exact".
-	Numerics string
-
 	// FaultRate is the stochastic training stuck-at rate Psa. Zero
 	// disables fault injection (plain training).
 	FaultRate  float64
@@ -237,9 +228,6 @@ func Train(ctx context.Context, net *nn.Network, ds *data.Dataset, cfg Config) (
 	}
 	if cfg.LR <= 0 {
 		panic("core: LR must be positive")
-	}
-	if err := CheckNumerics(cfg.Numerics); err != nil {
-		return nil, err
 	}
 	cfg = cfg.Normalize()
 	sink := cfg.Sink

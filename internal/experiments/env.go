@@ -15,7 +15,6 @@ import (
 	"github.com/ftpim/ftpim/internal/nn"
 	"github.com/ftpim/ftpim/internal/obs"
 	"github.com/ftpim/ftpim/internal/prune"
-	"github.com/ftpim/ftpim/internal/tensor"
 )
 
 // Env owns the datasets and trained models an experiment run needs.
@@ -134,17 +133,6 @@ func (e *Env) scaleHash() uint64 {
 	return h.Sum64()
 }
 
-// tierKey suffixes cache keys with the active numerics tier when it
-// is not exact: models trained under fast kernels must never be served
-// from (or poison) the exact cache, whose entries back byte-identity
-// contracts. Applied centrally here so every Env getter inherits it.
-func tierKey(key string) string {
-	if tensor.ActiveNumerics() == tensor.NumericsFast {
-		return key + "+fast"
-	}
-	return key
-}
-
 // cacheSection names the one section of a cache file: an FTCK
 // container (internal/ckpt) holding the network's Snapshot.
 const cacheSection = "net"
@@ -155,7 +143,6 @@ const cacheSection = "net"
 // check — CRC, section set, tensor shapes — is a miss that retrains;
 // writes are atomic, and a canceled training run is never cached.
 func (e *Env) cached(key, ds string, train func(net *nn.Network) error) (*nn.Network, error) {
-	key = tierKey(key)
 	if net, ok := e.nets[key]; ok {
 		return net, nil
 	}
@@ -234,9 +221,9 @@ func (e *Env) trainCfg(key string, epochs int, lr float64, seed uint64) core.Con
 		Scenario: e.Scenario,
 	}
 	if e.Ckpt != nil {
-		// Same tier suffix as cached(): checkpoint runs must pair with
-		// the cache entry they feed, so cached()'s ClearKey finds them.
-		cfg.Ckpt = e.Ckpt.Run(tierKey(key))
+		// Checkpoint runs are keyed like the cache entry they feed, so
+		// cached()'s ClearKey finds them.
+		cfg.Ckpt = e.Ckpt.Run(key)
 		cfg.CkptEvery = e.CkptEvery
 	}
 	return cfg

@@ -92,7 +92,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e1 := NewEnv("quick", dir, nil)
 	n1 := pretrained(t, e1, "c10")
-	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.ftck"))
+	files, _ := filepath.Glob(filepath.Join(dir, "pretrain-c10-*.ftck"))
 	if len(files) != 1 {
 		t.Fatalf("expected one cache file, got %v", files)
 	}
@@ -113,7 +113,7 @@ func TestDiskCacheInvalidatedByScaleChange(t *testing.T) {
 	e2 := NewEnv("quick", dir, nil)
 	e2.Scale.Seed++ // any scale change must miss the cache
 	pretrained(t, e2, "c10")
-	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.ftck"))
+	files, _ := filepath.Glob(filepath.Join(dir, "pretrain-c10-*.ftck"))
 	if len(files) != 2 {
 		t.Fatalf("expected two distinct cache files, got %v", files)
 	}
@@ -123,7 +123,7 @@ func TestDiskCacheCorruptFileRetrains(t *testing.T) {
 	dir := t.TempDir()
 	e1 := NewEnv("quick", dir, nil)
 	pretrained(t, e1, "c10")
-	files, _ := filepath.Glob(filepath.Join(dir, tierKey("pretrain-c10")+"-*.ftck"))
+	files, _ := filepath.Glob(filepath.Join(dir, "pretrain-c10-*.ftck"))
 	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -24,16 +24,11 @@ import (
 	"testing"
 
 	"github.com/ftpim/ftpim/internal/obs"
-	"github.com/ftpim/ftpim/internal/tensor"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func TestTable1SmokeEventStream(t *testing.T) {
-	// The golden stream embeds cache keys, which carry the numerics
-	// tier suffix; the committed golden was recorded under exact, so
-	// pin the tier here (the event-stream shape is tier-independent).
-	defer tensor.SetNumerics(tensor.SetNumerics(tensor.NumericsExact))
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	sink.SetClock(nil) // omit timestamps: the stream becomes deterministic

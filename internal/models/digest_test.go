@@ -68,7 +68,6 @@ func stateDigest(net *nn.Network) string {
 }
 
 func TestExactForwardDigests(t *testing.T) {
-	defer tensor.SetNumerics(tensor.SetNumerics(tensor.NumericsExact))
 	for _, workers := range []int{1, 2} {
 		old := tensor.SetWorkers(workers)
 		net := BuildResNet(ResNet20(10).Scaled(0.25))
@@ -83,7 +82,6 @@ func TestExactForwardDigests(t *testing.T) {
 }
 
 func TestExactTrainStepDigest(t *testing.T) {
-	defer tensor.SetNumerics(tensor.SetNumerics(tensor.NumericsExact))
 	for _, workers := range []int{1, 2} {
 		old := tensor.SetWorkers(workers)
 		net := BuildResNet(ResNet20(10).Scaled(0.25))

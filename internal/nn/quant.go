@@ -229,7 +229,7 @@ func (l *QConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			arow := acc[oc*area : (oc+1)*area]
 			orow := od[base+oc*area : base+(oc+1)*area]
 			for j, v := range arow {
-				orow[j] = float32(v)*s + b
+				orow[j] = float32(float32(v)*s) + b
 			}
 		}
 	}
@@ -355,7 +355,7 @@ func (l *QLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
 		arow := l.acc[i*l.Out : (i+1)*l.Out]
 		orow := od[i*l.Out : (i+1)*l.Out]
 		for j, v := range arow {
-			orow[j] = float32(v) * l.WScale[j] * xs
+			orow[j] = float32(float32(v) * l.WScale[j] * xs)
 			if l.Bias != nil {
 				orow[j] += l.Bias[j]
 			}
@@ -404,7 +404,7 @@ func (l *QBatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 			s, b := l.Scale[c], l.Shift[c]
 			base := (i*l.C + c) * area
 			for j := 0; j < area; j++ {
-				od[base+j] = s*xd[base+j] + b
+				od[base+j] = float32(s*xd[base+j]) + b
 			}
 		}
 	}
@@ -570,8 +570,8 @@ func (b *QBasicBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 				o := (oc*hp2+y+pad2)*wp2 + pad2
 				prow := p2[o : o+w1]
 				for xx, a := range arow[y*w1 : (y+1)*w1] {
-					v := float32(float32(a)*cs + cb)
-					v = float32(bs*v + bb)
+					v := float32(float32(a)*cs) + cb
+					v = float32(bs*v) + bb
 					if !(v > 0) {
 						v = 0
 					}
@@ -595,8 +595,8 @@ func (b *QBasicBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 			for y := 0; y < outH; y++ {
 				for xx := 0; xx < outW; xx++ {
 					j := y*outW + xx
-					v := float32(float32(arow[j])*cs + cb)
-					v = float32(bs*v + bb)
+					v := float32(float32(arow[j])*cs) + cb
+					v = float32(bs*v) + bb
 					var short float32
 					if sc != nil {
 						short = sc[(y*w+xx)*b.Stride]
@@ -742,7 +742,7 @@ func foldBatchNorm(bn *BatchNorm2D) *QBatchNorm {
 	for c := 0; c < bn.C; c++ {
 		inv := float32(1 / math.Sqrt(float64(rv[c])+bn.Eps))
 		scale[c] = gd[c] * inv
-		shift[c] = bd[c] - rm[c]*scale[c]
+		shift[c] = bd[c] - float32(rm[c]*scale[c])
 	}
 	return NewQBatchNorm(scale, shift)
 }

@@ -66,7 +66,7 @@ func refConv(l *QConv2D, x *tensor.Tensor) *tensor.Tensor {
 			arow := acc[oc*outArea : (oc+1)*outArea]
 			orow := od[base+oc*outArea : base+(oc+1)*outArea]
 			for j, v := range arow {
-				orow[j] = float32(v)*s + b
+				orow[j] = float32(float32(v)*s) + b
 			}
 		}
 	}
@@ -110,7 +110,7 @@ func refBN(l *QBatchNorm, x *tensor.Tensor) *tensor.Tensor {
 			s, b := l.Scale[c], l.Shift[c]
 			base := (i*l.C + c) * area
 			for j := 0; j < area; j++ {
-				od[base+j] = s*xd[base+j] + b
+				od[base+j] = float32(s*xd[base+j]) + b
 			}
 		}
 	}

@@ -102,11 +102,6 @@ const (
 	// in-process because no workers are available (Run = lease id,
 	// Rate, N = runs in the range).
 	KindDistFallback Kind = "dist.fallback"
-	// KindNumerics is a one-shot startup event recording the process's
-	// kernel numerics configuration, so logs from a fleet are
-	// attributable to a tier (Phase = active tier, Key = requested
-	// tier, Msg = detected CPU features, "" when none).
-	KindNumerics Kind = "numerics"
 )
 
 // Event is one structured observation of a run. It is a flat value
@@ -185,16 +180,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("lease %d reissued from %s (%d run(s) @Psa=%g): %s", e.Run, e.Key, e.N, e.Rate, e.Msg)
 	case KindDistFallback:
 		return fmt.Sprintf("lease %d executed in-process: %d run(s) @Psa=%g", e.Run, e.N, e.Rate)
-	case KindNumerics:
-		cpu := e.Msg
-		if cpu == "" {
-			cpu = "none"
-		}
-		s := fmt.Sprintf("numerics: %s tier (cpu: %s)", e.Phase, cpu)
-		if e.Key != "" && e.Key != e.Phase {
-			s += fmt.Sprintf(" — %s requested but unavailable", e.Key)
-		}
-		return s
 	}
 	if e.Msg != "" {
 		return string(e.Kind) + ": " + e.Msg

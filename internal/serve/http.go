@@ -172,17 +172,13 @@ type HealthResponse struct {
 	EvalsInFlight int   `json:"evals_in_flight"`
 	EvalCap       int   `json:"eval_cap"`
 	Accepted      int64 `json:"accepted"`
-	// Numerics is the active GEMM tier ("exact" or "fast") and CPU the
-	// vector features backing the fast tier (empty on hosts without
-	// AVX2+FMA). Callers that require byte-identical outputs across a
-	// fleet can reject instances whose tier differs from their own.
-	Numerics string `json:"numerics"`
-	CPU      string `json:"cpu_features,omitempty"`
+	// CPU lists the vector features the kernels use (tensor.CPUFeatures:
+	// "avx,avx2" on an AVX2 host, empty without AVX or in a noasm
+	// build). They change speed, never bits.
+	CPU string `json:"cpu_features,omitempty"`
 	// ModelFormat names the weight source ("ftck-cache" or "ftpm-v1")
 	// and Quantized whether /v1/infer runs the int8 path. The int8
-	// path is bit-deterministic at every worker count and numerics
-	// tier, so fleet byte-identity checks can skip the Numerics
-	// comparison on quantized instances.
+	// path is bit-deterministic at every worker count.
 	ModelFormat string `json:"model_format"`
 	Quantized   bool   `json:"quantized"`
 }
@@ -509,7 +505,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 		EvalsInFlight: len(s.evals),
 		EvalCap:       s.cfg.EvalConcurrency,
 		Accepted:      s.accepted.Load(),
-		Numerics:      tensor.ActiveNumerics().String(),
 		CPU:           tensor.CPUFeatures(),
 		ModelFormat:   s.cfg.ModelFormat,
 		Quantized:     s.qsrc != nil,

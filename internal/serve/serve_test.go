@@ -327,11 +327,9 @@ func TestHealthz(t *testing.T) {
 	if h.IdleExecutors != s.cfg.Executors || h.EvalsInFlight != 0 || h.Accepted != 0 {
 		t.Fatalf("healthz pool status = %+v on an idle server", h)
 	}
-	// Numerics tier is always reported and matches the process tier;
 	// CPU features mirror the tensor package's detection verbatim.
-	if h.Numerics != tensor.ActiveNumerics().String() || h.CPU != tensor.CPUFeatures() {
-		t.Fatalf("healthz numerics = %q cpu = %q, want %q / %q",
-			h.Numerics, h.CPU, tensor.ActiveNumerics(), tensor.CPUFeatures())
+	if h.CPU != tensor.CPUFeatures() {
+		t.Fatalf("healthz cpu = %q, want %q", h.CPU, tensor.CPUFeatures())
 	}
 }
 

@@ -87,47 +87,8 @@ func TestConvGemmBackwardWarmAllocs(t *testing.T) {
 	})
 }
 
-// TestFastTierWarmAllocs: the fast microkernels inherit the zero-alloc
-// contract — packed panels (and GemmTA's transpose panel, which only
-// the fast path uses) all come from the shared pool.
-func TestFastTierWarmAllocs(t *testing.T) {
-	requireFast(t)
-	defer SetNumerics(SetNumerics(NumericsFast))
-	withWorkers(1, func() {
-		a, b := randPair(1, 32, 48, 300)
-		out := New(32, 300)
-		ta, tb2 := New(48, 33), New(48, 40)
-		FillNormal(ta, NewRNG(2), 0, 1)
-		FillNormal(tb2, NewRNG(3), 0, 1)
-		outTA := New(33, 40)
-		ba, bb := New(32, 48), New(40, 48)
-		FillNormal(ba, NewRNG(4), 0, 1)
-		FillNormal(bb, NewRNG(5), 0, 1)
-		outTB := New(32, 40)
-		s := convShape{4, 4, 12, 12, 4, 3, 3, 1, 1}
-		wd, src, dY := convOracleData(10, s)
-		k := s.c * s.kh * s.kw
-		dst := make([]float32, s.n*s.outC*s.h*s.w)
-		dX := make([]float32, s.n*s.c*s.h*s.w)
-		chunks := make([]float32, s.n*s.outC*k)
-		warm := func() {
-			MatMulInto(out, a, b)
-			MatMulTAInto(outTA, ta, tb2)
-			MatMulTBInto(outTB, ba, bb)
-			ConvGemmForward(dst, wd, src, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
-			ConvGemmBackward(dX, chunks, wd, src, dY, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
-		}
-		for i := 0; i < 3; i++ { // warm the panel pool
-			warm()
-		}
-		if avg := testing.AllocsPerRun(20, warm); avg > 0 {
-			t.Fatalf("warm fast-tier kernels allocate %.1f/op, want 0", avg)
-		}
-	})
-}
-
 // TestGemmS8TBWarmAllocs: the int8 GEMM needs no packing, so it is
-// allocation-free from the first call on both tiers.
+// allocation-free from the first call.
 func TestGemmS8TBWarmAllocs(t *testing.T) {
 	withWorkers(1, func() {
 		m, k, n := 64, 144, 16
@@ -136,12 +97,6 @@ func TestGemmS8TBWarmAllocs(t *testing.T) {
 		dst := make([]int32, m*n)
 		if avg := testing.AllocsPerRun(50, func() { GemmS8TB(dst, a, b, m, k, n) }); avg > 0 {
 			t.Fatalf("GemmS8TB allocates %.1f/op, want 0", avg)
-		}
-		if FastSupported() {
-			defer SetNumerics(SetNumerics(NumericsFast))
-			if avg := testing.AllocsPerRun(50, func() { GemmS8TB(dst, a, b, m, k, n) }); avg > 0 {
-				t.Fatalf("fast GemmS8TB allocates %.1f/op, want 0", avg)
-			}
 		}
 	})
 }

@@ -12,21 +12,21 @@ package tensor
 //     outC × (C·kh·kw) × (N·outH·outW), run panel by panel through the
 //     exact tiles (exactTile2/exactTile1) — the standalone column
 //     matrix is never materialized, and each panel is consumed while
-//     still cache-hot. On the exact tier a stride-1 panel is a block
-//     of output rows read from a zero-bordered copy of the sample, one
-//     contiguous run per tap, with no gather (convForwardPlanes);
-//     strided convolutions gather their patches (im2colSeg). Work
-//     parallelizes across panels, not only across samples.
+//     still cache-hot. A stride-1 panel is a block of output rows
+//     read from a zero-bordered copy of the sample, one contiguous run
+//     per tap, with no gather (convForwardPlanes); strided
+//     convolutions gather their patches (im2colSeg). Work parallelizes
+//     across panels, not only across samples.
 //   - Backward streams per sample: dX stages Wᵀ·dY in a pooled scratch
 //     block, computed by the exact GemmTA's register-resident kernel,
 //     and a fused col2im consumer scatters it row by row into the
-//     image (no per-layer dcol buffer is retained). On the exact tier
-//     dW runs on the same A·B tiles as the forward, with their zero
-//     skips off, over the sample's patch-major panel (one receptive
-//     field per row); without AVX, and on the fast tier, its dot loops
-//     read column rows generated on the fly. Stride-1 convolutions
-//     build the panel from, and scatter dX into, zero-bordered planes,
-//     with no per-element bounds test (ConvGemmBackward).
+//     image (no per-layer dcol buffer is retained). With AVX, dW runs
+//     on the same A·B tiles as the forward, with their zero skips off,
+//     over the sample's patch-major panel (one receptive field per
+//     row); without AVX its dot loops read column rows generated on
+//     the fly. Stride-1 convolutions build the panel from, and scatter
+//     dX into, zero-bordered planes, with no per-element bounds test
+//     (ConvGemmBackward).
 //
 // Bit-identity contract (§6/§7 of DESIGN.md): every output element's
 // floating-point accumulation order is exactly that of the
@@ -37,14 +37,6 @@ package tensor
 // convgemm_test.go pins this against the materialized composition as
 // the bitwise oracle across a shape grid, a fuzz target, and several
 // worker counts.
-//
-// One carve-out: the fast tier's dW stage (convSampleDWAxpy in
-// gemm_fast.go) batches rank-1 axpy updates instead of running dot
-// products, which changes each chunk element's rounding order. It is
-// therefore ULP-pinned against the exact oracle like every other
-// fast-tier kernel — not bitwise — while remaining bit-deterministic
-// and worker-invariant within the fast tier. The exact tier and the
-// dX stage keep the full bitwise contract on both tiers.
 
 // im2colSeg lowers output positions [q0, q1) of one CHW image: row p of
 // the column matrix lands at dst[p*rowStride : p*rowStride+(q1-q0)].
@@ -106,15 +98,13 @@ func im2colSeg(dst []float32, rowStride int, src []float32, c, h, w, kh, kw, str
 //
 //   - 1×1/stride-1/pad-0: zero-copy. The input already is the column
 //     matrix, so the tile kernels read src directly.
-//   - Other stride-1 convolutions on the exact tier: gather-free
+//   - Other stride-1 convolutions with outW <= gemmJTile: gather-free
 //     (convForwardPlanes). Each sample is copied once into a
 //     zero-bordered plane in which every tap's patch row is one
 //     contiguous run.
-//   - Strided convolutions, and every convolution on the fast tier:
+//   - Strided convolutions, and stride-1 ones with wider output rows:
 //     input patches are gathered into pooled column panels
-//     (im2colSeg) and consumed while cache-hot. The fast kernels
-//     round a column differently in the scalar tail than in the
-//     vector body, so they must see the composed Gemm's panels.
+//     (im2colSeg) and consumed while cache-hot.
 func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, pad int) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
@@ -140,7 +130,7 @@ func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, p
 		return
 	}
 	parallel := n*k*outArea*outC >= matMulShardFlops && Workers() > 1
-	if stride == 1 && outW <= gemmJTile && !useFast() {
+	if stride == 1 && outW <= gemmJTile {
 		// Blocks of output rows whose extended panel, (rows-1)·wp +
 		// outW columns, fits gemmJTile; spread evenly over outH.
 		wp := w + 2*pad
@@ -257,15 +247,6 @@ func convForwardUnits(dst, wd, src []float32, c, h, w, kh, kw, stride, pad, outH
 // makes the fused path's per-element operation sequence identical to
 // Gemm's.
 func convPanelRows(od, wd, pb []float32, k, outC, jw, bs, pbBase, base, orStride int) {
-	if useFast() {
-		// Fast tier: the same per-row microkernel the fast Gemm path
-		// runs, so fused conv stays bit-identical to the composed
-		// Im2Col+Gemm oracle within the tier.
-		for i := 0; i < outC; i++ {
-			fastTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, jw, bs, pbBase)
-		}
-		return
-	}
 	i := 0
 	for ; i+2 <= outC; i += 2 {
 		exactTile2(od[base+i*orStride:base+i*orStride+jw],
@@ -314,15 +295,15 @@ func convForward1x1(dst, wd, src []float32, n, c, area, outC int) {
 //     (outC×(c·kh·kw) row-major, dY_i · col_iᵀ) at
 //     dwChunks[i*outC*c*kh*kw:]. The caller adds the chunks to the
 //     gradient in ascending sample order, preserving the per-sample
-//     accumulation the serial GemmTB+AddInPlace loop performed. On
-//     the exact tier with AVX a chunk is dY_i (outC × outArea) times
-//     the sample's patch-major panel (outArea × c·kh·kw, one receptive
-//     field per row) on the A·B tiles with their zero skips off. Each
-//     element then is s = s + (((a0·b0 + a1·b1) + a2·b2) + a3·b3)
-//     over quads of output positions, and s = s + a·b over the
-//     outArea mod 4 left, from +0: GemmTB's dot, skipping nothing.
-//     Elsewhere convSampleDW's dot loops (or the fast tier's kernels)
-//     run over column rows generated on the fly.
+//     accumulation the serial GemmTB+AddInPlace loop performed. With
+//     AVX a chunk is dY_i (outC × outArea) times the sample's
+//     patch-major panel (outArea × c·kh·kw, one receptive field per
+//     row) on the A·B tiles with their zero skips off. Each element
+//     then is s = s + (((a0·b0 + a1·b1) + a2·b2) + a3·b3) over quads
+//     of output positions, and s = s + a·b over the outArea mod 4
+//     left, from +0: GemmTB's dot, skipping nothing. Without AVX
+//     convSampleDW's dot loops run over column rows generated on the
+//     fly.
 //   - dX (n×c×h×w, pre-zeroed by the caller) receives the col2im of
 //     Wᵀ·dY: each sample's dcol block is computed into pooled scratch
 //     by the exact GemmTA's kernel (exactTAShard) and scattered in
@@ -378,8 +359,6 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 	k := c * kh * kw
 	chw := c * h * w
 	outStride := outC * outArea
-	fast := useFast()
-	tiles := avxSupported && !fast
 	kp := (k + 7) &^ 7 // the dW tiles' width; see convSampleDWTiles
 	planeLen := 0
 	if stride == 1 {
@@ -389,38 +368,26 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 	// plane and the dX plane (stride 1 only); a kp·outArea block that
 	// holds the patch-major panel for dW and then dcol for dX; the
 	// tiles' outC×kp chunk; 4 generated column rows for convSampleDW's
-	// dot loops and 4 patch rows for the fast tier's axpy dW.
-	buf := getPanel(2*planeLen + kp*outArea + outC*kp + 4*outArea + 4*k)
+	// dot loops.
+	buf := getPanel(2*planeLen + kp*outArea + outC*kp + 4*outArea)
 	f := buf.f
 	plane, f := f[:planeLen], f[planeLen:]
 	dxPlane, f := f[:planeLen], f[planeLen:]
 	blk, f := f[:kp*outArea], f[kp*outArea:]
-	tileChunk, f := f[:outC*kp], f[outC*kp:]
-	gen, patches := f[:4*outArea], f[4*outArea:]
+	tileChunk, gen := f[:outC*kp], f[outC*kp:]
 	clear(plane) // the border; each sample rewrites only the interior
 	pointwise := kh == 1 && kw == 1 && stride == 1 && pad == 0
-	// Fast-tier dW dispatch is by shape: the axpy batching streams
-	// rank-1 updates over k-length chunk rows, which wins when the dot
-	// kernels would pay a horizontal reduction per element over short
-	// outArea-length vectors (deep layers, k >= outArea) and loses to
-	// chunk-row load/store traffic when outArea dominates (early
-	// layers). The predicate depends only on the layer shape, never on
-	// data or worker count, so results stay deterministic.
-	axpy := fast && k >= outArea
 	for i := lo; i < hi; i++ {
 		srci := src[i*chw : (i+1)*chw]
 		dyi := dY[i*outStride : (i+1)*outStride]
 		chunk := dwChunks[i*outC*k : (i+1)*outC*k]
-		switch {
-		case tiles:
+		if avxSupported {
 			convSampleDWTiles(chunk, srci, dyi, blk, tileChunk, plane, c, h, w, outC, kh, kw, stride, pad, outH, outW)
-		case axpy:
-			convSampleDWAxpy(chunk, srci, dyi, patches, c, h, w, outC, kh, kw, stride, pad, outH, outW, pointwise)
-		default:
-			convSampleDW(chunk, srci, dyi, gen, c, h, w, outC, kh, kw, stride, pad, outH, outW, pointwise, fast)
+		} else {
+			convSampleDW(chunk, srci, dyi, gen, c, h, w, outC, kh, kw, stride, pad, outH, outW, pointwise)
 		}
 		convSampleDX(dX[i*chw:(i+1)*chw], wd, dyi, blk[:k*outArea], dxPlane,
-			c, h, w, outC, kh, kw, stride, pad, outH, outW, fast)
+			c, h, w, outC, kh, kw, stride, pad, outH, outW)
 	}
 	panelPool.Put(buf)
 }
@@ -433,16 +400,10 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 // copies its interior out; the out-of-image taps land in the border,
 // which is Col2Im dropping them. Strided convolutions scatter with
 // col2imRow.
-func convSampleDX(dxi, wd, dyi, dcol, dxPlane []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast bool) {
+func convSampleDX(dxi, wd, dyi, dcol, dxPlane []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int) {
 	outArea := outH * outW
 	k := c * kh * kw
-	if fast {
-		// Serial fast variant: this runs inside the per-sample
-		// ParallelFor, so it must not fan out again.
-		fastGemmTASerial(dcol, wd, dyi, outC, k, outArea)
-	} else {
-		exactTAShard(dcol, wd, dyi, outC, k, outArea, 0, k)
-	}
+	exactTAShard(dcol, wd, dyi, outC, k, outArea, 0, k)
 	if stride != 1 {
 		kk := kh * kw
 		for r := 0; r < k; r++ {
@@ -619,23 +580,21 @@ func im2rowPatch(dst, src []float32, c, h, w, kh, kw, stride, pad, oy, ox int) {
 }
 
 // convSampleDW computes one sample's weight-gradient chunk
-// dY_i · col_iᵀ with column rows generated on demand — the dot-form
-// kernel of exact builds without AVX and of the fast tier (fast-tier
-// deep shapes with k >= outArea run convSampleDWAxpy instead; see
-// convBackwardSamples), and the reference the exact tier's dW tiles
-// are tested against. The dot-product bodies are
-// exactly gemmTBRows' 1×4 and single-column tiles (fastDot4/fastDot on
-// the fast tier — the same microkernels the fast GemmTB runs, keeping
-// this form bit-identical to the composed oracle within either tier),
-// reordered column-quad-outer so each generated row quad is reused
-// across every output row — a reordering across output elements only,
-// so each element's accumulation sequence is unchanged.
-func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast, vec bool) {
+// dY_i · col_iᵀ with column rows generated on demand — the dW of
+// builds and CPUs without AVX, and the reference the dW tiles are
+// tested against. With pointwise set (a 1×1/stride-1/pad-0
+// convolution) column row r is row r of the input plane itself, read
+// in place. The dot-product bodies are exactly gemmTBRows' 1×4 and
+// single-column tiles, reordered column-quad-outer so each generated
+// row quad is reused across every output row — a reordering across
+// output elements only, so each element's accumulation sequence is
+// unchanged.
+func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, pointwise bool) {
 	outArea := outH * outW
 	k := c * kh * kw
 	kk := kh * kw
 	colRow := func(r, slot int) []float32 {
-		if fast {
+		if pointwise {
 			return srci[r*outArea : (r+1)*outArea]
 		}
 		d := gen[slot*outArea : (slot+1)*outArea]
@@ -653,11 +612,6 @@ func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride
 		b3 := colRow(j+3, 3)
 		for oc := 0; oc < outC; oc++ {
 			arow := dyi[oc*outArea : (oc+1)*outArea]
-			if vec {
-				chunk[oc*k+j], chunk[oc*k+j+1], chunk[oc*k+j+2], chunk[oc*k+j+3] =
-					fastDot4(arow, b0, b1, b2, b3)
-				continue
-			}
 			var s0, s1, s2, s3 float32
 			p := 0
 			for ; p+4 <= outArea; p += 4 {
@@ -681,10 +635,6 @@ func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride
 		brow := colRow(j, 0)
 		for oc := 0; oc < outC; oc++ {
 			arow := dyi[oc*outArea : (oc+1)*outArea]
-			if vec {
-				chunk[oc*k+j] = fastDot(arow, brow)
-				continue
-			}
 			var s float32
 			p := 0
 			for ; p+4 <= outArea; p += 4 {

@@ -201,16 +201,12 @@ func plantPerSample(seed uint64, x []float32, n, per int) {
 }
 
 // backwardSkipWitnesses adds the conv witnesses to the backward
-// operands, and specials to dY (the B side of the dX product), on the
-// exact tier only: the fast tier's dW is error-bounded against the
-// oracle, a bound that needs finite data. The dW dot skips nothing, so
-// it needs the opposite witness: output channel 1 of every sample gets
-// an all-zero dY row, whose zero quads and singles meet the ±Inf and
-// NaN planted in src, where 0·Inf makes NaN and a skip would not.
+// operands, and specials to dY (the B side of the dX product). The dW
+// dot skips nothing, so it needs the opposite witness: output channel 1
+// of every sample gets an all-zero dY row, whose zero quads and singles
+// meet the ±Inf and NaN planted in src, where 0·Inf makes NaN and a
+// skip would not.
 func backwardSkipWitnesses(seed uint64, wd, src, dY []float32, s convShape) {
-	if ActiveNumerics() != NumericsExact {
-		return
-	}
 	outArea := ConvOutSize(s.h, s.kh, s.stride, s.pad) * ConvOutSize(s.w, s.kw, s.stride, s.pad)
 	convSkipWitnesses(seed, wd, src, s)
 	plantPerSample(seed^0x5EED, dY, s.n, s.outC*outArea)
@@ -226,47 +222,13 @@ func (s convShape) String() string {
 		s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
 }
 
-// convDWMags computes the per-element magnitude sums Σ|dy·col| of the
-// weight gradient in float64 — the conditioning reference for the
-// fast-tier dW error bound (the axpy-batched fast dW accumulates in a
-// different order than the composed GemmTB, so under the fast tier dW
-// is ULP/error-bounded against the oracle instead of bitwise).
-func convDWMags(src, dY []float32, s convShape) []float64 {
-	outH := ConvOutSize(s.h, s.kh, s.stride, s.pad)
-	outW := ConvOutSize(s.w, s.kw, s.stride, s.pad)
-	outArea := outH * outW
-	k := s.c * s.kh * s.kw
-	chw := s.c * s.h * s.w
-	col := make([]float32, k*outArea)
-	mags := make([]float64, s.outC*k)
-	for i := 0; i < s.n; i++ {
-		Im2Col(src[i*chw:(i+1)*chw], s.c, s.h, s.w, s.kh, s.kw, s.stride, s.pad, col)
-		dyi := dY[i*s.outC*outArea : (i+1)*s.outC*outArea]
-		for oc := 0; oc < s.outC; oc++ {
-			for r := 0; r < k; r++ {
-				var m float64
-				for p := 0; p < outArea; p++ {
-					m += math.Abs(float64(dyi[oc*outArea+p])) * math.Abs(float64(col[r*outArea+p]))
-				}
-				mags[oc*k+r] += m
-			}
-		}
-	}
-	return mags
-}
-
-// checkConvDW compares a fused dW against the oracle: bitwise on the
-// exact tier, ULP/error-bounded on the fast tier (see convDWMags).
-func checkConvDW(t *testing.T, want, got, src, dY []float32, s convShape) {
+// checkConvDW compares a fused dW against the GemmTB oracle, bit for
+// bit.
+func checkConvDW(t *testing.T, want, got []float32) {
 	t.Helper()
-	if ActiveNumerics() == NumericsExact {
-		if i := exactMismatch(want, got); i >= 0 {
-			t.Fatalf("fused dW differs from GemmTB oracle at %d: %v vs %v", i, got[i], want[i])
-		}
-		return
+	if i := exactMismatch(want, got); i >= 0 {
+		t.Fatalf("fused dW differs from GemmTB oracle at %d: %v vs %v", i, got[i], want[i])
 	}
-	outArea := ConvOutSize(s.h, s.kh, s.stride, s.pad) * ConvOutSize(s.w, s.kw, s.stride, s.pad)
-	checkFastVsExact(t, "convDW", want, got, convDWMags(src, dY, s), s.n*outArea)
 }
 
 func TestConvGemmForwardMatchesOracleBitwise(t *testing.T) {
@@ -312,7 +274,7 @@ func TestConvGemmBackwardMatchesOracleBitwise(t *testing.T) {
 							dW[j] += v
 						}
 					}
-					checkConvDW(t, wantDW, dW, src, dY, s)
+					checkConvDW(t, wantDW, dW)
 					if i := exactMismatch(wantDX, dX); i >= 0 {
 						t.Fatalf("workers=%d: fused dX differs from GemmTA+Col2Im oracle at %d", w, i)
 					}
@@ -343,8 +305,8 @@ func TestConv1x1FastPathMatchesGeneralPath(t *testing.T) {
 			}
 		})
 	}
-	// Backward: the fast flag is chosen inside convBackwardSamples, so
-	// pin it against the materialized oracle instead (the general fused
+	// Backward: the pointwise flag is chosen inside convBackwardSamples,
+	// so pin it against the materialized oracle instead (the general fused
 	// path is pinned to the same oracle by the grid test above).
 	wantDW, wantDX := refConvBackward(wd, src, dY, s)
 	dX := make([]float32, len(wantDX))
@@ -356,7 +318,7 @@ func TestConv1x1FastPathMatchesGeneralPath(t *testing.T) {
 			dW[j] += v
 		}
 	}
-	checkConvDW(t, wantDW, dW, src, dY, s)
+	checkConvDW(t, wantDW, dW)
 	if !FromSlice(dX, s.n, s.c*area).Equal(FromSlice(wantDX, s.n, s.c*area)) {
 		t.Fatalf("1x1 fast backward dX differs from oracle")
 	}
@@ -408,7 +370,7 @@ func FuzzConvGemmOracle(f *testing.F) {
 				dW[j] += v
 			}
 		}
-		checkConvDW(t, wantDW, dW, src, dY, s)
+		checkConvDW(t, wantDW, dW)
 		if i := exactMismatch(wantDX, dX); i >= 0 {
 			t.Fatalf("dX mismatch at %d for %v seed %d", i, s, seed)
 		}

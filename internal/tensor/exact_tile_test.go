@@ -243,7 +243,7 @@ func checkDWTiles(t *testing.T, seed uint64, s convShape) {
 	srci, dyi := src[:s.c*s.h*s.w], dY[:s.outC*outArea]
 	want := make([]float32, s.outC*k)
 	convSampleDW(want, srci, dyi, make([]float32, 4*outArea), s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, outH, outW,
-		s.kh == 1 && s.kw == 1 && s.stride == 1 && s.pad == 0, false)
+		s.kh == 1 && s.kw == 1 && s.stride == 1 && s.pad == 0)
 	got := make([]float32, s.outC*k)
 	plane := make([]float32, s.c*(s.h+2*s.pad)*(s.w+2*s.pad))
 	panel := make([]float32, kp*outArea)

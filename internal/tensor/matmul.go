@@ -9,12 +9,9 @@ import (
 //
 // The three products the training loop needs (A·B, Aᵀ·B, A·Bᵀ) are
 // cache-blocked, register-tiled kernels over raw float32 slices, with
-// Tensor wrappers that validate shapes. Each entry point dispatches on
-// the process-wide numerics tier (numerics.go): the loops in this file
-// define the exact tier; on amd64 hosts with AVX2+FMA the fast tier
-// swaps the inner loops for the microkernels in gemm_fast.go, trading
-// bit-identity for throughput (ULP-pinned instead). Two invariants
-// govern every exact kernel in this file:
+// Tensor wrappers that validate shapes. The loops in this file define
+// the exact numerics contract (numerics.go). Two invariants govern
+// every kernel in this file:
 //
 //  1. Bit-identity. For each output element, the sequence of
 //     floating-point operations — every product and every sum rounded
@@ -120,10 +117,6 @@ func MatMulInto(out, a, b *Tensor) {
 // operands are sub-slices of larger batch buffers (see nn.Conv2D).
 func Gemm(dst, a, b []float32, m, k, n int) {
 	if m == 0 || n == 0 {
-		return
-	}
-	if useFast() {
-		fastGemm(dst, a, b, m, k, n)
 		return
 	}
 	pb, buf := packB(b, k, n)
@@ -305,10 +298,6 @@ func GemmTA(dst, a, b []float32, k, m, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	if useFast() {
-		fastGemmTA(dst, a, b, k, m, n)
-		return
-	}
 	if m >= 2 && m*k*n >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(m, func(_, lo, hi int) {
 			exactTAShard(dst, a, b, k, m, n, lo, hi)
@@ -430,10 +419,6 @@ func MatMulTBInto(out, a, b *Tensor) {
 // needs no repacking.
 func GemmTB(dst, a, b []float32, m, k, n int) {
 	if m == 0 || n == 0 {
-		return
-	}
-	if useFast() {
-		fastGemmTB(dst, a, b, m, k, n)
 		return
 	}
 	if m >= 2 && m*k*n >= matMulShardFlops && Workers() > 1 {

@@ -12,12 +12,6 @@ import (
 // change. The reference kernels (matMulRows, matMulTARef,
 // matMulTBRows) are kept unexported in matmul.go purely as the oracles
 // for these tests.
-//
-// These suites define the *exact* numerics tier, so they pin it
-// explicitly (restoring the requested tier afterwards): under the
-// FTPIM_NUMERICS=fast CI leg everything else runs fast, but exact must
-// still match the oracles bit for bit. numerics_test.go holds the
-// fast tier's ULP-pinning counterparts.
 
 // oracleShapes stresses every structural regime of the blocked kernels:
 // k%4 tails, single rows/cols, row-tile remainders (m%4, m%2), the
@@ -143,7 +137,6 @@ func math32Copysign(x, s float32) float32 {
 }
 
 func TestGemmMatchesReferenceBitwise(t *testing.T) {
-	defer SetNumerics(SetNumerics(NumericsExact))
 	for _, s := range oracleShapes {
 		m, k, n := s[0], s[1], s[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
@@ -166,7 +159,6 @@ func TestGemmMatchesReferenceBitwise(t *testing.T) {
 }
 
 func TestGemmTAMatchesReferenceBitwise(t *testing.T) {
-	defer SetNumerics(SetNumerics(NumericsExact))
 	for _, s := range oracleShapes {
 		// Reinterpret the triple: A is k×m here.
 		k, m, n := s[1], s[0], s[2]
@@ -193,7 +185,6 @@ func TestGemmTAMatchesReferenceBitwise(t *testing.T) {
 }
 
 func TestGemmTBMatchesReferenceBitwise(t *testing.T) {
-	defer SetNumerics(SetNumerics(NumericsExact))
 	for _, s := range oracleShapes {
 		m, k, n := s[0], s[1], s[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
@@ -226,7 +217,6 @@ func FuzzGemmOracle(f *testing.F) {
 	f.Add(uint64(3), uint8(1), uint8(1), uint16(1))
 	f.Add(uint64(4), uint8(16), uint8(13), uint16(257))
 	f.Fuzz(func(t *testing.T, seed uint64, mRaw, kRaw uint8, nRaw uint16) {
-		defer SetNumerics(SetNumerics(NumericsExact))
 		m := int(mRaw)%24 + 1
 		k := int(kRaw)%24 + 1
 		n := int(nRaw)%320 + 1

@@ -258,20 +258,10 @@ func BenchmarkMatMul64(b *testing.B) {
 
 // benchGemm256 times one of the packed kernels on the 256^3 reference
 // shape with a pinned worker count, so serial kernel speed is measured
-// apart from sharding. The numerics tier is pinned to exact so the
-// scalar kernels are what is measured regardless of FTPIM_NUMERICS.
+// apart from sharding.
 func benchGemm256(b *testing.B, workers int, run func(out, x, y *Tensor)) {
-	benchGemm256Tier(b, workers, NumericsExact, run)
-}
-
-func benchGemm256Tier(b *testing.B, workers int, tier Numerics, run func(out, x, y *Tensor)) {
-	if tier == NumericsFast && !FastSupported() {
-		b.Skip("fast tier unsupported on this host/build")
-	}
 	old := SetWorkers(workers)
 	defer SetWorkers(old)
-	oldTier := SetNumerics(tier)
-	defer SetNumerics(oldTier)
 	r := NewRNG(11)
 	x, y := randMat(r, 256, 256), randMat(r, 256, 256)
 	out := New(256, 256)
@@ -291,22 +281,6 @@ func BenchmarkGemmTA256Serial(b *testing.B) {
 
 func BenchmarkGemmTB256Serial(b *testing.B) {
 	benchGemm256(b, 1, func(out, x, y *Tensor) { MatMulTBInto(out, x, y) })
-}
-
-// The Fast variants time the AVX2+FMA fast-tier kernels on the same
-// shape (skipped when the host or build lacks them), so the
-// fast-vs-exact speedup in results/BENCH_gemm.json can be re-measured
-// in one binary.
-func BenchmarkGemmFast256Serial(b *testing.B) {
-	benchGemm256Tier(b, 1, NumericsFast, func(out, x, y *Tensor) { MatMulInto(out, x, y) })
-}
-
-func BenchmarkGemmTAFast256Serial(b *testing.B) {
-	benchGemm256Tier(b, 1, NumericsFast, func(out, x, y *Tensor) { MatMulTAInto(out, x, y) })
-}
-
-func BenchmarkGemmTBFast256Serial(b *testing.B) {
-	benchGemm256Tier(b, 1, NumericsFast, func(out, x, y *Tensor) { MatMulTBInto(out, x, y) })
 }
 
 // The Ref variants time the pre-blocking reference kernels (the old

@@ -91,7 +91,7 @@ func NewQuantizer(scale float32) Quantizer {
 // instruction on amd64, and moves the ties away from zero: math.Round's
 // exponent branches mispredict on activations near zero.
 func (qz Quantizer) Q(v float32) int8 {
-	x := float64(v) * qz.inv
+	x := float64(float64(v) * qz.inv)
 	r := math.RoundToEven(x)
 	// x - r is exact: r is an integer within 0.5 of x.
 	if d := x - r; d == 0.5 && x > 0 {

@@ -6,15 +6,14 @@ import (
 	"testing"
 )
 
-// Int8 kernel pinning. The integer kernels carry a stronger contract
-// than the float fast tier: because int32 accumulation is exact and
+// Int8 kernel pinning. Because int32 accumulation is exact and
 // associative, the AVX2 variant must equal the scalar reference bit
-// for bit, at every shape and worker count — no ULP budget anywhere.
+// for bit, at every shape and worker count.
 
 // s8Kernels lists the int8 kernels to pin: the scalar loops always,
 // and the AVX2 dot kernels where the CPU has them. Tests call the
 // kernels directly because the public entry points pick the AVX2 path
-// on every tier, which would leave the scalar path unchecked.
+// wherever the CPU has it, which would leave the scalar path unchecked.
 func s8Kernels() []bool {
 	if s8Supported {
 		return []bool{false, true}
@@ -266,42 +265,30 @@ func TestGemmS8TBMatchesOracleBothTiers(t *testing.T) {
 			for _, fast := range s8Kernels() {
 				check(kernelName(fast), func(got []int32) { gemmS8TBRows(got, a, b, k, n, 0, m, fast) })
 			}
-			public := func(got []int32) { GemmS8TB(got, a, b, m, k, n) }
-			runTier(NumericsExact, func() { check("GemmS8TB exact tier", public) })
-			if FastSupported() {
-				runTier(NumericsFast, func() { check("GemmS8TB fast tier", public) })
-			}
+			check("GemmS8TB", func(got []int32) { GemmS8TB(got, a, b, m, k, n) })
 		})
 	}
 }
 
 // TestGemmS8TBWorkerInvariance: the int8 GEMM must be bit-identical at
-// every worker count, on both tiers.
+// every worker count.
 func TestGemmS8TBWorkerInvariance(t *testing.T) {
 	m, k, n := 33, 64, 129 // crosses matMulShardFlops
 	a := randS8(0xABCD, m*k)
 	b := randS8(0xEF01, n*k)
-	tiers := []Numerics{NumericsExact}
-	if FastSupported() {
-		tiers = append(tiers, NumericsFast)
-	}
-	for _, tier := range tiers {
-		runTier(tier, func() {
-			var ref []int32
-			for _, w := range []int{1, 2, 4} {
-				got := make([]int32, m*n)
-				withWorkers(w, func() { GemmS8TB(got, a, b, m, k, n) })
-				if ref == nil {
-					ref = got
-					continue
-				}
-				for i := range ref {
-					if ref[i] != got[i] {
-						t.Fatalf("tier %v: GemmS8TB differs between workers=1 and workers=%d at %d", tier, w, i)
-					}
-				}
+	var ref []int32
+	for _, w := range []int{1, 2, 4} {
+		got := make([]int32, m*n)
+		withWorkers(w, func() { GemmS8TB(got, a, b, m, k, n) })
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range ref {
+			if ref[i] != got[i] {
+				t.Fatalf("GemmS8TB differs between workers=1 and workers=%d at %d", w, i)
 			}
-		})
+		}
 	}
 }
 
@@ -379,8 +366,7 @@ func checkIm2RowS8(t *testing.T, c, h, w, kh, kw, stride, pad int) {
 
 // FuzzGemmS8TBFastVsScalar: on fuzz-chosen shapes the scalar and AVX2
 // int8 GEMM kernels must each equal the one-dot-per-element reference
-// exactly — the integer analogue of
-// FuzzGemmFastVsExact, with bit equality instead of a ULP budget.
+// exactly.
 func FuzzGemmS8TBFastVsScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(7), uint8(9))
 	f.Add(uint64(2), uint8(1), uint8(1), uint8(1))
@@ -422,21 +408,6 @@ func BenchmarkGemmS8(b *testing.B) {
 				GemmS8TB(dst, a8, b8, m, k, n)
 			}
 		})
-	}
-}
-
-func BenchmarkGemmS8Fast(b *testing.B) {
-	if !FastSupported() {
-		b.Skip("fast tier unsupported")
-	}
-	defer SetNumerics(SetNumerics(NumericsFast))
-	m, k, n := 1024, 144, 16
-	a8 := randS8(1, m*k)
-	b8 := randS8(2, n*k)
-	dst := make([]int32, m*n)
-	b.SetBytes(int64(m*k + n*k + 4*m*n))
-	for i := 0; i < b.N; i++ {
-		GemmS8TB(dst, a8, b8, m, k, n)
 	}
 }
 

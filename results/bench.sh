@@ -53,20 +53,15 @@ for lane in serve-float serve-int8; do
 done
 
 run build go build -o "$tmp/ftpim" ./cmd/ftpim
-run export "$tmp/ftpim" export -preset repro -dataset c10 -numerics exact \
+run export "$tmp/ftpim" export -preset repro -dataset c10 \
 	-cache .bench_build/perfbench/models -v=false -o "$tmp/model.ftpm"
 
-fast=$("$tmp/ftpim" version | grep -c 'fast tier available' || true)
 for round in $(seq "$rounds"); do
-	run "gemm.$round" env FTPIM_NUMERICS=exact go test ./internal/tensor/ -run '^$' \
+	run "gemm.$round" go test ./internal/tensor/ -run '^$' \
 		-bench '256Serial|MatMul64' -benchtime 25x -timeout 30m
-	run "conv.$round" env FTPIM_NUMERICS=exact go test ./internal/tensor/ -run '^$' \
+	run "conv.$round" go test ./internal/tensor/ -run '^$' \
 		-bench 'ConvFwd|ConvBwd' -benchtime 25x -timeout 30m
-	if [ "$fast" -gt 0 ]; then
-		run "conv-fast.$round" env FTPIM_NUMERICS=fast go test ./internal/tensor/ -run '^$' \
-			-bench 'ConvFwd|ConvBwd' -benchtime 25x -timeout 30m
-	fi
-	run "parallel.$round" env FTPIM_NUMERICS=exact go test . -run '^$' \
+	run "parallel.$round" go test . -run '^$' \
 		-bench 'Parallel' -benchtime 5x -timeout 30m
 done
 
@@ -147,11 +142,8 @@ nproc, cpu, features, numerics, gover = hosts.pop()
 
 # go test: per group, one {benchmark: ns/op} map per round.
 BENCH = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op", re.M)
-gotest = {}
-for group in ["gemm", "conv", "conv-fast", "parallel"]:
-    if names(group + ".*"):
-        gotest[group] = [{b: float(v) for b, v in BENCH.findall(out(name))} for name in names(group + ".*")]
-fast = "conv-fast" in gotest
+gotest = {group: [{b: float(v) for b, v in BENCH.findall(out(name))} for name in names(group + ".*")]
+          for group in ["gemm", "conv", "parallel"]}
 
 
 def samples(group, bench):
@@ -219,24 +211,17 @@ ROUNDS = ("ns_per_op is the median over the interleaved rounds and speedup the m
           "per-round ratios.")
 
 
-gemm = [dict(r, tier="exact") for r in paired("gemm", [
+gemm = paired("gemm", [
     ("BenchmarkGemm256Serial", "BenchmarkGemmRef256Serial", "256^3 A*B"),
     ("BenchmarkGemmTA256Serial", "BenchmarkGemmTARef256Serial", "256^3 A^T*B (weight gradient)"),
     ("BenchmarkGemmTB256Serial", "BenchmarkGemmTBRef256Serial", "256^3 A*B^T (input gradient)"),
-], "ref")]
-if fast:
-    gemm += [dict(r, tier="fast") for r in paired("gemm", [
-        ("BenchmarkGemmFast256Serial", "BenchmarkGemm256Serial", "256^3 A*B"),
-        ("BenchmarkGemmTAFast256Serial", "BenchmarkGemmTA256Serial", "256^3 A^T*B"),
-        ("BenchmarkGemmTBFast256Serial", "BenchmarkGemmTB256Serial", "256^3 A*B^T"),
-    ], "exact")]
-gemm.append({"name": "BenchmarkMatMul64", "workload": "64^3 A*B via MatMulInto", "tier": "exact",
+], "ref")
+gemm.append({"name": "BenchmarkMatMul64", "workload": "64^3 A*B via MatMulInto",
              "ns_per_op": ns("gemm", "BenchmarkMatMul64")})
-write("BENCH_gemm.json", "ftpim.bench.gemm/v1",
-      "Serial (workers=1) GEMM kernels. Exact-tier rows pair each cache-blocked kernel with its "
-      "pre-blocking reference (a bitwise test oracle); fast-tier rows (AVX2+FMA, present when "
-      "the host has them) pair each fast kernel with the exact one; speedup is the paired "
-      "kernel's time over the row's. " + ROUNDS,
+write("BENCH_gemm.json", "ftpim.bench.gemm/v2",
+      "Serial (workers=1) GEMM kernels. Each cache-blocked kernel is paired with its "
+      "pre-blocking reference (a bitwise test oracle); speedup is the reference's time over "
+      "the kernel's. " + ROUNDS,
       cmds("gemm.1"), {"rounds": len(gotest["gemm"]), "benchmarks": gemm})
 
 CONV = [
@@ -250,14 +235,11 @@ CONV = [
     ("BenchmarkConvFwdFused1x1", "BenchmarkConvFwdRef1x1", "n=16 c=32 16x16 outC=32 1x1 s1 p0, forward"),
     ("BenchmarkConvBwdFused1x1", "BenchmarkConvBwdRef1x1", "n=16 c=32 16x16 outC=32 1x1 s1 p0, backward"),
 ]
-write("BENCH_conv.json", "ftpim.bench.conv/v1",
+write("BENCH_conv.json", "ftpim.bench.conv/v2",
       "Serial implicit-GEMM convolution (fused patch packing into batched panel GEMMs) against "
       "the materialized Im2Col+GEMM composition it replaced, which stays in-tree as the bitwise "
-      "test oracle, per numerics tier (fast_tier is null on a host without AVX2+FMA); speedup "
-      "is the reference's time over the fused path's. " + ROUNDS,
-      cmds("conv.1", "conv-fast.1") if fast else cmds("conv.1"),
-      {"rounds": len(gotest["conv"]), "benchmarks": paired("conv", CONV, "ref"),
-       "fast_tier": paired("conv-fast", CONV, "ref") if fast else None})
+      "test oracle; speedup is the reference's time over the fused path's. " + ROUNDS,
+      cmds("conv.1"), {"rounds": len(gotest["conv"]), "benchmarks": paired("conv", CONV, "ref")})
 
 PARALLEL = [
     ("BenchmarkEvalDefectParallel", "EvalDefect, quick-preset ResNet, 8 runs at Psa 0.02"),
