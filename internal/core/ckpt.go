@@ -67,7 +67,7 @@ func marshalMeta(m *trainMeta) []byte {
 	b = appendI64(b, m.Stage, m.Epochs, m.Epoch)
 	b = appendF64(b, m.FaultRate)
 	b = appendI64(b, m.Samples)
-	b = append(b, 0) // once the numerics tier; only exact is left
+	b = append(b, 0) // the numerics tier byte; see unmarshalMeta
 	b = appendF64(b, m.BestEvalAcc)
 	b = appendI64(b, m.BestEpoch)
 	b = append(b, boolByte(m.HasBest))
