@@ -26,11 +26,10 @@ package nn
 // reference).
 //
 // Determinism: integer accumulation is associative, so the int8 GEMMs
-// are bit-identical across kernels AND worker counts (a stronger
-// contract than the float path's exact/fast split); the float stages
+// are bit-identical across kernels AND worker counts; the float stages
 // are element-wise serial loops and every sample is computed on its
 // own. A QuantizedNetwork forward is therefore bit-deterministic at any
-// worker count and batch composition, with no tier caveat.
+// worker count and batch composition.
 //
 // Memory: the int8 weight planes are shared, never written. Clones for
 // concurrent serving share them (4x less weight traffic than float32),

@@ -68,8 +68,7 @@ func TestQuantizedCloseToFloat(t *testing.T) {
 
 // TestQuantizedDeterministic pins the quantized path's determinism
 // contract: int32 accumulation is associative, so the forward is
-// bitwise identical across repeated runs AND across worker counts —
-// no exact/fast tier split applies.
+// bitwise identical across repeated runs AND across worker counts.
 func TestQuantizedDeterministic(t *testing.T) {
 	net, calib := quantTestNet(t, 42)
 	q, err := QuantizeNetwork(net, []*tensor.Tensor{calib})
@@ -241,9 +240,8 @@ func reproQNet(tb testing.TB, seed uint64) *QuantizedNetwork {
 }
 
 // BenchmarkForward times the warm float forward (eval mode) of the
-// repro ResNet-20 ×0.25 at 12×12, one image and a full serving batch,
-// on the process's numerics tier: the pass a Monte-Carlo defect run or
-// a float-lane request makes. BenchmarkQuantizedForward is its int8
+// repro ResNet-20 ×0.25 at 12×12, one image and a full serving batch:
+// the pass a Monte-Carlo defect run or a float-lane request makes. BenchmarkQuantizedForward is its int8
 // counterpart on the same net.
 func BenchmarkForward(b *testing.B) {
 	net, _ := resNetNet(3, 3, 12, 12, 3, 10, [3]int{4, 8, 16})

@@ -429,7 +429,7 @@ func benchConvBwd(b *testing.B, s convShape, fused bool) {
 
 // benchConvBwdSparsity optionally zeroes a fraction of dY before
 // timing — the training regime, where ReLU backprop leaves dY roughly
-// half zeros and the fast-tier axpy dW kernel skips whole zero quads.
+// half zeros.
 func benchConvBwdSparsity(b *testing.B, s convShape, fused bool, zeroFrac float64) {
 	wd, src, dY := convOracleData(1, s)
 	if zeroFrac > 0 {

@@ -17,12 +17,11 @@ import (
 // every reachable magnitude (|q| <= 127, so |sum| <= 16129·k; int32
 // holds that up to k ≈ 133 000, far past any layer in this repo).
 //
-// Integer addition is associative, so unlike the float kernels the
-// int8 family needs no ULP contract: the AVX2 variant (quant_fast.go)
-// is bit-identical to the scalar kernels here, and sharding output
-// rows across workers cannot change any output element. The int8
-// entry points therefore take the AVX2 kernels whenever the CPU has
-// them, at every numerics tier; the tier only governs float kernels.
+// Integer addition is associative, so the AVX2 variant (quant_fast.go)
+// is bit-identical to the scalar kernels here, whatever order it sums
+// in, and sharding output rows across workers cannot change any output
+// element. The int8 entry points therefore take the AVX2 kernels
+// whenever the CPU has them.
 // The tests in quant_test.go call the scalar and AVX2 kernels directly
 // and pin their identity and worker invariance as exact equality.
 

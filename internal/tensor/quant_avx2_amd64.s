@@ -14,7 +14,7 @@
 // VPMOVSXBW in register, so no byte past n is read) finish the
 // multiple of 4, and a horizontal add reduces the lanes. Integer
 // addition is associative, so the lane-parallel accumulation is
-// bit-identical to the scalar kernel — there is no ULP contract here.
+// bit-identical to the scalar kernel.
 
 // func dotS8Asm(a, b *int8, n int) int32
 // Returns Σ_x a[x]*b[x] for x in [0, n), two YMM accumulators.

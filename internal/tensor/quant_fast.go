@@ -2,12 +2,11 @@
 
 package tensor
 
-// AVX2 int8 dot kernels. Unlike the float microkernels these are
-// bit-identical to the scalar kernels, not merely ULP-pinned: VPMADDWD
-// pair sums and the lane-wise VPADDD reduction reorder integer
-// additions, and integer addition is associative, so the result equals
-// the scalar kernel's for every input. The microkernels take n as a
-// multiple of 4; Go callers finish the last n%4 elements.
+// AVX2 int8 dot kernels. They are bit-identical to the scalar kernels:
+// VPMADDWD pair sums and the lane-wise VPADDD reduction reorder
+// integer additions, and integer addition is associative, so the
+// result equals the scalar kernel's for every input. The microkernels
+// take n as a multiple of 4; Go callers finish the last n%4 elements.
 
 //go:noescape
 func dotS8Asm(a, b *int8, n int) int32
