@@ -102,7 +102,7 @@ func Summarize(values []float64) Summary {
 	var sq float64
 	for _, v := range values {
 		d := v - s.Mean
-		sq += d * d
+		sq += float64(d * d)
 	}
 	if s.N > 1 {
 		s.Std = math.Sqrt(sq / float64(s.N-1))

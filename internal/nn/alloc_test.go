@@ -78,27 +78,44 @@ func TestWarmConvAllocs(t *testing.T) {
 
 // TestWarmEvalForwardAllocs covers the inference path used by
 // metrics.Evaluate: repeated eval-mode forwards must not allocate once
-// the workspaces are warm.
+// the workspaces are warm, both layer by layer (a conv with a bias
+// runs unfused) and fused: a bias-free stem and residual blocks with
+// both shortcuts run as fused convs, whose offset tables and epilogue
+// constants come from pooled scratch and the layers.
 func TestWarmEvalForwardAllocs(t *testing.T) {
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
 
 	rng := tensor.NewRNG(8)
-	net := NewNetwork(
-		NewConv2D("c1", 3, 4, 3, 3, 1, 1, true, rng),
-		NewBatchNorm2D("bn1", 4),
-		NewReLU(),
-		NewGlobalAvgPool2D(),
-		NewFlatten(),
-		NewLinear("fc", 4, 5, rng),
-	)
+	nets := map[string]*Network{
+		"layer by layer": NewNetwork(
+			NewConv2D("c1", 3, 4, 3, 3, 1, 1, true, rng),
+			NewBatchNorm2D("bn1", 4),
+			NewReLU(),
+			NewGlobalAvgPool2D(),
+			NewFlatten(),
+			NewLinear("fc", 4, 5, rng),
+		),
+		"fused": NewNetwork(
+			NewConv2D("c1", 3, 4, 3, 3, 1, 1, false, rng),
+			NewBatchNorm2D("bn1", 4),
+			NewReLU(),
+			NewBasicBlock("b1", 4, 4, 1, rng),
+			NewBasicBlock("b2", 4, 8, 2, rng),
+			NewGlobalAvgPool2D(),
+			NewFlatten(),
+			NewLinear("fc", 8, 5, rng),
+		),
+	}
 	x := tensor.New(2, 3, 8, 8)
 	tensor.FillNormal(x, rng, 0, 1)
-	for i := 0; i < 3; i++ {
-		net.Forward(x, false)
-	}
-	if avg := testing.AllocsPerRun(30, func() { net.Forward(x, false) }); avg > 0 {
-		t.Fatalf("warm eval forward allocates %.1f/op, want 0", avg)
+	for name, net := range nets {
+		for i := 0; i < 3; i++ {
+			net.Forward(x, false)
+		}
+		if avg := testing.AllocsPerRun(30, func() { net.Forward(x, false) }); avg > 0 {
+			t.Fatalf("%s: warm eval forward allocates %.1f/op, want 0", name, avg)
+		}
 	}
 }
 

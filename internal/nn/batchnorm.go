@@ -19,7 +19,10 @@ type BatchNorm2D struct {
 	RunningMean, RunningVar *tensor.Tensor
 
 	// backward caches
-	lastXHat  *tensor.Tensor
+	lastXHat *tensor.Tensor
+	// invStd holds 1/√(var+ε) per channel of the last forward: of the
+	// batch variance in training (for Backward), of the running
+	// variance at inference (evalInv).
 	invStd    []float32
 	lastShape []int
 	ws        tensor.Workspace // slot 0: forward out; slot 1: backward dX
@@ -98,10 +101,9 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		bn.lastShape = append(bn.lastShape[:0], x.Shape()...)
 	} else {
-		rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
+		rm, invs := bn.RunningMean.Data(), bn.evalInv()
 		for c := 0; c < bn.C; c++ {
-			inv := float32(1 / math.Sqrt(float64(rv[c])+bn.Eps))
-			m, g, b := rm[c], gd[c], bd[c]
+			m, g, b, inv := rm[c], gd[c], bd[c], invs[c]
 			for i := 0; i < n; i++ {
 				base := (i*bn.C + c) * area
 				for j := 0; j < area; j++ {
@@ -112,6 +114,20 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.lastXHat = nil
 	}
 	return out
+}
+
+// evalInv fills invStd with the inference scale 1/√(running var + ε)
+// of every channel, as the inference forward and a fused conv
+// epilogue (Conv2D.forwardBNReLU) apply it, and returns it.
+func (bn *BatchNorm2D) evalInv() []float32 {
+	if len(bn.invStd) < bn.C {
+		bn.invStd = make([]float32, bn.C)
+	}
+	rv := bn.RunningVar.Data()
+	for c := 0; c < bn.C; c++ {
+		bn.invStd[c] = float32(1 / math.Sqrt(float64(rv[c])+bn.Eps))
+	}
+	return bn.invStd[:bn.C]
 }
 
 // Backward implements the standard batch-norm gradient.

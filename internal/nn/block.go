@@ -41,23 +41,32 @@ func NewBasicBlock(name string, inC, outC, stride int, rng *tensor.RNG) *BasicBl
 	}
 }
 
-// Forward runs the residual block.
+// Forward runs the residual block. At inference it is two fused convs
+// (Conv2D.forwardBNReLU): conv1 with BN1 and the first ReLU, then conv2
+// with BN2, the shortcut and the final ReLU, with the bits of the
+// layer-by-layer pass below.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.lastInShape = append(b.lastInShape[:0], x.Shape()...)
+	if !train && b.Conv1.fuses(b.BN1) && b.Conv2.fuses(b.BN2) {
+		h := b.Conv1.forwardBNReLU(x, b.BN1, nil)
+		return b.Conv2.forwardBNReLU(h, b.BN2, b.shortcut(x))
+	}
 	h := b.Conv1.Forward(x, train)
 	h = b.BN1.Forward(h, train)
 	h = b.relu1.Forward(h, train)
 	h = b.Conv2.Forward(h, train)
 	h = b.BN2.Forward(h, train)
-
-	var short *tensor.Tensor
-	if b.downsample {
-		short = b.shortcutForward(x)
-	} else {
-		short = x
-	}
-	h.AddInPlace(short)
+	h.AddInPlace(b.shortcut(x))
 	return b.relu2.Forward(h, train)
+}
+
+// shortcut returns the shortcut branch's output: x itself, or its
+// option-A image when the block changes shape.
+func (b *BasicBlock) shortcut(x *tensor.Tensor) *tensor.Tensor {
+	if b.downsample {
+		return b.shortcutForward(x)
+	}
+	return x
 }
 
 // shortcutForward implements option-A: spatial subsample + channel pad.

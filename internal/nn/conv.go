@@ -8,11 +8,16 @@ import (
 
 // Conv2D is a 2-D convolution over NCHW inputs, lowered to GEMM
 // implicitly (tensor.ConvGemmForward/Backward): the whole batch runs as
-// one OutC × (InC·kh·kw) × (N·outH·outW) product whose column panels
-// are built one at a time — no column matrix is ever materialized. Weights are stored flat as
-// (outC, inC·kh·kw), which is also the layout mapped onto ReRAM
-// crossbar columns by internal/reram. Bias is optional and off by
-// default (batch norm follows every conv in the ResNet models).
+// one OutC × (InC·kh·kw) × (N·outH·outW) product whose tiles read the
+// input in place — a stride-1 conv through a table of tap offsets into
+// a zero-bordered copy of each sample, a strided one from column
+// panels gathered one at a time — so no column matrix is ever
+// materialized. At inference a conv followed by batch norm and a ReLU
+// (Sequential, BasicBlock) runs them in the conv's epilogue
+// (forwardBNReLU). Weights are stored flat as (outC, inC·kh·kw), which
+// is also the layout mapped onto ReRAM crossbar columns by
+// internal/reram. Bias is optional and off by default (batch norm
+// follows every conv in the ResNet models).
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -22,6 +27,7 @@ type Conv2D struct {
 	lastIn      *tensor.Tensor
 	// ws slots: 0 forward out; 1 backward dX; 2 per-sample dW chunks.
 	ws         tensor.Workspace
+	ep         tensor.ConvEpilogue // forwardBNReLU's epilogue
 	inH, inW   int
 	outH, outW int
 }
@@ -46,23 +52,13 @@ func NewConv2D(name string, inC, outC, kh, kw, stride, pad int, bias bool, rng *
 // parallelizes across output columns, bit-identical at any worker
 // count.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (N,%d,H,W)", x.Shape(), c.InC))
-	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.inH, c.inW = h, w
-	c.outH = tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
-	c.outW = tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
-	outArea := c.outH * c.outW
-	// The output (like every layer's) lives in the layer's workspace:
-	// it is valid until the next Forward call and every element is
-	// written by the GEMM, so Get (unspecified contents) is safe.
-	out := c.ws.Get(0, n, c.OutC, c.outH, c.outW)
+	out, n := c.output(x), x.Dim(0)
 	tensor.ConvGemmForward(out.Data(), c.Weight.W.Data(), x.Data(),
-		n, c.InC, h, w, c.OutC, c.KH, c.KW, c.Stride, c.Pad)
+		n, c.InC, c.inH, c.inW, c.OutC, c.KH, c.KW, c.Stride, c.Pad)
 	if c.Bias != nil {
 		bd := c.Bias.W.Data()
 		od := out.Data()
+		outArea := c.outH * c.outW
 		outStride := c.OutC * outArea
 		for i := 0; i < n; i++ {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -79,6 +75,55 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		c.lastIn = nil
 	}
+	return out
+}
+
+// output checks x's shape, records the geometry Backward needs, and
+// returns the output tensor. The output (like every layer's) lives in
+// the layer's workspace: it is valid until the next Forward call and
+// every element is written by the GEMM, so Get (unspecified contents)
+// is safe.
+func (c *Conv2D) output(x *tensor.Tensor) *tensor.Tensor {
+	if x.Rank() != 4 || x.Dim(1) != c.InC {
+		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (N,%d,H,W)", x.Shape(), c.InC))
+	}
+	c.inH, c.inW = x.Dim(2), x.Dim(3)
+	c.outH = tensor.ConvOutSize(c.inH, c.KH, c.Stride, c.Pad)
+	c.outW = tensor.ConvOutSize(c.inW, c.KW, c.Stride, c.Pad)
+	return c.ws.Get(0, x.Dim(0), c.OutC, c.outH, c.outW)
+}
+
+// fuses reports whether forwardBNReLU can run the conv with bn: the
+// conv has no bias and bn normalizes its output channels.
+func (c *Conv2D) fuses(bn *BatchNorm2D) bool {
+	return c.Bias == nil && bn.C == c.OutC
+}
+
+// forwardBNReLU is the inference forward of the conv, bn, the residual
+// r (nil for none) and a ReLU in one pass: the conv's epilogue
+// (tensor.ConvEpilogue) applies bn's running-statistics transform, adds
+// r and applies the ReLU to each output run while it is cache-hot, in
+// the operation sequence of the separate layers, so the result holds
+// the bits of Forward(x, false), bn.Forward, AddInPlace(r) and
+// ReLU.Forward run one after another. The caller checks fuses(bn). The
+// result lives in the conv's workspace; bn's and the ReLU's are not
+// touched.
+func (c *Conv2D) forwardBNReLU(x *tensor.Tensor, bn *BatchNorm2D, r *tensor.Tensor) *tensor.Tensor {
+	out := c.output(x)
+	c.ep = tensor.ConvEpilogue{
+		Mean: bn.RunningMean.Data(), Gamma: bn.Gamma.W.Data(),
+		Inv: bn.evalInv(), Beta: bn.Beta.W.Data(),
+	}
+	if r != nil {
+		if !r.SameShape(out) {
+			panic(fmt.Sprintf("nn: residual shape %v, conv output %v", r.Shape(), out.Shape()))
+		}
+		c.ep.Residual = r.Data()
+	}
+	tensor.ConvGemmForwardEpilogue(out.Data(), c.Weight.W.Data(), x.Data(),
+		x.Dim(0), c.InC, c.inH, c.inW, c.OutC, c.KH, c.KW, c.Stride, c.Pad, &c.ep)
+	c.ep.Residual = nil // the caller's tensor; not retained
+	c.lastIn, bn.lastXHat = nil, nil
 	return out
 }
 

@@ -1,0 +1,146 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"github.com/ftpim/ftpim/internal/tensor"
+)
+
+// At inference a conv followed by batch norm and a ReLU runs as one
+// fused conv whose epilogue applies the batch norm, the residual and
+// the ReLU (Conv2D.forwardBNReLU). It must store the bits of the
+// separate layers, Conv2D, BatchNorm2D and ReLU Forward(x, false), and
+// the block's AddInPlace, run one at a time.
+
+// seedBN gives bn non-trivial running statistics, γ (of both signs)
+// and β. A fresh batch norm (mean 0, var 1, γ 1, β 0) would hide a
+// reassociated transform: (x−0)·1·inv + 0 has the same bits in any
+// order.
+func seedBN(bn *BatchNorm2D, rng *tensor.RNG) {
+	m, v := bn.Stats()
+	g, b := bn.Gamma.W.Data(), bn.Beta.W.Data()
+	for c := 0; c < bn.C; c++ {
+		m.Data()[c] = float32(0.5 * rng.NormFloat64())
+		v.Data()[c] = float32(0.05 + 3*rng.Float64())
+		g[c] = float32(1 + 0.7*rng.NormFloat64())
+		b[c] = float32(0.5 * rng.NormFloat64())
+	}
+}
+
+// specialInput returns n seeded c×h×w images holding, in every
+// sample, ±0, ±Inf, NaN and subnormals among normal values.
+func specialInput(seed uint64, n, c, h, w int) *tensor.Tensor {
+	x := tensor.New(n, c, h, w)
+	rng := tensor.NewRNG(seed)
+	tensor.FillNormal(x, rng, 0, 1)
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(1), math.Float32frombits(0x807fffff)}
+	per := c * h * w
+	d := x.Data()
+	for i := 0; i < n; i++ {
+		for _, v := range specials {
+			d[i*per+int(rng.Uint64()%uint64(per))] = v
+		}
+	}
+	return x
+}
+
+// layerByLayer is the reference inference forward: every conv, batch
+// norm and ReLU as its own layer, and each block's residual added
+// with AddInPlace.
+func layerByLayer(l Layer, x *tensor.Tensor) *tensor.Tensor {
+	switch v := l.(type) {
+	case *Sequential:
+		for _, c := range v.Layers {
+			x = layerByLayer(c, x)
+		}
+		return x
+	case *BasicBlock:
+		h := v.Conv1.Forward(x, false)
+		h = v.BN1.Forward(h, false)
+		h = v.relu1.Forward(h, false)
+		h = v.Conv2.Forward(h, false)
+		h = v.BN2.Forward(h, false)
+		h.AddInPlace(v.shortcut(x))
+		return v.relu2.Forward(h, false)
+	}
+	return l.Forward(x, false)
+}
+
+// seedBNs seeds every batch norm under l.
+func seedBNs(l Layer, rng *tensor.RNG) {
+	for _, bn := range (&Network{Body: NewSequential(l)}).BatchNorms() {
+		seedBN(bn, rng)
+	}
+}
+
+func TestFusedInferenceMatchesLayerByLayer(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	cases := []struct {
+		name    string
+		c, h, w int
+		layer   Layer
+	}{
+		{"stem_3to5", 3, 12, 12, NewSequential(
+			NewConv2D("stem", 3, 5, 3, 3, 1, 1, false, rng), NewBatchNorm2D("bn", 5), NewReLU())},
+		{"identity_5", 5, 12, 12, NewBasicBlock("id", 5, 5, 1, rng)},
+		{"identity_3_odd_plane", 3, 9, 7, NewBasicBlock("id_odd", 3, 3, 1, rng)},
+		{"optionA_stride2_3to7", 3, 12, 12, NewBasicBlock("down", 3, 7, 2, rng)},
+		{"optionA_stride2_odd_plane", 5, 7, 9, NewBasicBlock("down_odd", 5, 9, 2, rng)},
+		{"optionA_stride1_4to6", 4, 6, 6, NewBasicBlock("widen", 4, 6, 1, rng)},
+		{"stem_then_blocks", 3, 12, 12, NewSequential(
+			NewConv2D("stem2", 3, 4, 3, 3, 1, 1, false, rng), NewBatchNorm2D("bn2", 4), NewReLU(),
+			NewBasicBlock("b1", 4, 4, 1, rng), NewBasicBlock("b2", 4, 8, 2, rng),
+			NewBasicBlock("b3", 8, 16, 2, rng), NewGlobalAvgPool2D(), NewFlatten(), NewLinear("fc", 16, 10, rng))},
+	}
+	for _, tc := range cases {
+		seedBNs(tc.layer, rng)
+		ref := tc.layer.CloneLayer()
+		for _, n := range []int{1, 7, 128} {
+			x := specialInput(uint64(1000+n), n, tc.c, tc.h, tc.w)
+			want := layerByLayer(ref, x).Clone()
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/batch%d/workers%d", tc.name, n, workers), func(t *testing.T) {
+					prev := tensor.SetWorkers(workers)
+					defer tensor.SetWorkers(prev)
+					got := tc.layer.Forward(x, false)
+					if !got.SameShape(want) {
+						t.Fatalf("fused output shape %v, layer by layer %v", got.Shape(), want.Shape())
+					}
+					gd, wd := got.Data(), want.Data()
+					for i := range wd {
+						if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
+							t.Fatalf("element %d: fused %v (%#08x), layer by layer %v (%#08x)",
+								i, gd[i], math.Float32bits(gd[i]), wd[i], math.Float32bits(wd[i]))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFusedInferenceFallsBack keeps the layers a fused conv cannot
+// replace running one at a time: a conv with a bias, and a batch norm
+// whose channel count is not the conv's, which must still panic with
+// the batch norm's own shape error.
+func TestFusedInferenceFallsBack(t *testing.T) {
+	rng := tensor.NewRNG(32)
+	biased := NewSequential(NewConv2D("c", 3, 4, 3, 3, 1, 1, true, rng), NewBatchNorm2D("bn", 4), NewReLU())
+	seedBNs(biased, rng)
+	x := specialInput(7, 2, 3, 6, 6)
+	want := layerByLayer(biased.CloneLayer(), x)
+	if got := biased.Forward(x, false); !got.Equal(want) {
+		t.Fatal("biased conv → BN → ReLU differs from its layers")
+	}
+	mismatched := NewSequential(NewConv2D("c", 3, 4, 3, 3, 1, 1, false, rng), NewBatchNorm2D("bn", 5), NewReLU())
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "BatchNorm2D input shape") {
+			t.Fatalf("mismatched batch norm: got panic %v, want the batch norm's shape error", r)
+		}
+	}()
+	mismatched.Forward(x, false)
+}

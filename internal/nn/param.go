@@ -98,10 +98,24 @@ type Sequential struct {
 // NewSequential builds a Sequential from the given layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Forward applies every layer in order.
+// Forward applies every layer in order. At inference a bias-free
+// Conv2D followed by a BatchNorm2D of its channels and a ReLU (the
+// ResNet stem) runs as one fused conv (Conv2D.forwardBNReLU), with the
+// bits of the three layers.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	ls := s.Layers
+	for i := 0; i < len(ls); i++ {
+		if !train && i+2 < len(ls) {
+			conv, isConv := ls[i].(*Conv2D)
+			bn, isBN := ls[i+1].(*BatchNorm2D)
+			_, isReLU := ls[i+2].(*ReLU)
+			if isConv && isBN && isReLU && conv.fuses(bn) {
+				x = conv.forwardBNReLU(x, bn, nil)
+				i += 2
+				continue
+			}
+		}
+		x = ls[i].Forward(x, train)
 	}
 	return x
 }

@@ -764,13 +764,7 @@ func calibStep(fl Layer, ql QLayer, x *tensor.Tensor) *tensor.Tensor {
 		qb.Conv2.observe(h)
 		h = f.Conv2.Forward(h, false)
 		h = f.BN2.Forward(h, false)
-		var short *tensor.Tensor
-		if f.downsample {
-			short = f.shortcutForward(x)
-		} else {
-			short = x
-		}
-		h.AddInPlace(short)
+		h.AddInPlace(f.shortcut(x))
 		return f.relu2.Forward(h, false)
 	}
 	return fl.Forward(x, false)

@@ -39,7 +39,7 @@ func (c *Cosine) LR(epoch int) float64 {
 		epoch = 0
 	}
 	t := float64(epoch) / float64(c.Epochs-1)
-	return c.Final + 0.5*(c.Initial-c.Final)*(1+math.Cos(math.Pi*t))
+	return c.Final + float64(0.5*(c.Initial-c.Final)*(1+math.Cos(math.Pi*t)))
 }
 
 // MultiStep multiplies the base LR by Gamma at each milestone epoch.

@@ -19,10 +19,13 @@ func unreachableAsm() {
 	panic("tensor: asm kernel called in a build without it")
 }
 
-func avxTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int, skips bool) { unreachableAsm() }
-func avxTile1(orow, arow, pb []float32, jw, bs, base int, skips bool)     { unreachableAsm() }
-func avxTAShard(od, ad, bd []float32, k, m, n, lo, hi int)                { unreachableAsm() }
-func avxAddRuns(dst, src []float32, rows, n, ds int)                      { unreachableAsm() }
+func avxTile2(o0, o1, a0, a1, pb []float32, offs []int, jw int, skips bool) { unreachableAsm() }
+func avxTile1(orow, arow, pb []float32, offs []int, jw int, skips bool)     { unreachableAsm() }
+func avxTAShard(od, ad, bd []float32, k, m, n, lo, hi int)                  { unreachableAsm() }
+func avxAddRuns(dst, src []float32, rows, n, ds int)                        { unreachableAsm() }
 func avxPatches3x3(panel []float32, ps int, plane []float32, c, hp, wp, outH, outW int) {
+	unreachableAsm()
+}
+func avxEpilogue(dst, src, res []float32, rows, n, ss int, mean, gamma, inv, beta float32) {
 	unreachableAsm()
 }

@@ -13,10 +13,13 @@ package tensor
 //     exact tiles (exactTile2/exactTile1) — the standalone column
 //     matrix is never materialized, and each panel is consumed while
 //     still cache-hot. A stride-1 panel is a block of output rows
-//     read from a zero-bordered copy of the sample, one contiguous run
-//     per tap, with no gather (convForwardPlanes); strided
-//     convolutions gather their patches (im2colSeg). Work parallelizes
-//     across panels, not only across samples.
+//     whose tap rows the tiles read in place from a zero-bordered copy
+//     of the sample, through a table of row offsets, with no gather and
+//     no copy (convForwardPlanes); strided convolutions gather their
+//     patches (im2colSeg). Work parallelizes across panels, not only
+//     across samples. At inference an optional epilogue (ConvEpilogue)
+//     applies batch norm, a residual and a ReLU to each output run as
+//     it is stored.
 //   - Backward streams per sample: dX stages Wᵀ·dY in a pooled scratch
 //     block, computed by the exact GemmTA's register-resident kernel,
 //     and a fused col2im consumer scatters it row by row into the
@@ -33,7 +36,8 @@ package tensor
 // Im2Col+Gemm / GemmTB / GemmTA+Col2Im composition it replaced.
 // Batching, panel regrouping and the extended stride-1 panels only
 // change which elements are computed together, never the operands or
-// the operation sequence of one element;
+// the operation sequence of one element; the epilogue runs the
+// operation sequence of the separate layers it replaces.
 // convgemm_test.go pins this against the materialized composition as
 // the bitwise oracle across a shape grid, a fuzz target, and several
 // worker counts.
@@ -101,11 +105,37 @@ func im2colSeg(dst []float32, rowStride int, src []float32, c, h, w, kh, kw, str
 //   - Other stride-1 convolutions with outW <= gemmJTile: gather-free
 //     (convForwardPlanes). Each sample is copied once into a
 //     zero-bordered plane in which every tap's patch row is one
-//     contiguous run.
+//     contiguous run, which the tiles read in place.
 //   - Strided convolutions, and stride-1 ones with wider output rows:
 //     input patches are gathered into pooled column panels
 //     (im2colSeg) and consumed while cache-hot.
 func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, pad int) {
+	ConvGemmForwardEpilogue(dst, wd, src, n, c, h, w, outC, kh, kw, stride, pad, nil)
+}
+
+// ConvEpilogue is the inference tail of a conv followed by batch
+// norm, an optional residual add and a ReLU: output element v of
+// channel oc is stored as
+//
+//	ReLU((((v − Mean[oc])·Gamma[oc])·Inv[oc] + Beta[oc]) + r)
+//
+// with every operation rounded on its own, in this order: the
+// operation sequence of nn.BatchNorm2D's inference forward (Inv is its
+// 1/√(var+ε)), then Tensor.AddInPlace, then nn.ReLU, so the fused conv
+// stores the bits those layers produce one after another. The ReLU
+// selects v when v > 0 and +0 otherwise (-0 and NaN included).
+type ConvEpilogue struct {
+	Mean, Gamma, Inv, Beta []float32 // one per output channel
+	// Residual, when not nil, holds r in dst's n×outC×outH×outW
+	// layout.
+	Residual []float32
+}
+
+// ConvGemmForwardEpilogue is ConvGemmForward whose output runs pass
+// through ep before they are stored, while still cache-hot; a nil ep
+// stores the convolution itself. ep.Mean, Gamma, Inv and Beta hold outC
+// values and ep.Residual, when not nil, n×outC×outH×outW.
+func ConvGemmForwardEpilogue(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, pad int, ep *ConvEpilogue) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
 	if n == 0 || outC == 0 {
@@ -125,14 +155,23 @@ func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, p
 	if len(dst) < n*outC*outArea {
 		panic("tensor: ConvGemmForward dst too small")
 	}
+	if ep != nil {
+		if len(ep.Mean) < outC || len(ep.Gamma) < outC || len(ep.Inv) < outC || len(ep.Beta) < outC {
+			panic("tensor: ConvGemmForward epilogue constants too short")
+		}
+		if ep.Residual != nil && len(ep.Residual) < n*outC*outArea {
+			panic("tensor: ConvGemmForward residual too small")
+		}
+	}
 	if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
-		convForward1x1(dst, wd, src, n, c, outArea, outC)
+		convForward1x1(dst, wd, src, n, c, outArea, outC, ep)
 		return
 	}
 	parallel := n*k*outArea*outC >= matMulShardFlops && Workers() > 1
 	if stride == 1 && outW <= gemmJTile {
 		// Blocks of output rows whose extended panel, (rows-1)·wp +
-		// outW columns, fits gemmJTile; spread evenly over outH.
+		// outW columns rounded up to whole vectors, fits gemmJTile;
+		// spread evenly over outH.
 		wp := w + 2*pad
 		rows := min((gemmJTile-outW)/wp+1, outH)
 		blocks := (outH + rows - 1) / rows
@@ -140,51 +179,67 @@ func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, p
 		units := n * blocks
 		if units >= 2 && parallel {
 			ParallelFor(units, func(_, lo, hi int) {
-				convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi)
+				convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi, ep)
 			})
 			return
 		}
-		convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, 0, units)
+		convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, 0, units, ep)
 		return
 	}
 	perSample := (outArea + gemmJTile - 1) / gemmJTile
 	units := n * perSample
 	if units >= 2 && parallel {
 		ParallelFor(units, func(_, lo, hi int) {
-			convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi)
+			convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi, ep)
 		})
 		return
 	}
-	convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, 0, units)
+	convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, 0, units, ep)
 }
 
 // convForwardPlanes computes units [lo, hi) of a stride-1 forward; a
 // unit is a block of at most rows output rows of one sample, and each
-// sample has blocks of them. There is no gather: the sample is copied
-// once into a zero-bordered plane (c × hp × wp, hp = h+2·pad,
+// sample has blocks of them. There is no gather and no copy: the sample
+// is copied once into a zero-bordered plane (c × hp × wp, hp = h+2·pad,
 // wp = w+2·pad), and there the patch row of tap (ch, ky, kx) for
 // output rows [oy0, oy1) is the contiguous run of ext =
-// (oy1-oy0-1)·wp + outW plane values starting at ch·hp·wp +
-// (oy0+ky)·wp + kx. Extended column e is output (oy0 + e/wp, e mod wp)
-// when e mod wp < outW; the other columns straddle the border and are
-// dropped. Each block copies its k runs into a panel, one copy per
-// tap, runs the exact tiles over all ext columns, and copies the outW
-// useful columns of each row into dst. The border holds +0, exactly
-// what im2colSeg writes for an out-of-image tap, so every useful
-// output element meets the operands of the gathered path in the same
-// order and keeps its bits.
-func convForwardPlanes(dst, wd, src []float32, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi int) {
+// (oy1-oy0-1)·wp + outW plane values starting at oy0·wp +
+// (ch·hp + ky)·wp + kx. The tiles read those runs in place, through a
+// table of the k tap offsets (ch·hp + ky)·wp + kx that every block of
+// the layer shares, from the block's plane row oy0·wp on. They run ext
+// rounded up to a multiple of 8 columns wide, so they meet no masked
+// tail, whose masked load of an output row waits for the previous
+// quad's masked store to retire; the plane's 7 floats of +0 slack
+// keep the last tap's rounded-up run inside the buffer. Extended
+// column e is output (oy0 + e/wp, e mod wp) when e mod wp < outW and
+// e < ext; the other columns straddle the border or pad the width, and
+// are dropped when the outW useful columns of each row are stored into
+// dst, through the epilogue when ep is not nil. The border holds +0,
+// exactly what im2colSeg writes for an out-of-image tap, so every
+// useful output element meets the operands of the gathered path in
+// the same order and keeps its bits.
+func convForwardPlanes(dst, wd, src []float32, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi int, ep *ConvEpilogue) {
 	hp, wp := h+2*pad, w+2*pad
 	outH, outW := hp-kh+1, wp-kw+1
 	outArea := outH * outW
 	k := c * kh * kw
 	chw := c * h * w
-	extMax := (rows-1)*wp + outW
-	buf := getPanel(c*hp*wp + (k+outC)*extMax)
-	plane := buf.f[:c*hp*wp]
-	panel := buf.f[c*hp*wp : c*hp*wp+k*extMax]
-	ext := buf.f[c*hp*wp+k*extMax:]
-	clear(plane) // the border; each sample rewrites only the interior
+	planeLen := c*hp*wp + 7
+	extMax := ((rows-1)*wp + outW + 7) &^ 7
+	buf := getPanel(planeLen + outC*extMax)
+	plane := buf.f[:planeLen]
+	ext := buf.f[planeLen:]
+	clear(plane) // the border and the slack; each sample rewrites only the interior
+	offs := buf.table(k)
+	p := 0
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				offs[p] = (ch*hp+ky)*wp + kx
+				p++
+			}
+		}
+	}
 	filled := -1
 	for u := lo; u < hi; u++ {
 		i, oy0 := u/blocks, (u%blocks)*rows
@@ -193,22 +248,17 @@ func convForwardPlanes(dst, wd, src []float32, c, h, w, outC, kh, kw, pad, rows,
 			toPlane(plane, src[i*chw:(i+1)*chw], c, h, w, pad)
 			filled = i
 		}
-		jw := (oy1-oy0-1)*wp + outW
-		p := 0
-		for ch := 0; ch < c; ch++ {
-			for ky := 0; ky < kh; ky++ {
-				run := plane[(ch*hp+oy0+ky)*wp:]
-				for kx := 0; kx < kw; kx++ {
-					copy(panel[p*jw:(p+1)*jw], run[kx:kx+jw])
-					p++
-				}
-			}
-		}
-		convPanelRows(ext, wd, panel, k, outC, jw, jw, 0, 0, jw)
+		jw := ((oy1-oy0-1)*wp + outW + 7) &^ 7
+		convPanelRows(ext, wd, plane[oy0*wp:], offs, outC, jw, 0, jw)
 		for oc := 0; oc < outC; oc++ {
-			od := dst[(i*outC+oc)*outArea:]
-			for oy := oy0; oy < oy1; oy++ {
-				copy(od[oy*outW:(oy+1)*outW], ext[oc*jw+(oy-oy0)*wp:])
+			o := (i*outC+oc)*outArea + oy0*outW
+			run := ext[oc*jw:]
+			if ep != nil {
+				ep.apply(dst[o:], run, ep.residual(o), oc, oy1-oy0, outW, wp)
+				continue
+			}
+			for y := 0; y < oy1-oy0; y++ {
+				copy(dst[o+y*outW:][:outW], run[y*wp:])
 			}
 		}
 	}
@@ -218,10 +268,11 @@ func convForwardPlanes(dst, wd, src []float32, c, h, w, outC, kh, kw, pad, rows,
 // convForwardUnits packs and consumes panel units [lo, hi). A unit is
 // one column panel of one sample — panels are sample-aligned, so every
 // panel's output rows are contiguous dst segments and the tiles write
-// straight into the batch output. Each panel is lowered into a pooled
-// k×gemmJTile buffer and multiplied while still cache-hot; the column
-// matrix as a whole never exists.
-func convForwardUnits(dst, wd, src []float32, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi int) {
+// straight into the batch output, where the epilogue, when ep is not
+// nil, then runs over them in place. Each panel is lowered into a
+// pooled k×gemmJTile buffer and multiplied while still cache-hot; the
+// column matrix as a whole never exists.
+func convForwardUnits(dst, wd, src []float32, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi int, ep *ConvEpilogue) {
 	outArea := outH * outW
 	k := c * kh * kw
 	chw := c * h * w
@@ -235,41 +286,48 @@ func convForwardUnits(dst, wd, src []float32, c, h, w, kh, kw, stride, pad, outH
 			jw = gemmJTile
 		}
 		im2colSeg(pbuf.f, jw, src[i*chw:(i+1)*chw], c, h, w, kh, kw, stride, pad, outH, outW, j0, j0+jw)
-		convPanelRows(dst, wd, pbuf.f, k, outC, jw, jw, 0, i*outStride+j0, outArea)
+		base := i*outStride + j0
+		convPanelRows(dst, wd, pbuf.f, pbuf.strideTable(k, jw), outC, jw, base, outArea)
+		if ep != nil {
+			ep.applyInPlace(dst, base, outC, jw, outArea)
+		}
 	}
 	panelPool.Put(pbuf)
 }
 
 // convPanelRows runs the 2-row register tiles of matmul.go over all
 // outC weight rows for one panel: output row oc lands at
-// od[base+oc*orStride : +jw], panel row p is read at pb[pbBase+p*bs :
-// +jw]. Reusing Gemm's tiles (exactTile2/exactTile1) verbatim is what
-// makes the fused path's per-element operation sequence identical to
-// Gemm's.
-func convPanelRows(od, wd, pb []float32, k, outC, jw, bs, pbBase, base, orStride int) {
+// od[base+oc*orStride : +jw], and panel row p is read at
+// pb[offs[p] : +jw]. Reusing Gemm's tiles (exactTile2/exactTile1)
+// verbatim is what makes the fused path's per-element operation
+// sequence identical to Gemm's.
+func convPanelRows(od, wd, pb []float32, offs []int, outC, jw, base, orStride int) {
+	k := len(offs)
 	i := 0
 	for ; i+2 <= outC; i += 2 {
 		exactTile2(od[base+i*orStride:base+i*orStride+jw],
 			od[base+(i+1)*orStride:base+(i+1)*orStride+jw],
-			wd[i*k:i*k+k], wd[(i+1)*k:(i+1)*k+k], pb, jw, bs, pbBase)
+			wd[i*k:i*k+k], wd[(i+1)*k:(i+1)*k+k], pb, offs, jw)
 	}
 	for ; i < outC; i++ {
-		exactTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, jw, bs, pbBase)
+		exactTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, offs, jw)
 	}
 }
 
 // convForward1x1 is the zero-copy fast path for 1×1/stride-1/pad-0
 // convolutions: sample i's column matrix IS its input plane block
 // (c × area, row-major), so the tile kernels read src directly with
-// panel row stride = area. Panels tile each sample's area columns;
+// panel rows area apart. Panels tile each sample's area columns;
 // work parallelizes across (sample, panel) units.
-func convForward1x1(dst, wd, src []float32, n, c, area, outC int) {
+func convForward1x1(dst, wd, src []float32, n, c, area, outC int, ep *ConvEpilogue) {
 	if area == 0 {
 		return
 	}
 	perSample := (area + gemmJTile - 1) / gemmJTile
 	units := n * perSample
 	body := func(lo, hi int) {
+		tb := getPanel(0)
+		offs := tb.strideTable(c, area)
 		for u := lo; u < hi; u++ {
 			i, pi := u/perSample, u%perSample
 			j0 := pi * gemmJTile
@@ -277,15 +335,68 @@ func convForward1x1(dst, wd, src []float32, n, c, area, outC int) {
 			if jw > gemmJTile {
 				jw = gemmJTile
 			}
-			convPanelRows(dst, wd, src[i*c*area:(i+1)*c*area],
-				c, outC, jw, area, j0, i*outC*area+j0, area)
+			base := i*outC*area + j0
+			convPanelRows(dst, wd, src[i*c*area+j0:(i+1)*c*area], offs, outC, jw, base, area)
+			if ep != nil {
+				ep.applyInPlace(dst, base, outC, jw, area)
+			}
 		}
+		panelPool.Put(tb)
 	}
 	if units >= 2 && n*c*area*outC >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(units, func(_, lo, hi int) { body(lo, hi) })
 		return
 	}
 	body(0, units)
+}
+
+// residual returns the residual from element o on, or nil when there
+// is none.
+func (ep *ConvEpilogue) residual(o int) []float32 {
+	if ep.Residual == nil {
+		return nil
+	}
+	return ep.Residual[o:]
+}
+
+// apply stores rows runs of n epilogue outputs of channel oc: run y
+// reads src[y·ss:] and writes dst[y·n:], adding res[y·n:] when res is
+// not nil. src may be dst (ss = n).
+func (ep *ConvEpilogue) apply(dst, src, res []float32, oc, rows, n, ss int) {
+	if avxSupported {
+		avxEpilogue(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Gamma[oc], ep.Inv[oc], ep.Beta[oc])
+		return
+	}
+	epilogueLoop(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Gamma[oc], ep.Inv[oc], ep.Beta[oc])
+}
+
+// epilogueLoop is the epilogue in Go: the reference the AVX kernel is
+// tested against, and the path of builds and CPUs without AVX. Each
+// product is converted to float32 before the next operation, so no
+// compiler fuses ·inv + beta into one rounding.
+func epilogueLoop(dst, src, res []float32, rows, n, ss int, mean, gamma, inv, beta float32) {
+	for y := 0; y < rows; y++ {
+		d := dst[y*n:][:n]
+		for x, v := range src[y*ss:][:n] {
+			v = float32(float32((v-mean)*gamma)*inv) + beta
+			if res != nil {
+				v += res[y*n+x]
+			}
+			if !(v > 0) {
+				v = 0
+			}
+			d[x] = v
+		}
+	}
+}
+
+// applyInPlace runs the epilogue over the jw-long output segments of
+// the outC channels that start at dst[base] and lie orStride apart.
+func (ep *ConvEpilogue) applyInPlace(dst []float32, base, outC, jw, orStride int) {
+	for oc := 0; oc < outC; oc++ {
+		o := base + oc*orStride
+		ep.apply(dst[o:], dst[o:], ep.residual(o), oc, 1, jw, jw)
+	}
 }
 
 // ConvGemmBackward computes both convolution gradients in one fused
@@ -368,7 +479,7 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 	// plane and the dX plane (stride 1 only); a kp·outArea block that
 	// holds the patch-major panel for dW and then dcol for dX; the
 	// tiles' outC×kp chunk; 4 generated column rows for convSampleDW's
-	// dot loops.
+	// dot loops; and the dW tiles' table of panel rows, kp apart.
 	buf := getPanel(2*planeLen + kp*outArea + outC*kp + 4*outArea)
 	f := buf.f
 	plane, f := f[:planeLen], f[planeLen:]
@@ -376,13 +487,14 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 	blk, f := f[:kp*outArea], f[kp*outArea:]
 	tileChunk, gen := f[:outC*kp], f[outC*kp:]
 	clear(plane) // the border; each sample rewrites only the interior
+	offs := buf.strideTable(outArea, kp)
 	pointwise := kh == 1 && kw == 1 && stride == 1 && pad == 0
 	for i := lo; i < hi; i++ {
 		srci := src[i*chw : (i+1)*chw]
 		dyi := dY[i*outStride : (i+1)*outStride]
 		chunk := dwChunks[i*outC*k : (i+1)*outC*k]
 		if avxSupported {
-			convSampleDWTiles(chunk, srci, dyi, blk, tileChunk, plane, c, h, w, outC, kh, kw, stride, pad, outH, outW)
+			convSampleDWTiles(chunk, srci, dyi, blk, tileChunk, plane, offs, c, h, w, outC, kh, kw, stride, pad, outH, outW)
 		} else {
 			convSampleDW(chunk, srci, dyi, gen, c, h, w, outC, kh, kw, stride, pad, outH, outW, pointwise)
 		}
@@ -517,13 +629,14 @@ func addRunsLoop(dst, src []float32, rows, n, ds int) {
 // A stride-1 panel is copied from the zero-bordered plane (c ×
 // (h+2·pad) × (w+2·pad), border +0), which receives the sample first;
 // a strided one is gathered by im2rowPatch. The panel's rows lie kp =
-// k rounded up to 8 apart, and the tiles run kp wide into the outC × kp
-// scratch tc, whose first k columns are then the chunk: at a width of
-// whole vectors the tiles run no masked tail, whose masked load of an
-// output row would wait for the previous quad's masked store to
-// retire. The padding columns hold stale values and give stale
-// results, which are not copied out.
-func convSampleDWTiles(chunk, srci, dyi, panel, tc, plane []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int) {
+// k rounded up to 8 apart (offs holds q·kp for each of the outArea
+// rows), and the tiles run kp wide into the outC × kp scratch tc, whose
+// first k columns are then the chunk: at a width of whole vectors the
+// tiles run no masked tail, whose masked load of an output row would
+// wait for the previous quad's masked store to retire. The padding
+// columns hold stale values and give stale results, which are not
+// copied out.
+func convSampleDWTiles(chunk, srci, dyi, panel, tc, plane []float32, offs []int, c, h, w, outC, kh, kw, stride, pad, outH, outW int) {
 	outArea := outH * outW
 	k := c * kh * kw
 	kp := (k + 7) &^ 7
@@ -538,10 +651,10 @@ func convSampleDWTiles(chunk, srci, dyi, panel, tc, plane []float32, c, h, w, ou
 	oc := 0
 	for ; oc+2 <= outC; oc += 2 {
 		avxTile2(tc[oc*kp:(oc+1)*kp], tc[(oc+1)*kp:(oc+2)*kp],
-			dyi[oc*outArea:(oc+1)*outArea], dyi[(oc+1)*outArea:(oc+2)*outArea], panel, kp, kp, 0, false)
+			dyi[oc*outArea:(oc+1)*outArea], dyi[(oc+1)*outArea:(oc+2)*outArea], panel, offs, kp, false)
 	}
 	if oc < outC {
-		avxTile1(tc[oc*kp:(oc+1)*kp], dyi[oc*outArea:(oc+1)*outArea], panel, kp, kp, 0, false)
+		avxTile1(tc[oc*kp:(oc+1)*kp], dyi[oc*outArea:(oc+1)*outArea], panel, offs, kp, false)
 	}
 	for oc := 0; oc < outC; oc++ {
 		copy(chunk[oc*k:(oc+1)*k], tc[oc*kp:])

@@ -284,6 +284,76 @@ func TestConvGemmBackwardMatchesOracleBitwise(t *testing.T) {
 	}
 }
 
+// refEpilogue applies batch norm's inference transform, the residual
+// (when not nil) and a ReLU to a conv output in place, one layer after
+// another, with the statements of nn.BatchNorm2D.Forward,
+// Tensor.AddInPlace and nn.ReLU.Forward.
+func refEpilogue(out []float32, ep *ConvEpilogue, outC, outArea int) {
+	for j := range out {
+		oc := (j / outArea) % outC
+		out[j] = float32(ep.Gamma[oc]*(out[j]-ep.Mean[oc])*ep.Inv[oc]) + ep.Beta[oc]
+	}
+	if ep.Residual != nil {
+		for j := range out {
+			out[j] += ep.Residual[j]
+		}
+	}
+	for j, v := range out {
+		if !(v > 0) {
+			out[j] = 0
+		}
+	}
+}
+
+// seededEpilogue returns seeded batch-norm constants for outC channels
+// and the residual res, with ±Inf and NaN planted in it.
+func seededEpilogue(seed uint64, outC int, res []float32) *ConvEpilogue {
+	plantPerSample(seed, res, 1, len(res))
+	consts := New(4, outC)
+	FillNormal(consts, NewRNG(seed^0xE9), 0, 1)
+	cd := consts.Data()
+	ep := &ConvEpilogue{Mean: cd[:outC], Gamma: cd[outC : 2*outC], Inv: cd[2*outC : 3*outC], Beta: cd[3*outC:], Residual: res}
+	for oc, v := range ep.Inv {
+		ep.Inv[oc] = float32(1 / math.Sqrt(float64(v*v)+1e-5))
+	}
+	return ep
+}
+
+// TestConvGemmForwardEpilogueMatchesLayers pins the epilogue on every
+// forward path (zero-copy 1×1, stride-1 planes, gathered panels) to
+// the conv followed by the separate layers, with and without a
+// residual, at several worker counts.
+func TestConvGemmForwardEpilogueMatchesLayers(t *testing.T) {
+	for _, s := range convShapes {
+		t.Run(s.String(), func(t *testing.T) {
+			wd, src, res := convOracleData(0xE91, s)
+			convSkipWitnesses(0xE91, wd, src, s)
+			outArea := len(res) / (s.n * s.outC)
+			ep := seededEpilogue(0xE92, s.outC, res)
+			for _, r := range [][]float32{nil, res} {
+				ep.Residual = r
+				want := make([]float32, len(res))
+				withWorkers(1, func() {
+					ConvGemmForward(want, wd, src, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
+				})
+				refEpilogue(want, ep, s.outC, outArea)
+				for _, w := range []int{1, 2, 4} {
+					withWorkers(w, func() {
+						got := make([]float32, len(want))
+						for i := range got {
+							got[i] = 999
+						}
+						ConvGemmForwardEpilogue(got, wd, src, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, ep)
+						if i := exactMismatch(want, got); i >= 0 {
+							t.Fatalf("workers=%d residual=%t: fused epilogue differs from the layers at %d: %v, want %v", w, r != nil, i, got[i], want[i])
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
 // TestConv1x1FastPathMatchesGeneralPath runs the general panel-packing
 // path on a 1×1/stride-1/pad-0 shape (which ConvGemmForward would
 // normally route to the zero-copy path) and requires bitwise equality.
@@ -297,7 +367,7 @@ func TestConv1x1FastPathMatchesGeneralPath(t *testing.T) {
 			fast := make([]float32, s.n*s.outC*area)
 			ConvGemmForward(fast, wd, src, s.n, s.c, s.h, s.w, s.outC, 1, 1, 1, 0)
 			general := make([]float32, len(fast))
-			convForwardUnits(general, wd, src, s.c, s.h, s.w, 1, 1, 1, 0, s.h, s.w, s.outC, perSample, 0, s.n*perSample)
+			convForwardUnits(general, wd, src, s.c, s.h, s.w, 1, 1, 1, 0, s.h, s.w, s.outC, perSample, 0, s.n*perSample, nil)
 			for i := range fast {
 				if fast[i] != general[i] {
 					t.Fatalf("workers=%d: 1x1 fast path differs from general path at %d", w, i)
@@ -356,6 +426,12 @@ func FuzzConvGemmOracle(f *testing.F) {
 		ConvGemmForward(got, fwdW, fwdSrc, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
 		if i := exactMismatch(want, got); i >= 0 {
 			t.Fatalf("forward mismatch at %d for %v seed %d", i, s, seed)
+		}
+		ep := seededEpilogue(seed, s.outC, append([]float32(nil), dY...))
+		refEpilogue(want, ep, s.outC, len(want)/(s.n*s.outC))
+		ConvGemmForwardEpilogue(got, fwdW, fwdSrc, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, ep)
+		if i := exactMismatch(want, got); i >= 0 {
+			t.Fatalf("epilogue mismatch at %d for %v seed %d", i, s, seed)
 		}
 		backwardSkipWitnesses(seed, wd, src, dY, s)
 		wantDW, wantDX := refConvBackward(wd, src, dY, s)

@@ -16,9 +16,9 @@ import (
 // tileOperands builds one tile call's inputs: coefficient rows a0, a1
 // (k each) whose quads cycle through every skip pattern — both rows
 // live, row 0 zero, row 1 zero, both zero — with zeros, a -0 and zero
-// single coefficients sprinkled in, and a panel whose row p starts at
-// pb[base+p*bs] (bs ≥ jw) with ±Inf and NaN planted in it.
-func tileOperands(seed uint64, k, jw, bs, base int) (a0, a1, pb []float32) {
+// single coefficients sprinkled in, and a panel of span floats with
+// ±Inf and NaN planted in it.
+func tileOperands(seed uint64, k, span int) (a0, a1, pb []float32) {
 	rng := NewRNG(seed)
 	a := New(2, k)
 	FillNormal(a, rng, 0, 1)
@@ -40,11 +40,7 @@ func tileOperands(seed uint64, k, jw, bs, base int) (a0, a1, pb []float32) {
 	if k > 1 {
 		a1[k-1] = float32(math.Copysign(0, -1))
 	}
-	rows := 1
-	if k > 0 {
-		rows = base/bs + k + 1
-	}
-	b := New(rows, bs)
+	b := New(span)
 	FillNormal(b, rng, 0, 1)
 	pb = b.Data()
 	inf := float32(math.Inf(1))
@@ -59,6 +55,28 @@ func tileOperands(seed uint64, k, jw, bs, base int) (a0, a1, pb []float32) {
 		}
 	}
 	return a0, a1, pb
+}
+
+// strideOffsets is the row-offset table of a panel whose k rows lie bs
+// apart from base on. With bs < jw the rows overlap.
+func strideOffsets(k, bs, base int) []int {
+	offs := make([]int, k)
+	for p := range offs {
+		offs[p] = base + p*bs
+	}
+	return offs
+}
+
+// tapOffsets is the stride-1 conv's table for k taps of a 3×3 kernel
+// over planes of 5 rows of wp columns, from base on: tap (ch, ky, kx)
+// at (ch·5 + ky)·wp + kx. Its rows overlap inside one plane whenever
+// wp is less than the tile's width, as a conv block's rows do.
+func tapOffsets(k, wp, base int) []int {
+	offs := make([]int, k)
+	for p := range offs {
+		offs[p] = base + ((p/9)*5+(p%9)/3)*wp + p%3
+	}
+	return offs
 }
 
 // guardedRow returns a jw-long output row inside a larger buffer whose
@@ -84,37 +102,42 @@ func guardedRow(jw int) (row []float32, intact func() bool) {
 	}
 }
 
-// checkExactTiles runs both tile implementations on one input and
-// fails on the first difference in bits (NaN where the Go loop gives
-// NaN) or on a write outside the output rows.
-func checkExactTiles(t *testing.T, seed uint64, k, jw, bs, base int) {
+// checkExactTiles runs both tile implementations on one input, whose
+// panel rows the ascending table offs addresses, and fails on the
+// first difference in bits (NaN where the Go loop gives NaN) or on a
+// write outside the output rows.
+func checkExactTiles(t *testing.T, seed uint64, k, jw int, offs []int) {
 	t.Helper()
-	a0, a1, pb := tileOperands(seed, k, jw, bs, base)
+	span := 1
+	if k > 0 {
+		span = offs[k-1] + jw + 1
+	}
+	a0, a1, pb := tileOperands(seed, k, span)
 	want0, ok := guardedRow(jw)
 	want1, _ := guardedRow(jw)
-	gemmTile2(want0, want1, a0, a1, pb, jw, bs, base)
+	gemmTile2(want0, want1, a0, a1, pb, offs, jw)
 	got0, ok0 := guardedRow(jw)
 	got1, ok1 := guardedRow(jw)
-	avxTile2(got0, got1, a0, a1, pb, jw, bs, base, true)
+	avxTile2(got0, got1, a0, a1, pb, offs, jw, true)
 	if !ok0() || !ok1() || !ok() {
-		t.Fatalf("k=%d jw=%d bs=%d base=%d: tile2 wrote outside its rows", k, jw, bs, base)
+		t.Fatalf("k=%d jw=%d: tile2 wrote outside its rows", k, jw)
 	}
 	if i := exactMismatch(want0, got0); i >= 0 {
-		t.Fatalf("k=%d jw=%d bs=%d base=%d: avxTile2 row 0 differs at %d: %v, Go loop %v", k, jw, bs, base, i, got0[i], want0[i])
+		t.Fatalf("k=%d jw=%d: avxTile2 row 0 differs at %d: %v, Go loop %v", k, jw, i, got0[i], want0[i])
 	}
 	if i := exactMismatch(want1, got1); i >= 0 {
-		t.Fatalf("k=%d jw=%d bs=%d base=%d: avxTile2 row 1 differs at %d: %v, Go loop %v", k, jw, bs, base, i, got1[i], want1[i])
+		t.Fatalf("k=%d jw=%d: avxTile2 row 1 differs at %d: %v, Go loop %v", k, jw, i, got1[i], want1[i])
 	}
 	for r, a := range [][]float32{a0, a1} {
 		want, _ := guardedRow(jw)
-		gemmTile1(want, a, pb, jw, bs, base)
+		gemmTile1(want, a, pb, offs, jw)
 		got, okg := guardedRow(jw)
-		avxTile1(got, a, pb, jw, bs, base, true)
+		avxTile1(got, a, pb, offs, jw, true)
 		if !okg() {
-			t.Fatalf("k=%d jw=%d bs=%d base=%d: tile1 wrote outside its row", k, jw, bs, base)
+			t.Fatalf("k=%d jw=%d: tile1 wrote outside its row", k, jw)
 		}
 		if i := exactMismatch(want, got); i >= 0 {
-			t.Fatalf("k=%d jw=%d bs=%d base=%d: avxTile1 (row %d) differs at %d: %v, Go loop %v", k, jw, bs, base, r, i, got[i], want[i])
+			t.Fatalf("k=%d jw=%d: avxTile1 (row %d) differs at %d: %v, Go loop %v", k, jw, r, i, got[i], want[i])
 		}
 	}
 }
@@ -125,31 +148,135 @@ func TestExactTilesAVXMatchGoLoops(t *testing.T) {
 	}
 	for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 36, 37, 144} {
 		for _, jw := range []int{1, 2, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 46, 166, 257} {
+			seed := uint64(k*1000 + jw)
+			// Rows bs apart from base: packed (bs = jw) or in a wider
+			// matrix.
 			for _, extra := range []int{0, 5} {
 				for _, base := range []int{0, 3} {
 					t.Run(fmt.Sprintf("k%d_jw%d_bs%d_base%d", k, jw, jw+extra, base), func(t *testing.T) {
-						checkExactTiles(t, uint64(k*1000+jw), k, jw, jw+extra, base)
+						checkExactTiles(t, seed, k, jw, strideOffsets(k, jw+extra, base))
 					})
 				}
 			}
+			// Rows that overlap: one element apart, and the conv's taps.
+			t.Run(fmt.Sprintf("k%d_jw%d_overlap", k, jw), func(t *testing.T) {
+				checkExactTiles(t, seed, k, jw, strideOffsets(k, 1, 0))
+			})
+			t.Run(fmt.Sprintf("k%d_jw%d_taps", k, jw), func(t *testing.T) {
+				checkExactTiles(t, seed, k, jw, tapOffsets(k, max(3, jw/3), 2))
+			})
 		}
 	}
 }
 
 // FuzzExactTilesAVXVsGo drives both exact tile implementations on
-// fuzz-chosen depths, widths, panel strides and offsets.
+// fuzz-chosen depths and widths, over panels whose rows lie a
+// fuzz-chosen stride apart from an offset (overlapping when the stride
+// is below the width) or at a conv's tap offsets.
 func FuzzExactTilesAVXVsGo(f *testing.F) {
-	f.Add(uint64(1), uint8(9), uint16(13), uint8(0), uint8(0))
-	f.Add(uint64(2), uint8(36), uint16(166), uint8(3), uint8(7))
-	f.Add(uint64(3), uint8(0), uint16(1), uint8(0), uint8(0))
-	f.Add(uint64(4), uint8(255), uint16(300), uint8(17), uint8(1))
-	f.Fuzz(func(t *testing.T, seed uint64, kRaw uint8, jwRaw uint16, extraRaw, baseRaw uint8) {
+	f.Add(uint64(1), uint8(9), uint16(13), uint8(13), uint8(0), false)
+	f.Add(uint64(2), uint8(36), uint16(166), uint8(3), uint8(7), true)
+	f.Add(uint64(3), uint8(0), uint16(1), uint8(0), uint8(0), false)
+	f.Add(uint64(4), uint8(255), uint16(300), uint8(17), uint8(1), false)
+	f.Add(uint64(5), uint8(144), uint16(46), uint8(14), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw uint8, jwRaw uint16, bsRaw, baseRaw uint8, taps bool) {
 		if !avxSupported {
 			t.Skip("no AVX kernels in this build or on this CPU")
 		}
 		k := int(kRaw)
 		jw := int(jwRaw)%320 + 1
-		checkExactTiles(t, seed, k, jw, jw+int(extraRaw)%32, int(baseRaw)%64)
+		base := int(baseRaw) % 64
+		offs := strideOffsets(k, int(bsRaw)%(jw+32), base)
+		if taps {
+			offs = tapOffsets(k, int(bsRaw)%64+3, base)
+		}
+		checkExactTiles(t, seed, k, jw, offs)
+	})
+}
+
+// The conv epilogue has an AVX kernel and a Go loop of the same bits
+// (avxEpilogue, epilogueLoop).
+
+// epilogueOperands builds one epilogue call's inputs: rows runs of n
+// values in a source of row stride ss, and a residual, holding ±0,
+// ±Inf, NaN and subnormals, and batch-norm constants from the seed.
+// Every other seed sets beta to -0 and plants the mean in the source,
+// so that batch norm yields exact zeros of both signs, which the ReLU
+// must map to +0.
+func epilogueOperands(seed uint64, rows, n, ss int) (src, res []float32, mean, gamma, inv, beta float32) {
+	rng := NewRNG(seed)
+	st := New(max(0, (rows-1)*ss+n) + 1)
+	FillNormal(st, rng, 0, 2)
+	rt := New(rows*n + 1)
+	FillNormal(rt, rng, 0, 2)
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(1), -math.Float32frombits(0x7fffff)}
+	src, res = st.Data(), rt.Data()
+	for i := int(seed % 5); i < len(src); i += 5 {
+		src[i] = specials[(i/5)%len(specials)]
+	}
+	for i := int(seed % 7); i < len(res); i += 7 {
+		res[i] = specials[(i/7)%len(specials)]
+	}
+	mean = float32(rng.NormFloat64())
+	gamma = float32(rng.NormFloat64())
+	inv = float32(1 / math.Sqrt(rng.Float64()+1e-5))
+	beta = float32(rng.NormFloat64())
+	if seed%2 == 0 {
+		beta = float32(math.Copysign(0, -1))
+		for i := int(seed % 3); i < len(src); i += 3 {
+			src[i] = mean
+		}
+	}
+	return src, res, mean, gamma, inv, beta
+}
+
+// checkEpilogue runs the AVX and Go epilogues on one input, with and
+// without the residual, and fails on the first difference in bits or
+// on a write outside the rows·n outputs.
+func checkEpilogue(t *testing.T, seed uint64, rows, n, ss int) {
+	t.Helper()
+	src, res, mean, gamma, inv, beta := epilogueOperands(seed, rows, n, ss)
+	for _, r := range [][]float32{nil, res} {
+		want, okw := guardedRow(rows * n)
+		got, okg := guardedRow(rows * n)
+		epilogueLoop(want, src, r, rows, n, ss, mean, gamma, inv, beta)
+		avxEpilogue(got, src, r, rows, n, ss, mean, gamma, inv, beta)
+		if !okw() || !okg() {
+			t.Fatalf("rows=%d n=%d ss=%d residual=%t: epilogue wrote outside its runs", rows, n, ss, r != nil)
+		}
+		if i := exactMismatch(want, got); i >= 0 {
+			t.Fatalf("rows=%d n=%d ss=%d residual=%t: avxEpilogue differs at %d: %v, Go loop %v", rows, n, ss, r != nil, i, got[i], want[i])
+		}
+	}
+}
+
+func TestConvEpilogueAVXMatchesGoLoop(t *testing.T) {
+	if !avxSupported {
+		t.Skip("no AVX kernels in this build or on this CPU: the Go loop is the only epilogue")
+	}
+	for _, rows := range []int{1, 2, 3, 12} {
+		for n := 0; n <= 40; n++ {
+			checkEpilogue(t, uint64(rows*100+n), rows, n, n)
+			checkEpilogue(t, uint64(rows*100+n), rows, n, n+2)
+		}
+	}
+}
+
+// FuzzConvEpilogueAVXVsGo drives the AVX epilogue against its Go loop
+// on fuzz-chosen run lengths 0–40, run counts and source strides, with
+// and without a residual.
+func FuzzConvEpilogueAVXVsGo(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(12), uint8(2))
+	f.Add(uint64(2), uint8(1), uint8(40), uint8(0))
+	f.Add(uint64(3), uint8(12), uint8(3), uint8(11))
+	f.Add(uint64(4), uint8(2), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, rowsRaw, nRaw, gapRaw uint8) {
+		if !avxSupported {
+			t.Skip("no AVX kernels in this build or on this CPU")
+		}
+		n := int(nRaw) % 41
+		checkEpilogue(t, seed, int(rowsRaw)%13+1, n, n+int(gapRaw)%16)
 	})
 }
 
@@ -250,7 +377,7 @@ func checkDWTiles(t *testing.T, seed uint64, s convShape) {
 	for i := range panel {
 		panel[i] = float32(math.NaN()) // the padding columns' stale values
 	}
-	convSampleDWTiles(got, srci, dyi, panel, make([]float32, s.outC*kp), plane,
+	convSampleDWTiles(got, srci, dyi, panel, make([]float32, s.outC*kp), plane, strideOffsets(outArea, kp, 0),
 		s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, outH, outW)
 	if i := exactMismatch(want, got); i >= 0 {
 		t.Fatalf("%v: dW tiles differ from the dot loop at %d: %v, dot %v", s, i, got[i], want[i])

@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // Exact-order float kernels (see numerics.go): tile2AVX, tile1AVX,
-// taAVX, addRunsAVX, and patches3x3AVX, which only copies. They need
-// AVX only, and they give the Go loops' bits: each
+// taAVX, addRunsAVX and epilogueAVX, and patches3x3AVX, which only
+// copies. They need AVX only, and they give the Go loops' bits: each
 // output element sees the operation sequence the Go loop defines, with
 // every product (VMULPS) and every sum (VADDPS) rounded separately.
 // The A·B tiles (gemmTile2/gemmTile1) add a coefficient quad in the
@@ -13,10 +13,11 @@
 // skips argument false they skip nothing, which is the conv dW dot's
 // sequence. The Aᵀ·B kernel (gemmTAShard) adds o + a·b per
 // coefficient, p ascending, and skips a ±0 one; the run adds are one
-// add per element. Eight lanes carry eight output columns, which never
-// interact, so vector width changes which elements run together and
-// nothing else. The last columns run through VMASKMOVPS, which neither
-// reads nor writes memory in a masked-off lane.
+// add per element; the conv epilogue is batch norm, a residual add and
+// a ReLU mask per element. Eight lanes carry eight output columns,
+// which never interact, so vector width changes which elements run
+// together and nothing else. The last columns run through VMASKMOVPS,
+// which neither reads nor writes memory in a masked-off lane.
 //
 // Go assembler operand order: VMULPS src2, src1, dst computes
 // dst = src1 * src2.
@@ -50,21 +51,19 @@ GLOBL absmask<>(SB), RODATA|NOPTR, $8
 // the others, with no memory access there).
 #define MASKLOAD(addr, dst) VMASKMOVPS addr, Y14, dst
 
-// func tile2AVX(o0, o1, a0, a1, b *float32, k, jw, bs int, skips bool)
+// func tile2AVX(o0, o1, a0, a1, b *float32, offs *int, k, jw int, skips bool)
 // The body of gemmTile2: o0, o1 (jw floats each) = rows a0, a1 (k
-// coefficients each) times the panel whose row p starts at b + p·bs.
-// With skips false no quad and no single is skipped: every
-// coefficient is multiplied, zeros included.
+// coefficients each) times the panel whose row p starts at
+// b + offs[p]. With skips false no quad and no single is skipped:
+// every coefficient is multiplied, zeros included.
 TEXT ·tile2AVX(SB), NOSPLIT, $24-65
 	MOVQ o0+0(FP), DI
 	MOVQ o1+8(FP), SI
 	MOVQ a0+16(FP), R8
 	MOVQ a1+24(FP), R9
-	MOVQ b+32(FP), R10
-	MOVQ bs+56(FP), AX
-	SHLQ $2, AX
-	MOVQ AX, stride-8(SP)
-	MOVQ jw+48(FP), CX
+	MOVQ offs+40(FP), AX
+	MOVQ AX, tbl-8(SP)
+	MOVQ jw+56(FP), CX
 	MOVQ CX, DX
 	ANDQ $7, DX
 	MOVQ DX, tail-16(SP)
@@ -92,17 +91,24 @@ t2_zero_tail:
 	VMASKMOVPS Y0, Y14, (SI)(BX*4)
 
 t2_quads:
-	MOVQ k+40(FP), AX
+	MOVQ k+48(FP), AX
 	SHRQ $2, AX
 	MOVQ AX, left-24(SP)
 
+	// R10-R13: the quad's four panel rows, b + offs[p..p+3].
 t2_quad:
 	CMPQ left-24(SP), $0
 	JEQ  t2_singles
-	MOVQ stride-8(SP), DX
-	LEAQ (R10)(DX*1), R11
-	LEAQ (R11)(DX*1), R12
-	LEAQ (R12)(DX*1), R13
+	MOVQ tbl-8(SP), DX
+	MOVQ b+32(FP), AX
+	MOVQ (DX), R10
+	LEAQ (AX)(R10*4), R10
+	MOVQ 8(DX), R11
+	LEAQ (AX)(R11*4), R11
+	MOVQ 16(DX), R12
+	LEAQ (AX)(R12*4), R12
+	MOVQ 24(DX), R13
+	LEAQ (AX)(R13*4), R13
 	CMPB skips+64(FP), $0
 	JEQ  t2_live
 	MOVQ (R8), AX
@@ -249,21 +255,25 @@ t2_one_tail:
 t2_next:
 	ADDQ $16, R8
 	ADDQ $16, R9
-	MOVQ stride-8(SP), DX
-	LEAQ (R13)(DX*1), R10
+	ADDQ $32, tbl-8(SP)
 	DECQ left-24(SP)
 	JMP  t2_quad
 
 	// The k mod 4 single coefficients: o[x] = o[x] + a·b[x] for each
-	// row whose coefficient is not ±0. R11 selects where to resume.
+	// row whose coefficient is not ±0. R10 is the panel row, b +
+	// offs[p]; R11 selects where to resume.
 t2_singles:
-	MOVQ k+40(FP), AX
+	MOVQ k+48(FP), AX
 	ANDQ $3, AX
 	MOVQ AX, left-24(SP)
 
 t2_single:
 	CMPQ left-24(SP), $0
 	JEQ  t2_done
+	MOVQ tbl-8(SP), DX
+	MOVQ (DX), R10
+	MOVQ b+32(FP), AX
+	LEAQ (AX)(R10*4), R10
 	MOVQ DI, AX
 	MOVQ R8, DX
 	XORQ R11, R11
@@ -310,7 +320,7 @@ t2_single_row_done:
 	JZ    t2_single_row1
 	ADDQ  $4, R8
 	ADDQ  $4, R9
-	ADDQ  stride-8(SP), R10
+	ADDQ  $8, tbl-8(SP)
 	DECQ  left-24(SP)
 	JMP   t2_single
 
@@ -318,18 +328,16 @@ t2_done:
 	VZEROUPPER
 	RET
 
-// func tile1AVX(o, a, b *float32, k, jw, bs int, skips bool)
+// func tile1AVX(o, a, b *float32, offs *int, k, jw int, skips bool)
 // The body of gemmTile1: o (jw floats) = row a (k coefficients) times
-// the panel whose row p starts at b + p·bs, skipping nothing when
+// the panel whose row p starts at b + offs[p], skipping nothing when
 // skips is false.
 TEXT ·tile1AVX(SB), NOSPLIT, $24-49
 	MOVQ o+0(FP), DI
 	MOVQ a+8(FP), R8
-	MOVQ b+16(FP), R10
-	MOVQ bs+40(FP), AX
-	SHLQ $2, AX
-	MOVQ AX, stride-8(SP)
-	MOVQ jw+32(FP), CX
+	MOVQ offs+24(FP), AX
+	MOVQ AX, tbl-8(SP)
+	MOVQ jw+40(FP), CX
 	MOVQ CX, DX
 	ANDQ $7, DX
 	MOVQ DX, tail-16(SP)
@@ -354,17 +362,23 @@ t1_zero_tail:
 	VMASKMOVPS Y0, Y14, (DI)(BX*4)
 
 t1_quads:
-	MOVQ k+24(FP), AX
+	MOVQ k+32(FP), AX
 	SHRQ $2, AX
 	MOVQ AX, left-24(SP)
 
 t1_quad:
 	CMPQ left-24(SP), $0
 	JEQ  t1_singles
-	MOVQ stride-8(SP), DX
-	LEAQ (R10)(DX*1), R11
-	LEAQ (R11)(DX*1), R12
-	LEAQ (R12)(DX*1), R13
+	MOVQ tbl-8(SP), DX
+	MOVQ b+16(FP), AX
+	MOVQ (DX), R10
+	LEAQ (AX)(R10*4), R10
+	MOVQ 8(DX), R11
+	LEAQ (AX)(R11*4), R11
+	MOVQ 16(DX), R12
+	LEAQ (AX)(R12*4), R12
+	MOVQ 24(DX), R13
+	LEAQ (AX)(R13*4), R13
 	CMPB skips+48(FP), $0
 	JEQ  t1_live
 	MOVQ (R8), AX
@@ -419,13 +433,12 @@ t1_tail:
 
 t1_next:
 	ADDQ $16, R8
-	MOVQ stride-8(SP), DX
-	LEAQ (R13)(DX*1), R10
+	ADDQ $32, tbl-8(SP)
 	DECQ left-24(SP)
 	JMP  t1_quad
 
 t1_singles:
-	MOVQ k+24(FP), AX
+	MOVQ k+32(FP), AX
 	ANDQ $3, AX
 	MOVQ AX, left-24(SP)
 
@@ -439,6 +452,10 @@ t1_single:
 	JZ   t1_single_next
 
 t1_single_live:
+	MOVQ tbl-8(SP), DX
+	MOVQ (DX), R10
+	MOVQ b+16(FP), AX
+	LEAQ (AX)(R10*4), R10
 	VBROADCASTSS (R8), Y0
 	XORQ BX, BX
 
@@ -464,7 +481,7 @@ t1_single_tail:
 
 t1_single_next:
 	ADDQ $4, R8
-	ADDQ stride-8(SP), R10
+	ADDQ $8, tbl-8(SP)
 	DECQ left-24(SP)
 	JMP  t1_single
 
@@ -706,4 +723,93 @@ p3_ch:
 	ADDQ AX, SI
 	DECQ CX
 	JNZ  p3_row
+	RET
+
+// func epilogueAVX(dst, src, res *float32, rows, n, ss int, mean, gamma, inv, beta float32)
+// epilogueLoop on eight lanes: for y < rows and x < n, with
+// v = src[y·ss + x] and r = res[y·n + x],
+//   dst[y·n + x] = ReLU((((v − mean)·gamma)·inv + beta) + r),
+// every operation rounded on its own (VSUBPS, VMULPS, VMULPS, VADDPS,
+// VADDPS) and the ReLU a mask: VCMPPS GT_OQ against +0 is all ones
+// exactly when the value is > 0, so -0 and NaN give +0, as in
+// nn.ReLU. A nil res adds nothing. Each run goes 8 elements at a time,
+// its last n mod 8 under the mask in Y14.
+TEXT ·epilogueAVX(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ res+16(FP), R9
+	MOVQ rows+24(FP), R8
+	MOVQ n+32(FP), CX
+	MOVQ ss+40(FP), DX
+	SHLQ $2, DX
+	MOVQ CX, R10
+	SHLQ $2, R10
+	VBROADCASTSS mean+48(FP), Y10
+	VBROADCASTSS gamma+52(FP), Y11
+	VBROADCASTSS inv+56(FP), Y12
+	VBROADCASTSS beta+60(FP), Y13
+	VXORPS Y15, Y15, Y15
+	MOVQ CX, AX
+	ANDQ $7, AX
+	MOVQ AX, R11
+	LEAQ tailmask<>(SB), BX
+	NEGQ AX
+	VMOVUPS 32(BX)(AX*4), Y14
+	ANDQ $-8, CX
+
+epi_row:
+	TESTQ R8, R8
+	JZ    epi_done
+	XORQ BX, BX
+
+epi_8:
+	CMPQ BX, CX
+	JAE  epi_tail
+	VMOVUPS (SI)(BX*4), Y0
+	VSUBPS  Y10, Y0, Y0
+	VMULPS  Y11, Y0, Y0
+	VMULPS  Y12, Y0, Y0
+	VADDPS  Y13, Y0, Y0
+	TESTQ R9, R9
+	JZ    epi_8_relu
+	VADDPS  (R9)(BX*4), Y0, Y0
+
+epi_8_relu:
+	VCMPPS  $0x1e, Y15, Y0, Y1
+	VANDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ $8, BX
+	JMP  epi_8
+
+epi_tail:
+	TESTQ R11, R11
+	JZ    epi_next
+	MASKLOAD((SI)(BX*4), Y0)
+	VSUBPS  Y10, Y0, Y0
+	VMULPS  Y11, Y0, Y0
+	VMULPS  Y12, Y0, Y0
+	VADDPS  Y13, Y0, Y0
+	TESTQ R9, R9
+	JZ    epi_tail_relu
+	MASKLOAD((R9)(BX*4), Y2)
+	VADDPS  Y2, Y0, Y0
+
+epi_tail_relu:
+	VCMPPS  $0x1e, Y15, Y0, Y1
+	VANDPS  Y1, Y0, Y0
+	VMASKMOVPS Y0, Y14, (DI)(BX*4)
+
+epi_next:
+	ADDQ DX, SI
+	ADDQ R10, DI
+	TESTQ R9, R9
+	JZ    epi_next_row
+	ADDQ R10, R9
+
+epi_next_row:
+	DECQ R8
+	JMP  epi_row
+
+epi_done:
+	VZEROUPPER
 	RET

@@ -3,18 +3,19 @@
 package tensor
 
 // Exact-tier AVX kernels: the A·B tile updates of gemmTile2 and
-// gemmTile1, the Aᵀ·B update of gemmTAShard and the run adds of the
-// stride-1 col2im, on eight lanes, with every product and sum rounded
-// separately in the Go loops' order and the Go loops' zero skips, so
-// they return the Go loops' bits (gemm_avx2_amd64.s explains why), and
-// the 3×3 patch copy of the stride-1 dW panel. The wrappers below take
-// the Go loops' arguments and check the bounds the kernels will touch.
+// gemmTile1, the Aᵀ·B update of gemmTAShard, the run adds of the
+// stride-1 col2im and the conv inference epilogue, on eight lanes, with
+// every product and sum rounded separately in the Go loops' order and
+// the Go loops' zero skips, so they return the Go loops' bits
+// (gemm_avx2_amd64.s explains why), and the 3×3 patch copy of the
+// stride-1 dW panel. The wrappers below take the Go loops' arguments
+// and check the bounds the kernels will touch.
 
 //go:noescape
-func tile2AVX(o0, o1, a0, a1, b *float32, k, jw, bs int, skips bool)
+func tile2AVX(o0, o1, a0, a1, b *float32, offs *int, k, jw int, skips bool)
 
 //go:noescape
-func tile1AVX(o, a, b *float32, k, jw, bs int, skips bool)
+func tile1AVX(o, a, b *float32, offs *int, k, jw int, skips bool)
 
 //go:noescape
 func taAVX(o, a, b *float32, k, am, n int)
@@ -25,10 +26,15 @@ func addRunsAVX(dst, src *float32, rows, n, ds int)
 //go:noescape
 func patches3x3AVX(dst, src *float32, c, outH, outW, hpwp, wp, ps int)
 
+//go:noescape
+func epilogueAVX(dst, src, res *float32, rows, n, ss int, mean, gamma, inv, beta float32)
+
 // avxTile2 is gemmTile2 on the AVX kernel. With skips false it skips
 // no coefficient: o = o + (((a0·b0 + a1·b1) + a2·b2) + a3·b3) runs for
-// every quad, zeros included, and o = o + a·b for every single.
-func avxTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int, skips bool) {
+// every quad, zeros included, and o = o + a·b for every single. The
+// offsets ascend (see gemmTile2), so the first and the last panel row
+// bound every row the kernel reads.
+func avxTile2(o0, o1, a0, a1, pb []float32, offs []int, jw int, skips bool) {
 	o0, o1 = o0[:jw], o1[:jw]
 	k := len(a0)
 	if k == 0 {
@@ -37,20 +43,22 @@ func avxTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int, skips bool) {
 		return
 	}
 	_ = a1[k-1]
-	_ = pb[base+(k-1)*bs+jw-1]
-	tile2AVX(&o0[0], &o1[0], &a0[0], &a1[0], &pb[base], k, jw, bs, skips)
+	_ = pb[offs[0]]
+	_ = pb[offs[k-1]+jw-1]
+	tile2AVX(&o0[0], &o1[0], &a0[0], &a1[0], &pb[0], &offs[0], k, jw, skips)
 }
 
 // avxTile1 is gemmTile1 on the AVX kernel, with avxTile2's skips.
-func avxTile1(orow, arow, pb []float32, jw, bs, base int, skips bool) {
+func avxTile1(orow, arow, pb []float32, offs []int, jw int, skips bool) {
 	orow = orow[:jw]
 	k := len(arow)
 	if k == 0 {
 		clear(orow)
 		return
 	}
-	_ = pb[base+(k-1)*bs+jw-1]
-	tile1AVX(&orow[0], &arow[0], &pb[base], k, jw, bs, skips)
+	_ = pb[offs[0]]
+	_ = pb[offs[k-1]+jw-1]
+	tile1AVX(&orow[0], &arow[0], &pb[0], &offs[0], k, jw, skips)
 }
 
 // avxTAShard is gemmTAShard on the AVX kernel: output rows [lo, hi) of
@@ -91,4 +99,19 @@ func avxPatches3x3(panel []float32, ps int, plane []float32, c, hp, wp, outH, ou
 	_ = panel[(outH*outW-1)*ps+9*c-1]
 	_ = plane[((c-1)*hp+outH+1)*wp+outW+1]
 	patches3x3AVX(&panel[0], &plane[0], c, outH, outW, hp*wp, wp, ps)
+}
+
+// avxEpilogue is epilogueLoop on the AVX kernel.
+func avxEpilogue(dst, src, res []float32, rows, n, ss int, mean, gamma, inv, beta float32) {
+	if rows == 0 || n == 0 {
+		return
+	}
+	_ = src[(rows-1)*ss+n-1]
+	_ = dst[rows*n-1]
+	var r *float32
+	if res != nil {
+		_ = res[rows*n-1]
+		r = &res[0]
+	}
+	epilogueAVX(&dst[0], &src[0], r, rows, n, ss, mean, gamma, inv, beta)
 }

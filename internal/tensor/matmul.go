@@ -53,9 +53,13 @@ const matMulShardFlops = 1 << 16
 // layout of B already is the single panel and packing is skipped.
 const gemmJTile = 256
 
-// panelBuf is a pooled packing buffer. The pool stores pointers so
-// steady-state Get/Put pairs do not allocate.
-type panelBuf struct{ f []float32 }
+// panelBuf is a pooled packing buffer with the row-offset table of
+// the panel its tiles read. The pool stores pointers so steady-state
+// Get/Put pairs do not allocate.
+type panelBuf struct {
+	f    []float32
+	offs []int
+}
 
 var panelPool = sync.Pool{New: func() any { return new(panelBuf) }}
 
@@ -67,6 +71,26 @@ func getPanel(n int) *panelBuf {
 	}
 	p.f = p.f[:n]
 	return p
+}
+
+// table returns the buffer's row-offset table resized to k entries,
+// with unspecified contents.
+func (p *panelBuf) table(k int) []int {
+	if cap(p.offs) < k {
+		p.offs = make([]int, k)
+	}
+	p.offs = p.offs[:k]
+	return p.offs
+}
+
+// strideTable returns the buffer's table for a panel whose rows lie
+// stride apart: row p at offset p·stride.
+func (p *panelBuf) strideTable(k, stride int) []int {
+	offs := p.table(k)
+	for i := range offs {
+		offs[i] = i * stride
+	}
+	return offs
 }
 
 // packB lays B (k×n) out as contiguous column panels of width
@@ -135,54 +159,60 @@ func Gemm(dst, a, b []float32, m, k, n int) {
 // gemmRows computes output rows [lo, hi) of dst = A·B against a packed
 // B panel, in 2-row register tiles per column panel.
 func gemmRows(od, ad, pb []float32, k, n, lo, hi int) {
+	tb := getPanel(0)
 	for j0 := 0; j0 < n; j0 += gemmJTile {
 		jw := n - j0
 		if jw > gemmJTile {
 			jw = gemmJTile
 		}
-		base := j0 * k
+		panel := pb[j0*k:]
+		offs := tb.strideTable(k, jw)
 		i := lo
 		for ; i+2 <= hi; i += 2 {
 			exactTile2(od[i*n+j0:i*n+j0+jw], od[(i+1)*n+j0:(i+1)*n+j0+jw],
-				ad[i*k:i*k+k], ad[(i+1)*k:(i+1)*k+k], pb, jw, jw, base)
+				ad[i*k:i*k+k], ad[(i+1)*k:(i+1)*k+k], panel, offs, jw)
 		}
 		for ; i < hi; i++ {
-			exactTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], pb, jw, jw, base)
+			exactTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], panel, offs, jw)
 		}
 	}
+	panelPool.Put(tb)
 }
 
 // exactTile2 runs the gemmTile2 update on the exact-order AVX kernel
 // where the CPU has AVX, and as the Go loop otherwise. Both give the
 // same bits; the oracle tests pin the kernel to the loop.
-func exactTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
+func exactTile2(o0, o1, a0, a1, pb []float32, offs []int, jw int) {
 	if avxSupported {
-		avxTile2(o0, o1, a0, a1, pb, jw, bs, base, true)
+		avxTile2(o0, o1, a0, a1, pb, offs, jw, true)
 		return
 	}
-	gemmTile2(o0, o1, a0, a1, pb, jw, bs, base)
+	gemmTile2(o0, o1, a0, a1, pb, offs, jw)
 }
 
 // exactTile1 is exactTile2 for one row: gemmTile1 or its AVX kernel.
-func exactTile1(orow, arow, pb []float32, jw, bs, base int) {
+func exactTile1(orow, arow, pb []float32, offs []int, jw int) {
 	if avxSupported {
-		avxTile1(orow, arow, pb, jw, bs, base, true)
+		avxTile1(orow, arow, pb, offs, jw, true)
 		return
 	}
-	gemmTile1(orow, arow, pb, jw, bs, base)
+	gemmTile1(orow, arow, pb, offs, jw)
 }
 
 // gemmTile2 computes the jw-wide output segments o0, o1 of two rows
 // with coefficient rows a0, a1 (len k each) against a B panel whose
-// row p lives at pb[base+p*bs : +jw] (bs = panel row stride; bs == jw
-// for packed panels, larger when the panel is a zero-copy view into a
-// wider matrix). The two rows share each loaded B quad; every row's
-// own update statement and skip-zero check are those of the reference
-// kernel, so each output element sees the identical operation
-// sequence. Two rows (8 A coefficients + 4 shared B values) is the
-// widest tile whose live values fit amd64's 16 vector registers — a
-// 4-row tile spills and measures slower than the reference.
-func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
+// row p lives at pb[offs[p] : +jw]. The offsets ascend, and rows may
+// overlap: a packed panel's rows lie jw apart (offs[p] = p·jw), a
+// zero-copy view into a wider matrix's lie its row length apart, and
+// the stride-1 conv's taps are runs of one zero-bordered plane, one
+// element apart within a kernel row (convForwardPlanes). The two rows
+// share each loaded B quad; every row's own update statement and
+// skip-zero check are those of the reference kernel, so each output
+// element sees the identical operation sequence. Two rows (8 A
+// coefficients + 4 shared B values) is the widest tile whose live
+// values fit amd64's 16 vector registers — a 4-row tile spills and
+// measures slower than the reference.
+func gemmTile2(o0, o1, a0, a1, pb []float32, offs []int, jw int) {
 	for x := range o0 {
 		o0[x] = 0
 	}
@@ -199,10 +229,10 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 		if z0 && z1 {
 			continue
 		}
-		b0 := pb[base+p*bs : base+p*bs+jw]
-		b1 := pb[base+(p+1)*bs : base+(p+1)*bs+jw]
-		b2 := pb[base+(p+2)*bs : base+(p+2)*bs+jw]
-		b3 := pb[base+(p+3)*bs : base+(p+3)*bs+jw]
+		b0 := pb[offs[p] : offs[p]+jw]
+		b1 := pb[offs[p+1] : offs[p+1]+jw]
+		b2 := pb[offs[p+2] : offs[p+2]+jw]
+		b3 := pb[offs[p+3] : offs[p+3]+jw]
 		if !z0 && !z1 {
 			for x := 0; x < jw; x++ {
 				bv0, bv1, bv2, bv3 := b0[x], b1[x], b2[x], b3[x]
@@ -222,7 +252,7 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 		}
 	}
 	for ; p < k; p++ {
-		brow := pb[base+p*bs : base+p*bs+jw]
+		brow := pb[offs[p] : offs[p]+jw]
 		if av := a0[p]; av != 0 {
 			for x := range o0 {
 				o0[x] += float32(av * brow[x])
@@ -238,8 +268,8 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 
 // gemmTile1 is the single-row remainder of gemmTile2 — the reference
 // kernel body restricted to one column panel. See gemmTile2 for the
-// jw/bs/base panel addressing.
-func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
+// row-offset panel addressing.
+func gemmTile1(orow, arow, pb []float32, offs []int, jw int) {
 	for x := range orow {
 		orow[x] = 0
 	}
@@ -250,10 +280,10 @@ func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		b0 := pb[base+p*bs : base+p*bs+jw]
-		b1 := pb[base+(p+1)*bs : base+(p+1)*bs+jw]
-		b2 := pb[base+(p+2)*bs : base+(p+2)*bs+jw]
-		b3 := pb[base+(p+3)*bs : base+(p+3)*bs+jw]
+		b0 := pb[offs[p] : offs[p]+jw]
+		b1 := pb[offs[p+1] : offs[p+1]+jw]
+		b2 := pb[offs[p+2] : offs[p+2]+jw]
+		b3 := pb[offs[p+3] : offs[p+3]+jw]
 		for x := range orow {
 			orow[x] += float32(a0*b0[x]) + float32(a1*b1[x]) + float32(a2*b2[x]) + float32(a3*b3[x])
 		}
@@ -263,7 +293,7 @@ func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
 		if av == 0 {
 			continue
 		}
-		brow := pb[base+p*bs : base+p*bs+jw]
+		brow := pb[offs[p] : offs[p]+jw]
 		for x := range orow {
 			orow[x] += float32(av * brow[x])
 		}
