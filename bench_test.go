@@ -273,6 +273,38 @@ func BenchmarkEvalDefectSweepParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkOneShotFTParallel measures one epoch of one-shot FT
+// retraining (core.OneShotFT: stochastic stuck-at faults at Psa^T 0.1
+// every step, then the BN recalibration) of the repro ResNet-20 ×0.25
+// on 320 synthetic images in 10 steps of 32, with the kernels on one
+// worker and on two. Every worker count trains the same bits.
+func BenchmarkOneShotFTParallel(b *testing.B) {
+	s := experiments.ScaleFor("repro")
+	cfg := data.SynthConfig{
+		Classes: 10, TrainPer: 32, TestPer: 1,
+		Channels: 3, Size: 12, Basis: 16, CoefNoise: 0.2,
+		NoiseStd: 0.4, ShiftMax: 1, JitterStd: 0.1, Seed: 3,
+	}
+	train, _ := data.Generate(cfg)
+	base := models.BuildResNet(models.ResNet20(10).Scaled(s.Width))
+	ft := core.Config{
+		Epochs: 1, Batch: s.Batch, LR: s.FTLR, Momentum: s.Momentum,
+		WeightDecay: s.WeightDecay, Aug: s.Aug, Seed: 1,
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			old := tensor.SetWorkers(w)
+			defer tensor.SetWorkers(old)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				net := base.Clone()
+				b.StartTimer()
+				mustB(core.OneShotFT(bg, net, train, ft, 0.1))
+			}
+		})
+	}
+}
+
 // BenchmarkMatMulParallel measures the row-sharded GEMM kernel against
 // the serial reference on a shape above the shard threshold.
 func BenchmarkMatMulParallel(b *testing.B) {

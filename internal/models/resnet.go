@@ -39,12 +39,14 @@ func (c ResNetConfig) Scaled(mult float64) ResNetConfig {
 	return c
 }
 
-// widths returns the three stage widths after scaling (minimum 4).
+// widths returns the three stage widths after scaling (minimum 4). The
+// product is converted before the add, so no compiler fuses the two
+// into one rounding.
 func (c ResNetConfig) widths() [3]int {
 	base := [3]int{16, 32, 64}
 	var out [3]int
 	for i, b := range base {
-		w := int(float64(b)*c.WidthMult + 0.5)
+		w := int(float64(float64(b)*c.WidthMult) + 0.5)
 		if w < 4 {
 			w = 4
 		}

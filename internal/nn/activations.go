@@ -8,59 +8,50 @@ import (
 
 // ReLU is the rectified linear activation, max(0, x).
 type ReLU struct {
-	mask []uint32         // reluMask of each training input, for Backward
-	ws   tensor.Workspace // slot 0: forward out; slot 1: backward dX
+	out []float32        // the last training forward's output, which gates Backward
+	ws  tensor.Workspace // slot 0: forward out; slot 1: backward dX
 }
 
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward clamps negatives to zero, caching the active mask for
-// backward when training. Every element is written (the workspace
-// buffer carries the previous iteration's values), and the choice
-// between v and +0 is a bit mask, not a branch on the data: ReLU sees
-// about half its inputs negative, so a branch mispredicts often.
+// Forward clamps negatives to zero, keeping its output for Backward
+// when training. Every element is written (the workspace buffer
+// carries the previous iteration's values), and the choice between v
+// and +0 is a bit mask, not a branch on the data: ReLU sees about half
+// its inputs negative, so a branch mispredicts often.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := r.ws.Get(0, x.Shape()...)
 	xd, od := x.Data(), out.Data()
+	for i, v := range xd {
+		od[i] = math.Float32frombits(math.Float32bits(v) & tensor.ReLUMask(v))
+	}
+	r.out = nil
 	if train {
-		if len(r.mask) < len(xd) {
-			r.mask = make([]uint32, len(xd))
-		}
-		mask := r.mask[:len(xd)]
-		for i, v := range xd {
-			m := reluMask(v)
-			od[i] = math.Float32frombits(math.Float32bits(v) & m)
-			mask[i] = m
-		}
-	} else {
-		for i, v := range xd {
-			od[i] = math.Float32frombits(math.Float32bits(v) & reluMask(v))
-		}
+		r.out = od
 	}
 	return out
 }
 
-// reluMask returns all ones when v > 0 and zero otherwise, so -0 and
-// NaN select +0 just as the comparison does. v > 0 exactly when its
-// bits b lie in [1, 0x7f800000] (+Inf included): when b-1, as an
-// unsigned 32-bit value, is below 0x7f800000. The difference below is
-// negative exactly then, and its sign bit is the mask.
-func reluMask(v float32) uint32 {
-	return uint32((int64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
+// Backward gates the gradient by the forward's output: the unit was
+// active exactly where its output is > 0.
+func (r *ReLU) Backward(dOut *tensor.Tensor) *tensor.Tensor {
+	if r.out == nil {
+		panic("nn: ReLU.Backward without training Forward")
+	}
+	dX := r.ws.Get(1, dOut.Shape()...)
+	reluGate(dX.Data(), dOut.Data(), r.out)
+	return dX
 }
 
-// Backward gates the gradient by the cached activation mask, as a bit
-// mask rather than a branch: +0 where the unit was inactive, and the
-// gradient's own bits where it was active.
-func (r *ReLU) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	dX := r.ws.Get(1, dOut.Shape()...)
-	dd, dxd := dOut.Data(), dX.Data()
-	mask := r.mask[:len(dd)]
-	for i, v := range dd {
-		dxd[i] = math.Float32frombits(math.Float32bits(v) & mask[i])
+// reluGate sets dst to d gated by the ReLU output y, as a bit mask
+// rather than a branch: +0 where y is not > 0 (the unit was inactive),
+// and d's own bits where it is.
+func reluGate(dst, d, y []float32) {
+	y = y[:len(d)]
+	for i, v := range d {
+		dst[i] = math.Float32frombits(math.Float32bits(v) & tensor.ReLUMask(y[i]))
 	}
-	return dX
 }
 
 // Params returns nil; ReLU has no parameters.

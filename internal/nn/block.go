@@ -18,12 +18,13 @@ type BasicBlock struct {
 	Conv2 *Conv2D
 	BN2   *BatchNorm2D
 
-	relu1, relu2 *ReLU
-	downsample   bool
-	inC, outC    int
-	stride       int
-	lastInShape  []int
-	ws           tensor.Workspace // slot 0: shortcut out; slot 1: shortcut dX
+	downsample  bool
+	inC, outC   int
+	stride      int
+	lastInShape []int
+	// ws slots: 0 shortcut out; 1 shortcut dX; 2 the gradient through
+	// the final ReLU.
+	ws tensor.Workspace
 }
 
 // NewBasicBlock builds a residual block mapping inC→outC channels with
@@ -34,30 +35,26 @@ func NewBasicBlock(name string, inC, outC, stride int, rng *tensor.RNG) *BasicBl
 		BN1:        NewBatchNorm2D(name+".bn1", outC),
 		Conv2:      NewConv2D(name+".conv2", outC, outC, 3, 3, 1, 1, false, rng),
 		BN2:        NewBatchNorm2D(name+".bn2", outC),
-		relu1:      NewReLU(),
-		relu2:      NewReLU(),
 		downsample: stride != 1 || inC != outC,
 		inC:        inC, outC: outC, stride: stride,
 	}
 }
 
-// Forward runs the residual block. At inference it is two fused convs
-// (Conv2D.forwardBNReLU): conv1 with BN1 and the first ReLU, then conv2
-// with BN2, the shortcut and the final ReLU, with the bits of the
-// layer-by-layer pass below.
+// Forward runs the residual block as two convs, each followed by one
+// pass that applies its batch norm, the shortcut (second conv only) and
+// the ReLU. At inference that pass is the conv's epilogue
+// (Conv2D.forwardBNReLU); in training it is the batch norm's normalize
+// pass (BatchNorm2D.forwardTrain). Either way it holds the bits of the
+// layers run one after another. The block's convs have no bias and its
+// batch norms match their channels, by construction.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.lastInShape = append(b.lastInShape[:0], x.Shape()...)
-	if !train && b.Conv1.fuses(b.BN1) && b.Conv2.fuses(b.BN2) {
+	if !train {
 		h := b.Conv1.forwardBNReLU(x, b.BN1, nil)
 		return b.Conv2.forwardBNReLU(h, b.BN2, b.shortcut(x))
 	}
-	h := b.Conv1.Forward(x, train)
-	h = b.BN1.Forward(h, train)
-	h = b.relu1.Forward(h, train)
-	h = b.Conv2.Forward(h, train)
-	h = b.BN2.Forward(h, train)
-	h.AddInPlace(b.shortcut(x))
-	return b.relu2.Forward(h, train)
+	h := b.BN1.forwardTrain(b.Conv1.Forward(x, true), nil, true)
+	return b.BN2.forwardTrain(b.Conv2.Forward(h, true), b.shortcut(x), true)
 }
 
 // shortcut returns the shortcut branch's output: x itself, or its
@@ -115,22 +112,23 @@ func (b *BasicBlock) shortcutBackward(dOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward propagates through both branches and sums the input grads.
+// The gradient through the final ReLU, gated by the block's output,
+// flows into both the residual branch and the shortcut, so it is formed
+// once; the first ReLU's gate runs inside BN1's backward.
 func (b *BasicBlock) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	d := b.relu2.Backward(dOut)
-	// d flows into both the residual branch and the shortcut.
-	dBranch := b.BN2.Backward(d)
+	if b.BN2.gate == nil {
+		panic("nn: BasicBlock.Backward without training Forward")
+	}
+	d := b.ws.Get(2, dOut.Shape()...)
+	reluGate(d.Data(), dOut.Data(), b.BN2.gate)
+	dBranch := b.BN2.backward(d, nil)
 	dBranch = b.Conv2.Backward(dBranch)
-	dBranch = b.relu1.Backward(dBranch)
 	dBranch = b.BN1.Backward(dBranch)
 	dBranch = b.Conv1.Backward(dBranch)
-
-	var dShort *tensor.Tensor
 	if b.downsample {
-		dShort = b.shortcutBackward(d)
-	} else {
-		dShort = d
+		d = b.shortcutBackward(d)
 	}
-	dBranch.AddInPlace(dShort)
+	dBranch.AddInPlace(d)
 	return dBranch
 }
 

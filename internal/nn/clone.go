@@ -65,11 +65,10 @@ func (bn *BatchNorm2D) CloneLayer() Layer {
 // CloneLayer implements Layer.
 func (b *BasicBlock) CloneLayer() Layer {
 	return &BasicBlock{
-		Conv1: b.Conv1.CloneLayer().(*Conv2D),
-		BN1:   b.BN1.CloneLayer().(*BatchNorm2D),
-		Conv2: b.Conv2.CloneLayer().(*Conv2D),
-		BN2:   b.BN2.CloneLayer().(*BatchNorm2D),
-		relu1: NewReLU(), relu2: NewReLU(),
+		Conv1:      b.Conv1.CloneLayer().(*Conv2D),
+		BN1:        b.BN1.CloneLayer().(*BatchNorm2D),
+		Conv2:      b.Conv2.CloneLayer().(*Conv2D),
+		BN2:        b.BN2.CloneLayer().(*BatchNorm2D),
 		downsample: b.downsample,
 		inC:        b.inC, outC: b.outC, stride: b.stride,
 	}

@@ -61,11 +61,11 @@ func layerByLayer(l Layer, x *tensor.Tensor) *tensor.Tensor {
 	case *BasicBlock:
 		h := v.Conv1.Forward(x, false)
 		h = v.BN1.Forward(h, false)
-		h = v.relu1.Forward(h, false)
+		h = NewReLU().Forward(h, false)
 		h = v.Conv2.Forward(h, false)
 		h = v.BN2.Forward(h, false)
 		h.AddInPlace(v.shortcut(x))
-		return v.relu2.Forward(h, false)
+		return NewReLU().Forward(h, false)
 	}
 	return l.Forward(x, false)
 }

@@ -41,8 +41,9 @@ func reluEdgeBits() []uint32 {
 // TestReLUMaskMatchesComparison pins the branch-free select to the
 // comparison it replaces, `if v > 0 { v } else { +0 }`, bit for bit —
 // -0, both NaN signs, ±Inf, subnormals and the values around each
-// boundary included — in both modes, and the training mask to all ones
-// exactly where v > 0.
+// boundary included — in both modes, and the mask (tensor.ReLUMask)
+// to all ones exactly where v > 0. Backward gates by the output, which
+// is > 0 exactly where v is.
 func TestReLUMaskMatchesComparison(t *testing.T) {
 	bits := reluEdgeBits()
 	xs := make([]float32, len(bits))
@@ -65,8 +66,11 @@ func TestReLUMaskMatchesComparison(t *testing.T) {
 			if v > 0 {
 				wantMask = ^uint32(0)
 			}
-			if train && relu.mask[i] != wantMask {
-				t.Fatalf("ReLU mask(%#08x) = %#08x, want %#08x", bits[i], relu.mask[i], wantMask)
+			if m := tensor.ReLUMask(v); m != wantMask {
+				t.Fatalf("ReLUMask(%#08x) = %#08x, want %#08x", bits[i], m, wantMask)
+			}
+			if (y[i] > 0) != (v > 0) {
+				t.Fatalf("train=%v: ReLU(%#08x) = %#08x is a gate of %t, want %t", train, bits[i], math.Float32bits(y[i]), y[i] > 0, v > 0)
 			}
 		}
 	}

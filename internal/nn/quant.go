@@ -758,14 +758,9 @@ func calibStep(fl Layer, ql QLayer, x *tensor.Tensor) *tensor.Tensor {
 	case *BasicBlock:
 		qb := ql.(*QBasicBlock)
 		qb.Conv1.observe(x)
-		h := f.Conv1.Forward(x, false)
-		h = f.BN1.Forward(h, false)
-		h = f.relu1.Forward(h, false)
+		h := f.Conv1.forwardBNReLU(x, f.BN1, nil)
 		qb.Conv2.observe(h)
-		h = f.Conv2.Forward(h, false)
-		h = f.BN2.Forward(h, false)
-		h.AddInPlace(f.shortcut(x))
-		return f.relu2.Forward(h, false)
+		return f.Conv2.forwardBNReLU(h, f.BN2, f.shortcut(x))
 	}
 	return fl.Forward(x, false)
 }

@@ -47,14 +47,14 @@ func NewADMM(params []*nn.Param, sparsity, rho float64) *ADMM {
 
 // AddPenaltyGrad adds ρ·(W − Z + U) to each parameter gradient — the
 // gradient of the augmented-Lagrangian penalty. Call after the task
-// backward pass, before the optimizer step.
+// backward pass, before the optimizer step. The product is converted
+// before the add, so no compiler fuses the two into one rounding.
 func (a *ADMM) AddPenaltyGrad() {
 	rho := float32(a.Rho)
 	for i, p := range a.params {
-		g, w := p.Grad.Data(), p.W.Data()
-		zd, ud := a.z[i].Data(), a.u[i].Data()
+		g, w, zd, ud := p.Grad.Data(), p.W.Data(), a.z[i].Data(), a.u[i].Data()
 		for j := range g {
-			g[j] += rho * (w[j] - zd[j] + ud[j])
+			g[j] += float32(rho * (w[j] - zd[j] + ud[j]))
 		}
 	}
 }

@@ -19,7 +19,8 @@ package tensor
 //     patches (im2colSeg). Work parallelizes across panels, not only
 //     across samples. At inference an optional epilogue (ConvEpilogue)
 //     applies batch norm, a residual and a ReLU to each output run as
-//     it is stored.
+//     it is stored; batch norm's training forward runs the same
+//     epilogue over the conv's output (ConvEpilogue.Apply).
 //   - Backward streams per sample: dX stages Wᵀ·dY in a pooled scratch
 //     block, computed by the exact GemmTA's register-resident kernel,
 //     and a fused col2im consumer scatters it row by row into the
@@ -113,22 +114,25 @@ func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, p
 	ConvGemmForwardEpilogue(dst, wd, src, n, c, h, w, outC, kh, kw, stride, pad, nil)
 }
 
-// ConvEpilogue is the inference tail of a conv followed by batch
-// norm, an optional residual add and a ReLU: output element v of
-// channel oc is stored as
+// ConvEpilogue is the tail of a conv followed by batch norm, an
+// optional residual add and a ReLU: output element v of channel oc is
+// stored as
 //
-//	ReLU((((v − Mean[oc])·Gamma[oc])·Inv[oc] + Beta[oc]) + r)
+//	ReLU((((v − Mean[oc])·Mul1[oc])·Mul2[oc] + Beta[oc]) + r)
 //
 // with every operation rounded on its own, in this order: the
-// operation sequence of nn.BatchNorm2D's inference forward (Inv is its
-// 1/√(var+ε)), then Tensor.AddInPlace, then nn.ReLU, so the fused conv
-// stores the bits those layers produce one after another. The ReLU
-// selects v when v > 0 and +0 otherwise (-0 and NaN included).
+// operation sequence of nn.BatchNorm2D's forward, then
+// Tensor.AddInPlace, then nn.ReLU, so that it stores the bits those
+// layers produce one after another. At inference Mul1 is γ and Mul2
+// the running 1/√(var+ε); in training (Apply) Mul1 is the batch's
+// 1/√(var+ε) and Mul2 is γ. The ReLU selects v when v > 0 and +0
+// otherwise (-0 and NaN included); NoReLU leaves it out.
 type ConvEpilogue struct {
-	Mean, Gamma, Inv, Beta []float32 // one per output channel
+	Mean, Mul1, Mul2, Beta []float32 // one per output channel
 	// Residual, when not nil, holds r in dst's n×outC×outH×outW
 	// layout.
 	Residual []float32
+	NoReLU   bool
 }
 
 // ConvGemmForwardEpilogue is ConvGemmForward whose output runs pass
@@ -156,7 +160,7 @@ func ConvGemmForwardEpilogue(dst, wd, src []float32, n, c, h, w, outC, kh, kw, s
 		panic("tensor: ConvGemmForward dst too small")
 	}
 	if ep != nil {
-		if len(ep.Mean) < outC || len(ep.Gamma) < outC || len(ep.Inv) < outC || len(ep.Beta) < outC {
+		if len(ep.Mean) < outC || len(ep.Mul1) < outC || len(ep.Mul2) < outC || len(ep.Beta) < outC {
 			panic("tensor: ConvGemmForward epilogue constants too short")
 		}
 		if ep.Residual != nil && len(ep.Residual) < n*outC*outArea {
@@ -364,28 +368,46 @@ func (ep *ConvEpilogue) residual(o int) []float32 {
 // not nil. src may be dst (ss = n).
 func (ep *ConvEpilogue) apply(dst, src, res []float32, oc, rows, n, ss int) {
 	if avxSupported {
-		avxEpilogue(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Gamma[oc], ep.Inv[oc], ep.Beta[oc])
+		avxEpilogue(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Mul1[oc], ep.Mul2[oc], ep.Beta[oc], !ep.NoReLU)
 		return
 	}
-	epilogueLoop(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Gamma[oc], ep.Inv[oc], ep.Beta[oc])
+	epilogueLoop(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Mul1[oc], ep.Mul2[oc], ep.Beta[oc], !ep.NoReLU)
 }
 
 // epilogueLoop is the epilogue in Go: the reference the AVX kernel is
 // tested against, and the path of builds and CPUs without AVX. Each
 // product is converted to float32 before the next operation, so no
-// compiler fuses ·inv + beta into one rounding.
-func epilogueLoop(dst, src, res []float32, rows, n, ss int, mean, gamma, inv, beta float32) {
+// compiler fuses ·mul2 + beta into one rounding.
+func epilogueLoop(dst, src, res []float32, rows, n, ss int, mean, mul1, mul2, beta float32, relu bool) {
 	for y := 0; y < rows; y++ {
 		d := dst[y*n:][:n]
 		for x, v := range src[y*ss:][:n] {
-			v = float32(float32((v-mean)*gamma)*inv) + beta
+			v = float32(float32((v-mean)*mul1)*mul2) + beta
 			if res != nil {
 				v += res[y*n+x]
 			}
-			if !(v > 0) {
+			if relu && !(v > 0) {
 				v = 0
 			}
 			d[x] = v
+		}
+	}
+}
+
+// Apply stores the epilogue of the n×c×area batch src into dst, one
+// (sample, channel) run at a time, adding the Residual (in src's
+// layout) when it is not nil: the normalize pass of nn.BatchNorm2D's
+// training forward. Mean, Mul1, Mul2 and Beta hold c values.
+func (ep *ConvEpilogue) Apply(dst, src []float32, n, c, area int) {
+	checkBatch("ConvEpilogue.Apply", src, n, c, area, len(ep.Mean), len(ep.Mul1), len(ep.Mul2), len(ep.Beta))
+	checkBatch("ConvEpilogue.Apply", dst, n, c, area)
+	if ep.Residual != nil {
+		checkBatch("ConvEpilogue.Apply", ep.Residual, n, c, area)
+	}
+	for i := 0; i < n; i++ {
+		for ch := 0; ch < c; ch++ {
+			o := (i*c + ch) * area
+			ep.apply(dst[o:], src[o:], ep.residual(o), ch, 1, area, area)
 		}
 	}
 }
@@ -609,7 +631,8 @@ func addRuns(dst, src []float32, rows, n, ds int) {
 }
 
 // addRunsLoop adds rows runs of n values: dst[y·ds+x] += src[y·n+x]
-// for y < rows and x < n.
+// for y < rows and x < n. With ds = 0 every run adds into the same n
+// values, in ascending y (AddRows).
 func addRunsLoop(dst, src []float32, rows, n, ds int) {
 	for y := 0; y < rows; y++ {
 		d := dst[y*ds:][:n]

@@ -291,7 +291,7 @@ func TestConvGemmBackwardMatchesOracleBitwise(t *testing.T) {
 func refEpilogue(out []float32, ep *ConvEpilogue, outC, outArea int) {
 	for j := range out {
 		oc := (j / outArea) % outC
-		out[j] = float32(ep.Gamma[oc]*(out[j]-ep.Mean[oc])*ep.Inv[oc]) + ep.Beta[oc]
+		out[j] = float32(ep.Mul1[oc]*(out[j]-ep.Mean[oc])*ep.Mul2[oc]) + ep.Beta[oc]
 	}
 	if ep.Residual != nil {
 		for j := range out {
@@ -312,9 +312,9 @@ func seededEpilogue(seed uint64, outC int, res []float32) *ConvEpilogue {
 	consts := New(4, outC)
 	FillNormal(consts, NewRNG(seed^0xE9), 0, 1)
 	cd := consts.Data()
-	ep := &ConvEpilogue{Mean: cd[:outC], Gamma: cd[outC : 2*outC], Inv: cd[2*outC : 3*outC], Beta: cd[3*outC:], Residual: res}
-	for oc, v := range ep.Inv {
-		ep.Inv[oc] = float32(1 / math.Sqrt(float64(v*v)+1e-5))
+	ep := &ConvEpilogue{Mean: cd[:outC], Mul1: cd[outC : 2*outC], Mul2: cd[2*outC : 3*outC], Beta: cd[3*outC:], Residual: res}
+	for oc, v := range ep.Mul2 {
+		ep.Mul2[oc] = float32(1 / math.Sqrt(float64(v*v)+1e-5))
 	}
 	return ep
 }

@@ -15,12 +15,25 @@ func Add(t, u *Tensor) *Tensor {
 	return out
 }
 
-// AddInPlace sets t += u element-wise.
+// AddInPlace sets t += u element-wise, one rounded add per element,
+// on the AVX run-add kernel where the CPU has AVX.
 func (t *Tensor) AddInPlace(u *Tensor) {
 	checkSame("AddInPlace", t, u)
-	for i := range t.data {
-		t.data[i] += u.data[i]
+	addRuns(t.data, u.data, 1, len(t.data), 0)
+}
+
+// AddRows adds the rows of src, each len(dst) long, to dst in ascending
+// row order: dst[x] += src[y·len(dst) + x], one rounded add per element
+// and row, on the AVX run-add kernel where the CPU has AVX. len(src)
+// must be a multiple of len(dst).
+func AddRows(dst, src []float32) {
+	if len(src) == 0 {
+		return
 	}
+	if len(dst) == 0 || len(src)%len(dst) != 0 {
+		panic("tensor: AddRows source is not a whole number of rows")
+	}
+	addRuns(dst, src, len(src)/len(dst), len(dst), 0)
 }
 
 // Sub returns t - u element-wise.

@@ -103,9 +103,10 @@ func (r *RNG) StreamN(name string, n int) *RNG {
 }
 
 // Normal returns a normally distributed float32 with the given mean and
-// standard deviation.
+// standard deviation. The product is converted before the add, so no
+// compiler fuses the two into one rounding.
 func (r *RNG) Normal(mean, std float64) float32 {
-	return float32(mean + std*r.NormFloat64())
+	return float32(mean + float64(std*r.NormFloat64()))
 }
 
 // FillNormal fills t with N(mean, std²) samples.

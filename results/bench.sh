@@ -13,9 +13,14 @@
 #     int8 top-1 accuracy. The model cache key holds no worker count, so
 #     export reuses the prepared model instead of retraining;
 #   - the kernel and sharded-path go test benchmarks, each against the
-#     reference or serial run it is paired with. CPU speed on a shared
-#     host drifts within seconds, so the go test runs go in interleaved
-#     rounds and a speedup is the median of its per-round ratios.
+#     reference or serial run it is paired with, one-shot FT retraining
+#     among them. CPU speed on a shared host drifts within seconds, so
+#     the go test runs go in interleaved rounds and a speedup is the
+#     median of its per-round ratios;
+#   - a cold `ftpim all -preset quick` at -workers 1 and 2, in rounds,
+#     its model cache and output in a fresh temporary directory (all
+#     writes to results/ by default): the wall time of regenerating every
+#     table from an empty cache.
 # The python3 block at the end computes every number in the five files
 # from those outputs: medians, ratios and the host block. The files are
 # written to .bench_build/bench/ first and moved into results/ only after
@@ -27,6 +32,7 @@ set -euo pipefail
 seeds="1 2 3 4 5" # perfbench seeds of the untraced runs
 seconds=10        # perfbench --seconds of every run
 rounds=5          # interleaved rounds of the go test benchmarks
+coldrounds=3      # rounds of the cold quick regeneration, each at -workers 1 and 2
 
 tmp=.bench_build/bench
 rm -rf "$tmp"
@@ -41,6 +47,23 @@ run() {
 	echo "== $name: $*" >&2
 	printf '%s\0' "$@" >"$tmp/$name.cmd"
 	"$@" >"$tmp/$name.out"
+}
+
+# allq NAME WORKERS: one cold `ftpim all -preset quick` at -workers
+# WORKERS in a fresh directory under $tmp, with its wall time in seconds
+# in $tmp/NAME.out and its command, that directory written DIR, in
+# $tmp/NAME.cmd.
+allq() {
+	local name=$1 workers=$2 dir t0 t1
+	dir=$(mktemp -d "$tmp/allq.XXXXXX")
+	local cmd=("$tmp/ftpim" all -preset quick -workers "$workers" -v=false -cache "$dir/cache" -out "$dir/out")
+	echo "== $name: ${cmd[*]}" >&2
+	printf '%s\0' "${cmd[@]//$dir/DIR}" >"$tmp/$name.cmd"
+	t0=$(date +%s.%N)
+	"${cmd[@]}" >/dev/null
+	t1=$(date +%s.%N)
+	python3 -c 'import sys; print(f"{float(sys.argv[2]) - float(sys.argv[1]):.3f}")' "$t0" "$t1" >"$tmp/$name.out"
+	rm -rf "$dir"
 }
 
 for seed in $seeds; do
@@ -63,6 +86,11 @@ for round in $(seq "$rounds"); do
 		-bench 'ConvFwd|ConvBwd' -benchtime 25x -timeout 30m
 	run "parallel.$round" go test . -run '^$' \
 		-bench 'Parallel' -benchtime 5x -timeout 30m
+done
+for round in $(seq "$coldrounds"); do
+	for w in 1 2; do
+		allq "allq.w$w.$round" "$w"
+	done
 done
 
 python3 - "$tmp" <<'EOF'
@@ -246,6 +274,8 @@ PARALLEL = [
     ("BenchmarkEvalDefectSweepParallel", "EvalDefectSweep over the quick preset's test rates"),
     ("BenchmarkMatMulParallel", "256^3 GEMM, row-sharded"),
     ("BenchmarkConvForwardParallel", "ResNet-20 (width 0.25) inference, batch 32, sharded conv"),
+    ("BenchmarkOneShotFTParallel", "OneShotFT at Psa^T 0.1, repro ResNet-20 (width 0.25), one epoch of "
+     "320 synthetic images in 10 steps of 32, then the BN recalibration"),
 ]
 par = []
 for name, workload in PARALLEL:
@@ -256,11 +286,19 @@ for name, workload in PARALLEL:
     par.append({"name": name, "workload": workload,
                 "ns_per_op": {f"workers={w}": ns("parallel", sub[w]) for w in counts},
                 "speedup_vs_workers_1": {f"workers={w}": ratio("parallel", sub[1], sub[w]) for w in counts[1:]}})
-write("BENCH_parallel.json", "ftpim.bench.parallel/v1",
-      "Serial (workers=1) against worker-pool runs of the Monte-Carlo defect-eval protocol and "
-      "the sharded kernels. Every worker count gives bit-identical results; counts above "
-      "host.nproc are oversubscribed. " + ROUNDS,
-      cmds("parallel.1"), {"rounds": len(gotest["parallel"]), "benchmarks": par})
+coldrounds = len(names("allq.w1.*"))
+walls = {w: [float(out(f"allq.w{w}.{r}")) for r in range(1, coldrounds + 1)] for w in (1, 2)}
+cold = {"workload": "ftpim all -preset quick from an empty model cache: every table and figure",
+        "rounds": coldrounds, "wall_s": {f"workers={w}": walls[w] for w in walls},
+        "median_s": {f"workers={w}": round(statistics.median(walls[w]), 3) for w in walls},
+        "speedup_vs_workers_1": {"workers=2": round(statistics.median(a / b for a, b in zip(walls[1], walls[2])), 3)}}
+write("BENCH_parallel.json", "ftpim.bench.parallel/v2",
+      "Serial (workers=1) against worker-pool runs of the Monte-Carlo defect-eval protocol, "
+      "one-shot FT retraining and the sharded kernels, and the wall time of a cold quick "
+      "regeneration (cold_regeneration, every round's value in wall_s). Every worker count "
+      "gives bit-identical results; counts above host.nproc are oversubscribed. " + ROUNDS,
+      cmds("parallel.1", "allq.w1.1", "allq.w2.1"),
+      {"rounds": len(gotest["parallel"]), "benchmarks": par, "cold_regeneration": cold})
 EOF
 
 mv "$tmp"/out/BENCH_*.json results/
