@@ -341,23 +341,6 @@ func BenchmarkConvForwardParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossbarMatVec measures the circuit-level analog dot
-// product on a 128×128 differential tile pair.
-func BenchmarkCrossbarMatVec(b *testing.B) {
-	rng := tensor.NewRNG(5)
-	w := tensor.New(128, 128)
-	tensor.FillNormal(w, rng, 0, 1)
-	m := reram.MapMatrix(w, reram.DefaultMapOptions())
-	x := make([]float32, 128)
-	for i := range x {
-		x[i] = rng.Normal(0, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatVec(x)
-	}
-}
-
 // BenchmarkMarchTest measures fault detection over a 128×128 array.
 func BenchmarkMarchTest(b *testing.B) {
 	rng := tensor.NewRNG(6)

@@ -315,13 +315,6 @@ func NewStore(dir string, keep int, resume bool, sink obs.Sink) *Store {
 	return &Store{dir: dir, keep: keep, resume: resume, sink: obs.Or(sink)}
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Resume reports whether runs from this store resume from existing
-// checkpoints.
-func (s *Store) Resume() bool { return s.resume }
-
 // Run scopes the store to one training run key. Keys are sanitized to
 // a filesystem-safe directory name; two phases of one logical run
 // should suffix the shared key with ".phase" so ClearKey removes both.
@@ -395,9 +388,6 @@ type Run struct {
 
 // Dir returns the run's checkpoint directory.
 func (r *Run) Dir() string { return r.dir }
-
-// Resumable reports whether Load will consider existing checkpoints.
-func (r *Run) Resumable() bool { return r.resume }
 
 const (
 	filePrefix = "ckpt-"

@@ -121,10 +121,6 @@ type CloneEntry struct {
 	spec string // scenario spec inj was built for
 }
 
-// Injector returns the entry's current injector, bound to Net's
-// weights (nil until InjectorFor has run).
-func (e *CloneEntry) Injector() fault.Injector { return e.inj }
-
 // InjectorFor returns an injector of scenario sc bound to Net's
 // weights, rebuilding it only when the scenario changed since the
 // last call — a pooled entry evaluating the same scenario keeps its

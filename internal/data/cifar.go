@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -100,14 +99,4 @@ func parseCIFARRecords(raw []byte, name string, classes int, coarseByte bool, re
 		}
 	}
 	return d, nil
-}
-
-// ParseCIFARReader parses CIFAR-10-format records from a stream; it
-// exists so tests can exercise the record parser without disk files.
-func ParseCIFARReader(r io.Reader, name string, classes int) (*Dataset, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return parseCIFARRecords(raw, name, classes, false, 1+cifarPixels)
 }

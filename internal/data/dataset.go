@@ -69,7 +69,9 @@ func (d *Dataset) Head(n int) *Dataset {
 }
 
 // Normalize shifts and scales images in place to zero mean and unit
-// std per channel, returning the statistics used.
+// std per channel, returning the statistics used. The squares are
+// converted before they are added or subtracted, so no compiler fuses
+// the two into one rounding.
 func (d *Dataset) Normalize() (mean, std []float32) {
 	c, h, w := d.Dims()
 	n := d.N()
@@ -84,12 +86,12 @@ func (d *Dataset) Normalize() (mean, std []float32) {
 			for j := 0; j < area; j++ {
 				v := float64(xd[base+j])
 				sum += v
-				sq += v * v
+				sq += float64(v * v)
 			}
 		}
 		cnt := float64(n * area)
 		m := sum / cnt
-		variance := sq/cnt - m*m
+		variance := sq/cnt - float64(m*m)
 		if variance < 1e-12 {
 			variance = 1e-12
 		}
@@ -124,13 +126,4 @@ func (d *Dataset) ApplyNormalization(mean, std []float32) {
 			}
 		}
 	}
-}
-
-// ClassHistogram returns per-class example counts (length Classes).
-func (d *Dataset) ClassHistogram() []int {
-	h := make([]int, d.Classes)
-	for _, l := range d.Labels {
-		h[l]++
-	}
-	return h
 }

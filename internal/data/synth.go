@@ -33,26 +33,14 @@ type SynthConfig struct {
 	Seed      uint64
 }
 
-// SynthC10 is the repro-preset analogue of CIFAR-10.
+// SynthC10 is a small 10-class CIFAR-10 stand-in (16×16 images) for
+// tests; the presets carry their own configs (experiments.ScaleFor).
 func SynthC10() SynthConfig {
 	return SynthConfig{
 		Classes: 10, TrainPer: 200, TestPer: 60,
 		Channels: 3, Size: 16, Basis: 24,
 		CoefNoise: 0.25, NoiseStd: 0.35, ShiftMax: 2, JitterStd: 0.15,
 		Seed: 1001,
-	}
-}
-
-// SynthC100 is the repro-preset analogue of CIFAR-100: many more
-// classes packed into a barely larger basis plus stronger coefficient
-// noise, so the baseline accuracy lands far below the 10-class task,
-// as in the paper.
-func SynthC100() SynthConfig {
-	return SynthConfig{
-		Classes: 100, TrainPer: 30, TestPer: 8,
-		Channels: 3, Size: 16, Basis: 40,
-		CoefNoise: 0.08, NoiseStd: 0.45, ShiftMax: 2, JitterStd: 0.15,
-		Seed: 2002,
 	}
 }
 
@@ -76,6 +64,9 @@ func Generate(cfg SynthConfig) (train, test *Dataset) {
 }
 
 // makeBasis builds cfg.Basis smooth texture fields of shape C×S×S.
+// Each product is converted before the add, so no compiler fuses the
+// two into one rounding. r.Float64 scales its draw by 2⁻⁵³ with a
+// product of its own, so its result is converted too.
 func makeBasis(r *tensor.RNG, cfg SynthConfig) []*tensor.Tensor {
 	s := cfg.Size
 	basis := make([]*tensor.Tensor, cfg.Basis)
@@ -88,20 +79,21 @@ func makeBasis(r *tensor.RNG, cfg SynthConfig) []*tensor.Tensor {
 		ws := make([]wave, waves)
 		for i := range ws {
 			ws[i] = wave{
-				fx:    (r.Float64()*2 - 1) * 2.5,
-				fy:    (r.Float64()*2 - 1) * 2.5,
-				phase: r.Float64() * 2 * math.Pi,
-				amp:   0.5 + r.Float64(),
+				fx:    (float64(float64(r.Float64())*2) - 1) * 2.5,
+				fy:    (float64(float64(r.Float64())*2) - 1) * 2.5,
+				phase: float64(r.Float64()) * 2 * math.Pi,
+				amp:   0.5 + float64(r.Float64()),
 			}
 		}
 		for c := 0; c < cfg.Channels; c++ {
-			chPhase := r.Float64() * math.Pi
-			chGain := 0.6 + 0.8*r.Float64()
+			chPhase := float64(r.Float64() * math.Pi)
+			chGain := 0.6 + float64(0.8*r.Float64())
 			for y := 0; y < s; y++ {
 				for x := 0; x < s; x++ {
 					var v float64
 					for _, w := range ws {
-						v += w.amp * math.Sin(2*math.Pi*(w.fx*float64(x)+w.fy*float64(y))/float64(s)+w.phase+chPhase)
+						arg := 2*math.Pi*(float64(w.fx*float64(x))+float64(w.fy*float64(y)))/float64(s) + w.phase + chPhase
+						v += float64(w.amp * math.Sin(arg))
 					}
 					t.Set(float32(chGain*v), c, y, x)
 				}
@@ -112,7 +104,9 @@ func makeBasis(r *tensor.RNG, cfg SynthConfig) []*tensor.Tensor {
 	return basis
 }
 
-// makeClassCoeffs draws one sparse coefficient vector per class.
+// makeClassCoeffs draws one sparse coefficient vector per class. The
+// product is converted before the add, so no compiler fuses the two
+// into one rounding.
 func makeClassCoeffs(r *tensor.RNG, cfg SynthConfig) [][]float32 {
 	coeffs := make([][]float32, cfg.Classes)
 	active := 3
@@ -123,7 +117,7 @@ func makeClassCoeffs(r *tensor.RNG, cfg SynthConfig) [][]float32 {
 		c := make([]float32, cfg.Basis)
 		perm := r.Perm(cfg.Basis)
 		for k := 0; k < active; k++ {
-			coef := float32(0.7 + 0.8*r.Float64())
+			coef := float32(0.7 + float64(0.8*r.Float64()))
 			if r.Uint64()%2 == 0 {
 				coef = -coef
 			}
@@ -134,7 +128,9 @@ func makeClassCoeffs(r *tensor.RNG, cfg SynthConfig) [][]float32 {
 	return coeffs
 }
 
-// sampleSplit draws per examples of every class.
+// sampleSplit draws per examples of every class. The gain's product
+// is converted before the adds, so no compiler fuses them into one
+// rounding.
 func sampleSplit(r *tensor.RNG, cfg SynthConfig, basis []*tensor.Tensor, coeffs [][]float32, per int, split string) *Dataset {
 	n := per * cfg.Classes
 	d := &Dataset{
@@ -175,7 +171,7 @@ func sampleSplit(r *tensor.RNG, cfg SynthConfig, basis []*tensor.Tensor, coeffs 
 						if flip {
 							sx = s - 1 - sx
 						}
-						v := gain*mixed.At(c, sy, sx) + offset + r.Normal(0, cfg.NoiseStd)
+						v := float32(gain*mixed.At(c, sy, sx)) + offset + r.Normal(0, cfg.NoiseStd)
 						dst[(c*s+y)*s+x] = v
 					}
 				}

@@ -8,7 +8,6 @@ package backoff
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"time"
 )
@@ -73,22 +72,6 @@ func (p Policy) Delay(n int) time.Duration {
 	return time.Duration(d)
 }
 
-// permanentError marks an error that must not be retried.
-type permanentError struct{ err error }
-
-func (e permanentError) Error() string { return e.err.Error() }
-func (e permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Retry/Do stop immediately and return the
-// underlying error instead of burning the remaining attempts. A nil
-// err stays nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return permanentError{err}
-}
-
 // Retrier executes operations under a Policy. The zero value (plus a
 // Policy) uses the real clock and a time-seeded jitter source; tests
 // inject Sleep and Rand for instant, reproducible schedules.
@@ -138,12 +121,11 @@ func realSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs op under the retrier's policy: attempt, and on a retryable
-// error sleep the jittered exponential delay and attempt again, until
-// op succeeds, returns a Permanent error, the attempt budget is
-// exhausted, or ctx is cancelled. The returned error is nil on
-// success, ctx's error on cancellation, and otherwise the last
-// attempt's error.
+// Do runs op under the retrier's policy: attempt, and on an error
+// sleep the jittered exponential delay and attempt again, until op
+// succeeds, the attempt budget is exhausted, or ctx is cancelled. The
+// returned error is nil on success, ctx's error on cancellation, and
+// otherwise the last attempt's error.
 func (r *Retrier) Do(ctx context.Context, op func() error) error {
 	p := r.Policy.Normalize()
 	r.Policy = p
@@ -164,10 +146,6 @@ func (r *Retrier) Do(ctx context.Context, op func() error) error {
 		last = op()
 		if last == nil {
 			return nil
-		}
-		var perm permanentError
-		if errors.As(last, &perm) {
-			return perm.err
 		}
 	}
 	return last

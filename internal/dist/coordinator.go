@@ -194,9 +194,6 @@ type Coordinator struct {
 
 	done     chan struct{}
 	doneOnce sync.Once
-
-	listener net.Listener
-	lisOnce  sync.Once
 }
 
 // New builds a Coordinator for cfg's sweep and, when cfg.Ckpt is a
@@ -289,17 +286,6 @@ func (c *Coordinator) Run(ctx context.Context, addr string) ([]metrics.Summary, 
 	return c.Serve(ctx, lis)
 }
 
-// Addr returns the coordinator's listen address once Serve has been
-// called ("" before). Useful with a ":0" listener in tests.
-func (c *Coordinator) Addr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.listener == nil {
-		return ""
-	}
-	return c.listener.Addr().String()
-}
-
 // Serve accepts workers on lis and runs the sweep to completion,
 // returning one Summary per rate — byte-identical to a single-process
 // core.EvalDefectSweep with the same DefectEval and rates. On
@@ -308,9 +294,6 @@ func (c *Coordinator) Addr() string {
 // fully-completed rate prefix together with ctx's error, mirroring
 // EvalDefectSweep's partial-result contract.
 func (c *Coordinator) Serve(ctx context.Context, lis net.Listener) ([]metrics.Summary, error) {
-	c.mu.Lock()
-	c.listener = lis
-	c.mu.Unlock()
 	defer lis.Close()
 	ictx, cancel := context.WithCancel(context.Background())
 	defer cancel()

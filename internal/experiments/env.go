@@ -51,9 +51,7 @@ type Env struct {
 }
 
 // NewEnv creates an environment for the given preset. sink may be nil
-// for a silent run; callers migrating from the old
-// `logf func(string, ...any)` parameter can wrap their closure with
-// obs.LogfSink.
+// for a silent run.
 func NewEnv(preset, cacheDir string, sink obs.Sink) *Env {
 	return &Env{
 		Scale:    ScaleFor(preset),

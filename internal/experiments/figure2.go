@@ -64,9 +64,6 @@ func Figure2(ctx context.Context, e *Env, ds string) (*Figure2Result, error) {
 	return res, nil
 }
 
-// AccAt returns series s's accuracy (percent) at testing-rate index i.
-func (r *Figure2Result) AccAt(s, i int) float64 { return r.Series[s].Y[i] }
-
 // Plot renders the panel as an ASCII chart.
 func (r *Figure2Result) Plot() string {
 	var sb strings.Builder

@@ -117,15 +117,3 @@ func (r *Table1Result) Table() *report.Table {
 	}
 	return t
 }
-
-// BestRow returns the row with the highest accuracy at testing-rate
-// index i (used by shape checks and EXPERIMENTS.md).
-func (r *Table1Result) BestRow(i int) Table1Row {
-	best := r.Rows[0]
-	for _, row := range r.Rows[1:] {
-		if row.Accs[i] > best.Accs[i] {
-			best = row
-		}
-	}
-	return best
-}

@@ -31,17 +31,6 @@ func StuckAt(m Model) Scenario {
 	return stuckAt{name: "chen", model: m}
 }
 
-// Transient returns the per-inference stuck-at scenario: a fresh
-// lesion is drawn for every forward pass (spec "transient"). Models
-// read-disturb / momentary conductance faults rather than manufactured
-// defects. A zero model resolves to ChenModel.
-func Transient(m Model) Scenario {
-	if m.IsZero() {
-		m = ChenModel()
-	}
-	return stuckAt{name: "transient", model: m, transient: true}
-}
-
 // DropConnect returns the SA0-only transient scenario (spec "drop"):
 // every forward pass independently zeroes each weight with probability
 // psa. It is the injection half of drop-connect fault-tolerant

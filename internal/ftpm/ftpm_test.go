@@ -3,9 +3,11 @@ package ftpm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -24,7 +26,6 @@ func testQNet(t testing.TB, seed uint64) (*nn.QuantizedNetwork, *tensor.Tensor) 
 		nn.NewBatchNorm2D("bn1", 4),
 		nn.NewReLU(),
 		nn.NewBasicBlock("b1", 4, 8, 2, rng),
-		nn.NewDropout(0.1, rng),
 		nn.NewGlobalAvgPool2D(),
 		nn.NewFlatten(),
 		nn.NewLinear("fc", 8, 4, rng),
@@ -40,6 +41,8 @@ func testQNet(t testing.TB, seed uint64) (*nn.QuantizedNetwork, *tensor.Tensor) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	// QuantizeNetwork emits no identity layer; FTPM still encodes one.
+	q.Layers = slices.Insert(q.Layers, 4, nn.QLayer(nn.NewQIdentity()))
 	x := tensor.New(4, 2, 8, 8)
 	tensor.FillNormal(x, rng, 0, 1)
 	return q, x
@@ -65,6 +68,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if meta != sampleMeta() {
 		t.Fatalf("meta round trip: got %+v", meta)
+	}
+	if len(got.Layers) != len(q.Layers) {
+		t.Fatalf("decoded %d layers, want %d", len(got.Layers), len(q.Layers))
+	}
+	for i, l := range q.Layers {
+		if gt, wt := fmt.Sprintf("%T", got.Layers[i]), fmt.Sprintf("%T", l); gt != wt {
+			t.Fatalf("layer %d decoded as %s, want %s", i, gt, wt)
+		}
 	}
 	want := append([]float32(nil), q.Forward(x, false).Data()...)
 	out := got.Forward(x, false).Data()

@@ -140,6 +140,3 @@ func (b *BasicBlock) Params() []*Param {
 	ps = append(ps, b.BN2.Params()...)
 	return ps
 }
-
-// BatchNorms exposes the block's BN layers for serialization.
-func (b *BasicBlock) BatchNorms() []*BatchNorm2D { return []*BatchNorm2D{b.BN1, b.BN2} }

@@ -1,7 +1,5 @@
 package nn
 
-import "github.com/ftpim/ftpim/internal/tensor"
-
 // Deep-cloning support. The parallel defect-evaluation protocol in
 // internal/core gives every worker goroutine its own scratch network so
 // fault injection and forward passes never share mutable state; the
@@ -82,10 +80,3 @@ func (f *Flatten) CloneLayer() Layer { return NewFlatten() }
 
 // CloneLayer implements Layer.
 func (g *GlobalAvgPool2D) CloneLayer() Layer { return NewGlobalAvgPool2D() }
-
-// CloneLayer implements Layer. The clone's dropout stream restarts from
-// the layer's derived seed; clones are intended for inference, where
-// dropout is inert.
-func (d *Dropout) CloneLayer() Layer {
-	return &Dropout{P: d.P, rng: tensor.NewRNG(d.rng.Seed())}
-}

@@ -16,7 +16,6 @@ func cloneTestNet() *Network {
 		NewReLU(),
 		NewBasicBlock("blk", 6, 8, 2, rng),
 		NewGlobalAvgPool2D(),
-		NewDropout(0.3, rng),
 		NewLinear("fc", 8, 5, rng),
 	)
 }

@@ -54,40 +54,3 @@ func softmaxCrossEntropy(probs *tensor.Tensor, labels []int) (loss float64, dLog
 	}
 	return loss / float64(n), dLogits
 }
-
-// Accuracy returns the fraction of rows of logits whose argmax equals
-// the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	n := logits.Dim(0)
-	correct := 0
-	for i := 0; i < n; i++ {
-		if logits.ArgMaxRow(i) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}
-
-// TopKAccuracy returns the fraction of rows whose label is among the k
-// largest logits.
-func TopKAccuracy(logits *tensor.Tensor, labels []int, k int) float64 {
-	n, c := logits.Dim(0), logits.Dim(1)
-	if k >= c {
-		return 1
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		row := logits.Row(i)
-		target := row[labels[i]]
-		higher := 0
-		for _, v := range row {
-			if v > target {
-				higher++
-			}
-		}
-		if higher < k {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}

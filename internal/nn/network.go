@@ -62,13 +62,6 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// ApplyMasks re-applies all pruning masks (no-op for dense params).
-func (n *Network) ApplyMasks() {
-	for _, p := range n.Params() {
-		p.ApplyMask()
-	}
-}
-
 // NumParams returns the total learnable element count.
 func (n *Network) NumParams() int {
 	total := 0

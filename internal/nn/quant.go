@@ -621,8 +621,8 @@ func (b *QBasicBlock) CloneQ() QLayer {
 		b.InC, b.OutC, b.Stride)
 }
 
-// QIdentity passes its input through — the quantized image of layers
-// that are a no-op at inference (Dropout).
+// QIdentity passes its input through. QuantizeNetwork emits none; the
+// layer stays so that FTPM's identity layer kind still decodes.
 type QIdentity struct{}
 
 // NewQIdentity returns the identity layer.
@@ -708,8 +708,6 @@ func quantizeLayer(fl Layer) (QLayer, error) {
 		return NewQGlobalAvgPool(), nil
 	case *Flatten:
 		return NewQFlatten(), nil
-	case *Dropout:
-		return NewQIdentity(), nil
 	case *BasicBlock:
 		return NewQBasicBlock(
 			quantizeConv(f.Conv1), foldBatchNorm(f.BN1),

@@ -193,8 +193,8 @@ func normalInput(seed uint64, shape ...int) *tensor.Tensor {
 
 // TestQuantizedForwardMatchesOracle pins the fused forward to the
 // layer-by-layer reference bit for bit: on the repro ResNet at several
-// batch sizes, on the test network with a biased conv, dropout and
-// flatten, and on the odd-sized stride-2 network with its input size
+// batch sizes, on the test network with a biased conv and flatten,
+// and on the odd-sized stride-2 network with its input size
 // changing between calls, which re-lays the padded planes' borders.
 func TestQuantizedForwardMatchesOracle(t *testing.T) {
 	repro := reproQNet(t, 61)

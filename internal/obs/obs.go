@@ -11,9 +11,7 @@
 //     paths skip event construction entirely (allocation-free).
 //   - NewJSONL: a schema-versioned machine-readable JSON-Lines writer
 //     (the `ftpim -events out.jsonl` backend).
-//   - NewProgress / LogfSink: human-oriented renderers; LogfSink is the
-//     mechanical migration adapter for code that used the old
-//     `logf func(string, ...any)` parameters.
+//   - NewProgress: the human-oriented renderer.
 //
 // Determinism contract: events observe a run, they never perturb it.
 // No emitter draws randomness, mutates weights, or changes float
@@ -128,7 +126,7 @@ type Event struct {
 }
 
 // String renders the event for human consumption (one line, no
-// trailing newline). NewProgress and LogfSink use it.
+// trailing newline). NewProgress uses it.
 func (e Event) String() string {
 	switch e.Kind {
 	case KindLog:

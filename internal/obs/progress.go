@@ -33,29 +33,3 @@ func (p *progress) Emit(e Event) {
 	fmt.Fprintln(p.w, e.String())
 	p.mu.Unlock()
 }
-
-// LogfSink adapts a printf-style closure to a Sink — the mechanical
-// migration path for callers of the old `logf func(string, ...any)`
-// parameters of core.Config and experiments.NewEnv. Events are
-// rendered with Event.String; like NewProgress it suppresses the
-// high-volume KindEvalRun stream, matching what the old logf plumbing
-// ever reported. A nil closure yields Null.
-func LogfSink(f func(format string, args ...any)) Sink {
-	if f == nil {
-		return Null
-	}
-	return logfSink{f: f}
-}
-
-type logfSink struct {
-	f func(string, ...any)
-}
-
-func (s logfSink) Enabled() bool { return true }
-
-func (s logfSink) Emit(e Event) {
-	if e.Kind == KindEvalRun {
-		return
-	}
-	s.f("%s", e.String())
-}

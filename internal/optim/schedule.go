@@ -41,43 +41,3 @@ func (c *Cosine) LR(epoch int) float64 {
 	t := float64(epoch) / float64(c.Epochs-1)
 	return c.Final + float64(0.5*(c.Initial-c.Final)*(1+math.Cos(math.Pi*t)))
 }
-
-// MultiStep multiplies the base LR by Gamma at each milestone epoch.
-type MultiStep struct {
-	Base       float64
-	Milestones []int
-	Gamma      float64
-}
-
-// NewMultiStep builds the classic step schedule.
-func NewMultiStep(base float64, milestones []int, gamma float64) *MultiStep {
-	ms := make([]int, len(milestones))
-	copy(ms, milestones)
-	return &MultiStep{Base: base, Milestones: ms, Gamma: gamma}
-}
-
-// LR implements Schedule.
-func (m *MultiStep) LR(epoch int) float64 {
-	lr := m.Base
-	for _, ms := range m.Milestones {
-		if epoch >= ms {
-			lr *= m.Gamma
-		}
-	}
-	return lr
-}
-
-// Warmup wraps a schedule with linear warmup over the first
-// WarmupEpochs epochs.
-type Warmup struct {
-	Inner        Schedule
-	WarmupEpochs int
-}
-
-// LR implements Schedule.
-func (w *Warmup) LR(epoch int) float64 {
-	if epoch < w.WarmupEpochs && w.WarmupEpochs > 0 {
-		return w.Inner.LR(0) * float64(epoch+1) / float64(w.WarmupEpochs)
-	}
-	return w.Inner.LR(epoch)
-}

@@ -1,11 +1,10 @@
 // Package optim provides the stochastic-gradient-descent optimizer and
 // learning-rate schedules used by the training recipes in this library
-// (SGD with momentum and weight decay, cosine and multi-step LR).
+// (SGD with momentum and weight decay, constant and cosine LR).
 package optim
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/ftpim/ftpim/internal/nn"
 	"github.com/ftpim/ftpim/internal/tensor"
@@ -33,9 +32,6 @@ func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
 	}
 	return s
 }
-
-// Params returns the parameter set being optimized.
-func (s *SGD) Params() []*nn.Param { return s.params }
 
 // Step applies one update:
 //
@@ -78,14 +74,6 @@ func (s *SGD) ZeroGrad() {
 	}
 }
 
-// ResetVelocity clears momentum buffers; used when a training phase
-// restarts (e.g. between progressive fault-tolerant training stages).
-func (s *SGD) ResetVelocity() {
-	for _, v := range s.velocity {
-		v.Zero()
-	}
-}
-
 // ExportState returns a deep copy of the momentum buffers, in parameter
 // order — the optimizer state a training checkpoint must carry for a
 // resumed run to take bit-identical update steps.
@@ -115,29 +103,4 @@ func (s *SGD) ImportState(velocity []*tensor.Tensor) error {
 		s.velocity[i].CopyFrom(v)
 	}
 	return nil
-}
-
-// GradNorm returns the global L2 norm of all gradients; handy for
-// debugging divergence.
-func (s *SGD) GradNorm() float64 {
-	var sum float64
-	for _, p := range s.params {
-		for _, g := range p.Grad.Data() {
-			sum += float64(g) * float64(g)
-		}
-	}
-	return math.Sqrt(sum)
-}
-
-// ClipGradNorm scales all gradients so the global norm is at most c.
-// Returns the pre-clip norm.
-func (s *SGD) ClipGradNorm(c float64) float64 {
-	n := s.GradNorm()
-	if n > c && n > 0 {
-		scale := float32(c / n)
-		for _, p := range s.params {
-			p.Grad.Scale(scale)
-		}
-	}
-	return n
 }

@@ -2,7 +2,6 @@ package prune
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/ftpim/ftpim/internal/nn"
@@ -110,21 +109,6 @@ func (a *ADMM) ImportState(st *ADMMState) error {
 		a.u[i].CopyFrom(st.U[i])
 	}
 	return nil
-}
-
-// PrimalResidual returns ‖W − Z‖₂ summed over params — the convergence
-// measure of the ADMM split.
-func (a *ADMM) PrimalResidual() float64 {
-	var sum float64
-	for i, p := range a.params {
-		w := p.W.Data()
-		zd := a.z[i].Data()
-		for j := range w {
-			d := float64(w[j] - zd[j])
-			sum += d * d
-		}
-	}
-	return math.Sqrt(sum)
 }
 
 // Finalize hard-prunes every parameter to its Z sparsity pattern

@@ -1,6 +1,5 @@
 // Package report renders experiment results as aligned text tables,
-// Markdown, CSV, and quick ASCII line plots for the figure
-// reproductions.
+// CSV, and quick ASCII line plots for the figure reproductions.
 package report
 
 import (
@@ -137,30 +136,6 @@ func (t *Table) RenderCSV(w io.Writer) {
 	row(t.Header)
 	for _, r := range t.Rows {
 		row(r)
-	}
-}
-
-// RenderMarkdown writes the table as a GitHub-flavored Markdown table,
-// bolding highlighted cells.
-func (t *Table) RenderMarkdown(w io.Writer) {
-	if t.Title != "" {
-		fmt.Fprintf(w, "### %s\n\n", t.Title)
-	}
-	fmt.Fprintf(w, "| %s |\n", strings.Join(t.Header, " | "))
-	seps := make([]string, len(t.Header))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	fmt.Fprintf(w, "| %s |\n", strings.Join(seps, " | "))
-	for ri, r := range t.Rows {
-		cells := make([]string, len(r))
-		for ci, c := range r {
-			if t.highlight[[2]int{ri, ci}] {
-				c = "**" + c + "**"
-			}
-			cells[ci] = c
-		}
-		fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | "))
 	}
 }
 

@@ -65,20 +65,6 @@ func TestRenderCSVEscaping(t *testing.T) {
 	}
 }
 
-func TestRenderMarkdown(t *testing.T) {
-	tb := sample()
-	tb.Highlight(0, 1)
-	var buf bytes.Buffer
-	tb.RenderMarkdown(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "| method | a | b |") {
-		t.Fatalf("markdown header broken:\n%s", out)
-	}
-	if !strings.Contains(out, "**10.0**") {
-		t.Fatalf("markdown bold missing:\n%s", out)
-	}
-}
-
 func TestAsciiPlotAndCSV(t *testing.T) {
 	series := []Series{
 		{Name: "dense", X: []float64{0, 0.01, 0.1}, Y: []float64{0.9, 0.8, 0.3}},

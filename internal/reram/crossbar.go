@@ -1,8 +1,8 @@
 // Package reram simulates ReRAM crossbar arrays at the circuit level:
 // conductance programming with multi-level quantization, differential
-// weight mapping with tiling, per-cell stuck-at fault maps, analog
-// matrix-vector products with optional ADC quantization, march-test
-// fault detection and redundant-column repair.
+// weight mapping with tiling, per-cell stuck-at fault maps read back as
+// the effective weights the arrays implement, march-test fault
+// detection and redundant-column repair.
 //
 // The paper evaluates with the faster weight-level model in
 // internal/fault; this package provides the substrate that model
@@ -28,17 +28,6 @@ const (
 	FaultSA0            // stuck at Gmin
 	FaultSA1            // stuck at Gmax
 )
-
-func (f CellFault) String() string {
-	switch f {
-	case FaultSA0:
-		return "SA0"
-	case FaultSA1:
-		return "SA1"
-	default:
-		return "ok"
-	}
-}
 
 // Crossbar is one R×C array of programmable conductances. Programmed
 // targets are stored separately from fault state so that re-programming
@@ -76,7 +65,8 @@ func NewCrossbar(rows, cols, levels int, gmin, gmax float64) *Crossbar {
 }
 
 // Quantize snaps a conductance to the crossbar's level grid and clamps
-// it to [Gmin, Gmax].
+// it to [Gmin, Gmax]. The product is converted before the add, so no
+// compiler fuses the two into one rounding.
 func (x *Crossbar) Quantize(g float64) float64 {
 	if g < x.Gmin {
 		g = x.Gmin
@@ -88,7 +78,7 @@ func (x *Crossbar) Quantize(g float64) float64 {
 		return g
 	}
 	step := (x.Gmax - x.Gmin) / float64(x.Levels-1)
-	return x.Gmin + math.Round((g-x.Gmin)/step)*step
+	return x.Gmin + float64(math.Round((g-x.Gmin)/step)*step)
 }
 
 // Program writes a target conductance into cell (r, c), quantized to
@@ -147,9 +137,6 @@ func (x *Crossbar) Effective(r, c int) float64 {
 	}
 }
 
-// Fault returns the fault state of cell (r, c).
-func (x *Crossbar) Fault(r, c int) CellFault { return x.faults[r*x.Cols+c] }
-
 // SetFault pins the fault state of cell (r, c).
 func (x *Crossbar) SetFault(r, c int, f CellFault) { x.faults[r*x.Cols+c] = f }
 
@@ -182,46 +169,6 @@ func (x *Crossbar) InjectFaults(rng *tensor.RNG, m fault.Model, psa float64) int
 	return n
 }
 
-// InjectRowBursts draws spatially-clustered stuck-at faults: defects
-// arrive as bursts of up to burstLen consecutive cells along a
-// wordline (row), all sharing one stuck-at kind — the circuit-level
-// counterpart of the weight-level "cluster" scenario (fault.Clustered
-// with Tile = Cols). Burst starts are drawn per cell at rate
-// psa/burstLen so the expected per-cell fault rate stays ≈ psa; a
-// burst truncates at its row boundary. Returns the number of cells
-// faulted.
-func (x *Crossbar) InjectRowBursts(rng *tensor.RNG, m fault.Model, psa float64, burstLen int) int {
-	if psa < 0 || psa > 1 {
-		panic(fmt.Sprintf("reram: psa %v out of [0,1]", psa))
-	}
-	if burstLen < 1 {
-		panic(fmt.Sprintf("reram: burst length %d < 1", burstLen))
-	}
-	pStart := psa / float64(burstLen)
-	p1 := m.P1()
-	n := 0
-	for i := 0; i < len(x.faults); {
-		if rng.Float64() >= pStart {
-			i++
-			continue
-		}
-		rowEnd := (i/x.Cols + 1) * x.Cols
-		end := i + burstLen
-		if end > rowEnd {
-			end = rowEnd
-		}
-		f := FaultSA0
-		if rng.Float64() < p1 {
-			f = FaultSA1
-		}
-		for ; i < end; i++ {
-			x.faults[i] = f
-			n++
-		}
-	}
-	return n
-}
-
 // NumFaults counts faulty cells.
 func (x *Crossbar) NumFaults() int {
 	n := 0
@@ -231,44 +178,4 @@ func (x *Crossbar) NumFaults() int {
 		}
 	}
 	return n
-}
-
-// MatVec computes the column currents I_c = Σ_r v_r · G_eff(r, c) for
-// an input voltage vector v of length Rows — the crossbar's in-situ
-// dot product.
-func (x *Crossbar) MatVec(v []float64) []float64 {
-	return x.MatVecInto(make([]float64, x.Cols), v)
-}
-
-// MatVecInto is MatVec accumulating into a caller-provided destination
-// of length Cols (overwritten), returning it. Hot evaluation loops
-// reuse one destination per tile to avoid per-call allocation.
-func (x *Crossbar) MatVecInto(out, v []float64) []float64 {
-	if len(v) != x.Rows {
-		panic(fmt.Sprintf("reram: MatVec input length %d, want %d", len(v), x.Rows))
-	}
-	if len(out) != x.Cols {
-		panic(fmt.Sprintf("reram: MatVec destination length %d, want %d", len(out), x.Cols))
-	}
-	for c := range out {
-		out[c] = 0
-	}
-	for r := 0; r < x.Rows; r++ {
-		vr := v[r]
-		if vr == 0 {
-			continue
-		}
-		base := r * x.Cols
-		for c := 0; c < x.Cols; c++ {
-			g := x.g[base+c]
-			switch x.faults[base+x.phys(c)] {
-			case FaultSA0:
-				g = x.Gmin
-			case FaultSA1:
-				g = x.Gmax
-			}
-			out[c] += vr * g
-		}
-	}
-	return out
 }

@@ -31,8 +31,9 @@ func ExampleMarchTest() {
 	x := reram.NewCrossbar(4, 4, 0, 0.1, 10)
 	x.SetFault(1, 2, reram.FaultSA0)
 	x.SetFault(3, 0, reram.FaultSA1)
+	kinds := map[reram.CellFault]string{reram.FaultSA0: "SA0", reram.FaultSA1: "SA1"}
 	for _, f := range reram.MarchTest(x, 1.0, tensor.NewRNG(1)) {
-		fmt.Printf("cell (%d,%d): %s\n", f.Row, f.Col, f.Kind)
+		fmt.Printf("cell (%d,%d): %s\n", f.Row, f.Col, kinds[f.Kind])
 	}
 	// Output:
 	// cell (1,2): SA0

@@ -2,7 +2,6 @@ package reram
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/ftpim/ftpim/internal/fault"
 	"github.com/ftpim/ftpim/internal/tensor"
@@ -15,13 +14,12 @@ type MapOptions struct {
 	Levels   int     // conductance levels per cell (0 = analog/continuous)
 	Gmin     float64 // minimum cell conductance
 	Gmax     float64 // maximum cell conductance
-	ADCBits  int     // per-tile output ADC resolution (0 = ideal)
 }
 
 // DefaultMapOptions mirrors a typical ISAAC-style 128×128 array with
 // 4-bit cells.
 func DefaultMapOptions() MapOptions {
-	return MapOptions{TileRows: 128, TileCols: 128, Levels: 16, Gmin: 0.1, Gmax: 10, ADCBits: 0}
+	return MapOptions{TileRows: 128, TileCols: 128, Levels: 16, Gmin: 0.1, Gmax: 10}
 }
 
 // MappedMatrix is a weight matrix W (out×in) programmed onto tiled
@@ -41,9 +39,6 @@ type MappedMatrix struct {
 	pos, neg [][]*Crossbar
 	rowTiles int
 	colTiles int
-
-	// MatVec scratch, built on first use (see MatVecInto).
-	mvY, mvV, mvPos, mvNeg []float64
 }
 
 // MapMatrix programs w (out×in) onto differential crossbar tiles.
@@ -83,7 +78,9 @@ func MapMatrix(w *tensor.Tensor, opts MapOptions) *MappedMatrix {
 
 // Reprogram rewrites the crossbar targets from a (possibly updated)
 // weight matrix of the original shape, keeping all fault state. The
-// conductance scale is re-derived from the new weights.
+// conductance scale is re-derived from the new weights. Each product
+// is converted before the add, so no compiler fuses the two into one
+// rounding.
 func (m *MappedMatrix) Reprogram(w *tensor.Tensor) {
 	if w.Dim(0) != m.OutDim || w.Dim(1) != m.InDim {
 		panic(fmt.Sprintf("reram: Reprogram shape %v, want (%d,%d)", w.Shape(), m.OutDim, m.InDim))
@@ -101,9 +98,9 @@ func (m *MappedMatrix) Reprogram(w *tensor.Tensor) {
 			wv := float64(w.At(o, i))
 			gp, gn := m.Opts.Gmin, m.Opts.Gmin
 			if wv >= 0 {
-				gp = m.Opts.Gmin + wv*m.gPerW
+				gp = m.Opts.Gmin + float64(wv*m.gPerW)
 			} else {
-				gn = m.Opts.Gmin - wv*m.gPerW
+				gn = m.Opts.Gmin - float64(wv*m.gPerW)
 			}
 			m.pos[rt][ct].Program(r, c, gp)
 			m.neg[rt][ct].Program(r, c, gn)
@@ -119,26 +116,6 @@ func (m *MappedMatrix) InjectFaults(rng *tensor.RNG, fm fault.Model, psa float64
 		for ct := range m.pos[rt] {
 			n += m.pos[rt][ct].InjectFaults(rng, fm, psa)
 			n += m.neg[rt][ct].InjectFaults(rng, fm, psa)
-		}
-	}
-	return n
-}
-
-// InjectClusteredFaults draws row-burst stuck-at faults over every
-// tile of both differential arrays, the circuit-level realization of
-// the weight-level fault.Clustered scenario: each physical crossbar
-// confines a burst to one of its wordlines, which is exactly the
-// scenario's tile-boundary rule (Tile = crossbar width). Returns the
-// number of cells faulted.
-func (m *MappedMatrix) InjectClusteredFaults(rng *tensor.RNG, c fault.Clustered, psa float64) int {
-	if err := c.Validate(); err != nil {
-		panic("reram: " + err.Error())
-	}
-	n := 0
-	for rt := range m.pos {
-		for ct := range m.pos[rt] {
-			n += m.pos[rt][ct].InjectRowBursts(rng, c.Mix, psa, c.Len)
-			n += m.neg[rt][ct].InjectRowBursts(rng, c.Mix, psa, c.Len)
 		}
 	}
 	return n
@@ -190,85 +167,6 @@ func (m *MappedMatrix) EffectiveWeights() *tensor.Tensor {
 		}
 	}
 	return w
-}
-
-// MatVec runs the analog computation y = W_eff·x, tile by tile, with
-// optional per-tile ADC quantization of partial sums, and returns the
-// result scaled back to weight units.
-func (m *MappedMatrix) MatVec(x []float32) []float32 {
-	return m.MatVecInto(make([]float32, m.OutDim), x)
-}
-
-// MatVecInto is MatVec writing into a caller-provided destination of
-// length OutDim, returning it. The tile accumulators are cached on the
-// matrix, so warm calls do not allocate; consequently a MappedMatrix is
-// not safe for concurrent MatVec use.
-func (m *MappedMatrix) MatVecInto(out []float32, x []float32) []float32 {
-	if len(x) != m.InDim {
-		panic(fmt.Sprintf("reram: MatVec input length %d, want %d", len(x), m.InDim))
-	}
-	if len(out) != m.OutDim {
-		panic(fmt.Sprintf("reram: MatVec destination length %d, want %d", len(out), m.OutDim))
-	}
-	if m.mvY == nil {
-		m.mvY = make([]float64, m.OutDim)
-		m.mvV = make([]float64, m.Opts.TileRows)
-		m.mvPos = make([]float64, m.Opts.TileCols)
-		m.mvNeg = make([]float64, m.Opts.TileCols)
-	}
-	y := m.mvY
-	for i := range y {
-		y[i] = 0
-	}
-	for rt := 0; rt < m.rowTiles; rt++ {
-		lo := rt * m.Opts.TileRows
-		hi := minInt(lo+m.Opts.TileRows, m.InDim)
-		v := m.mvV[:hi-lo]
-		var vmax float64
-		for i := lo; i < hi; i++ {
-			v[i-lo] = float64(x[i])
-			if a := math.Abs(v[i-lo]); a > vmax {
-				vmax = a
-			}
-		}
-		for ct := 0; ct < m.colTiles; ct++ {
-			cols := m.pos[rt][ct].Cols
-			ip := m.pos[rt][ct].MatVecInto(m.mvPos[:cols], v)
-			in := m.neg[rt][ct].MatVecInto(m.mvNeg[:cols], v)
-			colBase := ct * m.Opts.TileCols
-			for c := range ip {
-				diff := ip[c] - in[c]
-				if m.Opts.ADCBits > 0 {
-					diff = m.adcQuantize(diff, vmax, hi-lo)
-				}
-				y[colBase+c] += diff
-			}
-		}
-	}
-	inv := 1 / m.gPerW
-	for i, v := range y {
-		out[i] = float32(v * inv)
-	}
-	return out
-}
-
-// adcQuantize snaps a differential tile current to the ADC's grid. The
-// full-scale range is the worst-case tile current ±vmax·rows·(Gmax−Gmin).
-func (m *MappedMatrix) adcQuantize(i, vmax float64, rows int) float64 {
-	fs := vmax * float64(rows) * (m.Opts.Gmax - m.Opts.Gmin)
-	if fs == 0 {
-		return 0
-	}
-	levels := float64(int(1) << m.Opts.ADCBits)
-	step := 2 * fs / levels
-	q := math.Round(i/step) * step
-	if q > fs {
-		q = fs
-	}
-	if q < -fs {
-		q = -fs
-	}
-	return q
 }
 
 func minInt(a, b int) int {

@@ -47,9 +47,8 @@ func (mn *MappedNetwork) ClearFaults() {
 // ApplyEffectiveWeights overwrites the network's weight params with the
 // effective (quantized + faulted) weights the crossbars implement and
 // returns an undo function restoring the digital weights. Running
-// inference between the two calls evaluates the model exactly as the
-// analog hardware would compute it (up to ADC effects, which are
-// exercised separately through MatVec).
+// inference between the two calls evaluates the model with the weights
+// the programmed, faulted arrays implement.
 func (mn *MappedNetwork) ApplyEffectiveWeights() (undo func()) {
 	saved := make([]*tensor.Tensor, len(mn.Params))
 	for i, p := range mn.Params {
@@ -61,14 +60,6 @@ func (mn *MappedNetwork) ApplyEffectiveWeights() (undo func()) {
 		for i, p := range mn.Params {
 			p.W.CopyFrom(saved[i])
 		}
-	}
-}
-
-// Reprogram rewrites all crossbar targets from the network's current
-// weights (fault maps are preserved).
-func (mn *MappedNetwork) Reprogram() {
-	for i, p := range mn.Params {
-		mn.Mats[i].Reprogram(p.W)
 	}
 }
 

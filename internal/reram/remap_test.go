@@ -48,11 +48,6 @@ func TestColPermRoutesFaults(t *testing.T) {
 	if x.Effective(0, 1) != 10 {
 		t.Fatalf("remapped logical 1 should hit the stuck cell, got %v", x.Effective(0, 1))
 	}
-	// MatVec agrees with Effective.
-	y := x.MatVec([]float64{1})
-	if y[0] != 7 || y[1] != 10 {
-		t.Fatalf("MatVec ignores permutation: %v", y)
-	}
 }
 
 func TestRemapColumnsMovesStuckColumnToSmallTarget(t *testing.T) {
@@ -111,65 +106,5 @@ func TestRemapNoFaultsNoChange(t *testing.T) {
 	rep := RemapColumns(m)
 	if rep.TilesRemapped != 0 || rep.CostBefore != 0 {
 		t.Fatalf("healthy chip should not be touched: %+v", rep)
-	}
-}
-
-func TestWriteNoiseZeroIsIdentity(t *testing.T) {
-	r := tensor.NewRNG(2)
-	x := NewCrossbar(4, 4, 0, 0.1, 10)
-	x.Program(1, 1, 5)
-	x.ApplyWriteNoise(r, 0)
-	if x.Target(1, 1) != 5 {
-		t.Fatal("zero noise must not perturb")
-	}
-}
-
-func TestWriteNoisePerturbsWithinRails(t *testing.T) {
-	r := tensor.NewRNG(3)
-	x := NewCrossbar(20, 20, 0, 0.1, 10)
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 20; j++ {
-			x.Program(i, j, 5)
-		}
-	}
-	x.ApplyWriteNoise(r, 0.1)
-	changed := false
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 20; j++ {
-			g := x.Target(i, j)
-			if g != 5 {
-				changed = true
-			}
-			if g < 0.1 || g > 10 {
-				t.Fatalf("noise escaped rails: %v", g)
-			}
-		}
-	}
-	if !changed {
-		t.Fatal("noise should perturb targets")
-	}
-}
-
-func TestWriteNoiseNegativePanics(t *testing.T) {
-	x := NewCrossbar(1, 1, 0, 0.1, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	x.ApplyWriteNoise(tensor.NewRNG(1), -0.1)
-}
-
-func TestWriteNoiseDegradesAccuracyGracefully(t *testing.T) {
-	// Write noise perturbs effective weights proportionally.
-	r := tensor.NewRNG(4)
-	w := tensor.New(8, 8)
-	tensor.FillNormal(w, r, 0, 1)
-	m := MapMatrix(w, MapOptions{TileRows: 8, TileCols: 8, Levels: 0, Gmin: 0.1, Gmax: 10})
-	m.ApplyWriteNoise(r.Stream("n"), 0.05)
-	diff := tensor.Sub(m.EffectiveWeights(), w)
-	rms := diff.Norm2() / w.Norm2()
-	if rms == 0 || rms > 0.5 {
-		t.Fatalf("5%% write noise should give small nonzero weight error, got %v", rms)
 	}
 }

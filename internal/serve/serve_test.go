@@ -376,16 +376,23 @@ func TestQueueFullAnswers429(t *testing.T) {
 	body, _ := json.Marshal(InferRequest{Image: testImage(test)})
 
 	exec := <-s.execs // dispatch now blocks; nothing can execute
+	release := func() {
+		if exec != nil {
+			s.execs <- exec
+			exec = nil
+		}
+	}
+	defer release() // a failed wait must not leave Drain hanging
 
 	codes := make(chan int, 3)
 	post := func() {
 		rec := postJSON(h, "/v1/infer", body)
 		codes <- rec.Code
 	}
-	// First request: pulled by the batcher into a batch stuck in
-	// dispatch. Two more: fill the queue.
+	// First request: admitted, then pulled by the batcher into a batch
+	// stuck in dispatch. Two more: fill the queue.
 	go post()
-	waitFor(t, func() bool { return len(s.queue) == 0 && s.batchSeq.Load() == 0 })
+	waitFor(t, func() bool { return s.accepted.Load() == 1 && len(s.queue) == 0 })
 	go post()
 	go post()
 	waitFor(t, func() bool { return len(s.queue) == 2 })
@@ -402,7 +409,7 @@ func TestQueueFullAnswers429(t *testing.T) {
 		t.Fatalf("429 body = %s", rec.Body)
 	}
 
-	s.execs <- exec // release: the three held requests must complete
+	release() // the three held requests must complete
 	for i := 0; i < 3; i++ {
 		if code := <-codes; code != http.StatusOK {
 			t.Fatalf("held request finished with HTTP %d", code)
@@ -436,6 +443,13 @@ func TestDrainFlushesQueuedRequests(t *testing.T) {
 	body, _ := json.Marshal(InferRequest{Image: testImage(test)})
 
 	exec := <-s.execs // stall execution so requests pile up
+	release := func() {
+		if exec != nil {
+			s.execs <- exec
+			exec = nil
+		}
+	}
+	defer release() // a failed wait must not leave Drain hanging
 	const n = 5
 	codes := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -451,7 +465,7 @@ func TestDrainFlushesQueuedRequests(t *testing.T) {
 	drained := make(chan struct{})
 	go func() { s.Drain(); close(drained) }()
 	waitFor(t, s.Draining)
-	s.execs <- exec // let the flush proceed
+	release() // let the flush proceed
 	<-drained
 
 	for i := 0; i < n; i++ {

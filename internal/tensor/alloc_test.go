@@ -101,16 +101,6 @@ func TestGemmS8TBWarmAllocs(t *testing.T) {
 	})
 }
 
-func TestMatVecIntoWarmAllocs(t *testing.T) {
-	a := New(20, 30)
-	FillNormal(a, NewRNG(6), 0, 1)
-	x := make([]float32, 30)
-	dst := make([]float32, 20)
-	if avg := testing.AllocsPerRun(50, func() { MatVecInto(dst, a, x) }); avg > 0 {
-		t.Fatalf("MatVecInto allocates %.1f/op, want 0", avg)
-	}
-}
-
 func TestWorkspaceWarmAllocs(t *testing.T) {
 	var ws Workspace
 	data := make([]float32, 24)

@@ -33,13 +33,6 @@ import (
 //  2. Zero steady-state allocation. Packing buffers come from a
 //     sync.Pool of reusable panels; warm calls allocate nothing.
 
-// MatMul returns A·B for rank-2 tensors A (m×k) and B (k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	out := New(a.shape[0], b.shape[1])
-	MatMulInto(out, a, b)
-	return out
-}
-
 // matMulShardFlops is the minimum m·k·n product above which the GEMM
 // kernels shard output rows across goroutines; below it the goroutine
 // fan-out costs more than it saves. Sharding never changes results:
@@ -300,14 +293,6 @@ func gemmTile1(orow, arow, pb []float32, offs []int, jw int) {
 	}
 }
 
-// MatMulTA computes Aᵀ·B for A (k×m) and B (k×n), yielding m×n.
-// Used for weight gradients without materializing the transpose.
-func MatMulTA(a, b *Tensor) *Tensor {
-	out := New(a.shape[1], b.shape[1])
-	MatMulTAInto(out, a, b)
-	return out
-}
-
 // MatMulTAInto computes out = Aᵀ·B into out (m×n), A (k×m), B (k×n).
 // Above matMulShardFlops the output rows (A's columns) are sharded
 // across Workers() goroutines; each shard accumulates rank-1 updates
@@ -421,14 +406,6 @@ func gemmTAShard(od, ad, bd []float32, k, m, n, lo, hi int) {
 	}
 }
 
-// MatMulTB computes A·Bᵀ for A (m×k) and B (n×k), yielding m×n.
-// Used for input gradients: dX = dY · Wᵀ.
-func MatMulTB(a, b *Tensor) *Tensor {
-	out := New(a.shape[0], b.shape[0])
-	MatMulTBInto(out, a, b)
-	return out
-}
-
 // MatMulTBInto computes out = A·Bᵀ into out (m×n), A (m×k), B (n×k).
 // Output rows are sharded across Workers() goroutines above
 // matMulShardFlops; each row is computed in 1×4 register tiles whose
@@ -527,31 +504,4 @@ func gemmTBBlock(od, ad, bd []float32, k, n, lo, hi, j0, j1 int) {
 			orow[j] = s
 		}
 	}
-}
-
-// MatVec computes y = A·x for A (m×n) and x (n), yielding y (m).
-func MatVec(a *Tensor, x []float32) []float32 {
-	return MatVecInto(make([]float32, a.shape[0]), a, x)
-}
-
-// MatVecInto computes dst = A·x into a caller-provided destination of
-// length m, returning dst. Hot callers reuse one destination across
-// calls to stay allocation-free.
-func MatVecInto(dst []float32, a *Tensor, x []float32) []float32 {
-	m, n := a.shape[0], a.shape[1]
-	if len(x) != n {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch %v · vec(%d)", a.shape, len(x)))
-	}
-	if len(dst) != m {
-		panic(fmt.Sprintf("tensor: MatVec destination length %d, want %d", len(dst), m))
-	}
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		var s float32
-		for j, v := range row {
-			s += float32(v * x[j])
-		}
-		dst[i] = s
-	}
-	return dst
 }

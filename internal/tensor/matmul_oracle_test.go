@@ -257,27 +257,6 @@ func FuzzGemmOracle(f *testing.F) {
 	})
 }
 
-func TestMatVecIntoMatchesMatVec(t *testing.T) {
-	rng := NewRNG(7)
-	a := New(9, 13)
-	FillNormal(a, rng, 0, 1)
-	x := make([]float32, 13)
-	for i := range x {
-		x[i] = float32(i) - 6
-	}
-	want := MatVec(a, x)
-	dst := make([]float32, 9)
-	got := MatVecInto(dst, a, x)
-	if &got[0] != &dst[0] {
-		t.Fatalf("MatVecInto did not return the caller's destination")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MatVecInto[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestStreamSeedMatchesStream(t *testing.T) {
 	root := NewRNG(42)
 	if got, want := StreamSeed(42, "shuffle"), root.Stream("shuffle").Seed(); got != want {

@@ -29,6 +29,30 @@ func randMat(r *RNG, rows, cols int) *Tensor {
 	return t
 }
 
+// MatMul, MatMulTA and MatMulTB are the allocating shortcuts the tests
+// call; the kernels' callers use the Into forms.
+
+// MatMul returns A·B for rank-2 tensors A (m×k) and B (k×n).
+func MatMul(a, b *Tensor) *Tensor {
+	out := New(a.shape[0], b.shape[1])
+	MatMulInto(out, a, b)
+	return out
+}
+
+// MatMulTA computes Aᵀ·B for A (k×m) and B (k×n), yielding m×n.
+func MatMulTA(a, b *Tensor) *Tensor {
+	out := New(a.shape[1], b.shape[1])
+	MatMulTAInto(out, a, b)
+	return out
+}
+
+// MatMulTB computes A·Bᵀ for A (m×k) and B (n×k), yielding m×n.
+func MatMulTB(a, b *Tensor) *Tensor {
+	out := New(a.shape[0], b.shape[0])
+	MatMulTBInto(out, a, b)
+	return out
+}
+
 func TestMatMulSmallExact(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
@@ -114,19 +138,6 @@ func TestMatMulIntoReusesBuffer(t *testing.T) {
 	MatMulInto(out, a, b)
 	if !out.AllClose(naiveMatMul(a, b), 1e-4) {
 		t.Fatal("MatMulInto must overwrite stale contents")
-	}
-}
-
-func TestMatVecMatchesMatMul(t *testing.T) {
-	r := NewRNG(3)
-	a := randMat(r, 6, 4)
-	x := randMat(r, 4, 1)
-	y := MatVec(a, x.Data())
-	want := MatMul(a, x)
-	for i, v := range y {
-		if d := v - want.At(i, 0); d > 1e-5 || d < -1e-5 {
-			t.Fatalf("MatVec mismatch at %d: %v vs %v", i, v, want.At(i, 0))
-		}
 	}
 }
 

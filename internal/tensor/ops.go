@@ -46,24 +46,6 @@ func Sub(t, u *Tensor) *Tensor {
 	return out
 }
 
-// SubInPlace sets t -= u element-wise.
-func (t *Tensor) SubInPlace(u *Tensor) {
-	checkSame("SubInPlace", t, u)
-	for i := range t.data {
-		t.data[i] -= u.data[i]
-	}
-}
-
-// Mul returns the Hadamard (element-wise) product t ⊙ u.
-func Mul(t, u *Tensor) *Tensor {
-	checkSame("Mul", t, u)
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = t.data[i] * u.data[i]
-	}
-	return out
-}
-
 // MulInPlace sets t ⊙= u element-wise.
 func (t *Tensor) MulInPlace(u *Tensor) {
 	checkSame("MulInPlace", t, u)
@@ -79,64 +61,13 @@ func (t *Tensor) Scale(a float32) {
 	}
 }
 
-// Scaled returns a copy of t with every element multiplied by a.
-func (t *Tensor) Scaled(a float32) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = v * a
-	}
-	return out
-}
-
-// Axpy performs t += a*u (BLAS-style saxpy).
+// Axpy performs t += a*u (BLAS-style saxpy). The product is converted
+// before the add, so no compiler fuses the two into one rounding.
 func (t *Tensor) Axpy(a float32, u *Tensor) {
 	checkSame("Axpy", t, u)
 	for i := range t.data {
-		t.data[i] += a * u.data[i]
+		t.data[i] += float32(a * u.data[i])
 	}
-}
-
-// Apply replaces each element v with f(v).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
-// Map returns a new tensor whose elements are f applied to t's.
-func Map(t *Tensor, f func(float32) float32) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
-// Dot returns the inner product of two tensors of equal size.
-func Dot(t, u *Tensor) float64 {
-	if len(t.data) != len(u.data) {
-		panic("tensor: Dot size mismatch")
-	}
-	var s float64
-	for i := range t.data {
-		s += float64(t.data[i]) * float64(u.data[i])
-	}
-	return s
-}
-
-// ArgMax returns the index of the maximum element of a rank-1 view of t.
-// Ties resolve to the lowest index.
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best, bi := t.data[0], 0
-	for i, v := range t.data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
 }
 
 // ArgMaxRow returns the argmax of row i of a rank-2 tensor.
@@ -179,21 +110,6 @@ func (t *Tensor) Max() float32 {
 	return m
 }
 
-// Variance returns the population variance of the elements.
-func (t *Tensor) Variance() float64 {
-	n := len(t.data)
-	if n == 0 {
-		return 0
-	}
-	mean := t.Mean()
-	var s float64
-	for _, v := range t.data {
-		d := float64(v) - mean
-		s += d * d
-	}
-	return s / float64(n)
-}
-
 // Softmax computes row-wise softmax of a rank-2 tensor into out
 // (allocated if nil) and returns it. Numerically stabilized by the
 // row max.
@@ -224,29 +140,6 @@ func Softmax(t, out *Tensor) *Tensor {
 		inv := float32(1 / sum)
 		for j := range o {
 			o[j] *= inv
-		}
-	}
-	return out
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(t *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Transpose requires rank-2 tensor")
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := New(c, r)
-	// Simple blocked transpose for cache friendliness.
-	const bs = 32
-	for i0 := 0; i0 < r; i0 += bs {
-		imax := min(i0+bs, r)
-		for j0 := 0; j0 < c; j0 += bs {
-			jmax := min(j0+bs, c)
-			for i := i0; i < imax; i++ {
-				for j := j0; j < jmax; j++ {
-					out.data[j*r+i] = t.data[i*c+j]
-				}
-			}
 		}
 	}
 	return out

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Int8 symmetric quantization and integer GEMM/GEMV kernels.
+// Int8 symmetric quantization and integer GEMM kernels.
 //
 // The quantized representation is symmetric with zero-point 0:
 //
@@ -146,30 +146,6 @@ func QuantizeRows(dst []int8, scales []float32, src []float32, rows, cols int) {
 	}
 }
 
-// Dequantize expands src back to float32: dst[i] = scale * src[i].
-func Dequantize(dst []float32, src []int8, scale float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: Dequantize length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, q := range src {
-		dst[i] = scale * float32(q)
-	}
-}
-
-// DotS8 returns the int32 dot product of two equal-length int8
-// vectors. On CPUs with AVX2 it runs the VPMADDWD microkernel over the
-// widest multiple of 4 with a scalar tail; the result is bit-identical
-// either way.
-func DotS8(a, b []int8) int32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: DotS8 length mismatch %d vs %d", len(a), len(b)))
-	}
-	if s8Supported {
-		return fastDotS8(a, b)
-	}
-	return dotS8Ref(a, b)
-}
-
 // dotS8Ref is the scalar int8 dot kernel (and the oracle the AVX2
 // variant must match bit for bit).
 func dotS8Ref(a, b []int8) int32 {
@@ -183,27 +159,6 @@ func dotS8Ref(a, b []int8) int32 {
 		s += int32(a[p]) * int32(b[p])
 	}
 	return s
-}
-
-// GemvS8 computes dst = A·x for an int8 matrix A (m×k, row-major) and
-// int8 vector x (k), accumulating in int32. dst must have length m.
-func GemvS8(dst []int32, a, x []int8, m, k int) {
-	if len(a) != m*k || len(x) != k || len(dst) != m {
-		panic(fmt.Sprintf("tensor: GemvS8 shape mismatch m=%d k=%d a=%d x=%d dst=%d",
-			m, k, len(a), len(x), len(dst)))
-	}
-	gemvS8(dst, a, x, m, k, s8Supported)
-}
-
-// gemvS8 is GemvS8's kernel, on the AVX2 dot when fast is set.
-func gemvS8(dst []int32, a, x []int8, m, k int, fast bool) {
-	for i := 0; i < m; i++ {
-		if fast {
-			dst[i] = fastDotS8(a[i*k:(i+1)*k], x)
-		} else {
-			dst[i] = dotS8Ref(a[i*k:(i+1)*k], x)
-		}
-	}
 }
 
 // GemmS8TB computes dst = A·Bᵀ over raw row-major int8 slices with

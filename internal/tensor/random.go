@@ -116,13 +116,6 @@ func FillNormal(t *Tensor, r *RNG, mean, std float64) {
 	}
 }
 
-// FillUniform fills t with samples from U[lo, hi).
-func FillUniform(t *Tensor, r *RNG, lo, hi float64) {
-	for i := range t.data {
-		t.data[i] = float32(lo + (hi-lo)*r.Float64())
-	}
-}
-
 // InitHe fills t with Kaiming-He normal initialization for a layer with
 // the given fan-in, the standard choice for ReLU networks.
 func InitHe(t *Tensor, r *RNG, fanIn int) {
@@ -130,15 +123,6 @@ func InitHe(t *Tensor, r *RNG, fanIn int) {
 		panic("tensor: InitHe requires positive fan-in")
 	}
 	FillNormal(t, r, 0, math.Sqrt(2/float64(fanIn)))
-}
-
-// InitXavier fills t with Glorot-uniform initialization.
-func InitXavier(t *Tensor, r *RNG, fanIn, fanOut int) {
-	if fanIn <= 0 || fanOut <= 0 {
-		panic("tensor: InitXavier requires positive fans")
-	}
-	limit := math.Sqrt(6 / float64(fanIn+fanOut))
-	FillUniform(t, r, -limit, limit)
 }
 
 // Perm returns a random permutation of [0, n).
