@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -267,5 +269,121 @@ func TestSanitizeKey(t *testing.T) {
 		if got := sanitizeKey(in); got != want {
 			t.Fatalf("sanitizeKey(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestReaderDecodesEveryField: each field reads back its little-endian
+// bits, NaN payloads and signed zeros included, Remaining counts down,
+// and Done accepts an exactly consumed payload.
+func TestReaderDecodesEveryField(t *testing.T) {
+	var b []byte
+	b = append(b, 0xFE)
+	b = binary.LittleEndian.AppendUint32(b, 0xDEADBEEF)
+	b = binary.LittleEndian.AppendUint64(b, 0x0123456789ABCDEF)
+	b = binary.LittleEndian.AppendUint32(b, 0x7FC00001) // a float32 NaN with a payload
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(math.Copysign(0, -1))))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(math.Inf(-1)))
+	b = binary.LittleEndian.AppendUint64(b, 0x7FF8000000000123) // a float64 NaN with a payload
+	b = append(b, 1, 0)
+
+	r := NewReader(b)
+	if r.Remaining() != len(b) {
+		t.Fatalf("Remaining=%d before any read, want %d", r.Remaining(), len(b))
+	}
+	if v := r.U8(); v != 0xFE {
+		t.Fatalf("U8=%#x", v)
+	}
+	if v := r.U32(); v != 0xDEADBEEF {
+		t.Fatalf("U32=%#x", v)
+	}
+	if v := r.U64(); v != 0x0123456789ABCDEF {
+		t.Fatalf("U64=%#x", v)
+	}
+	if v := r.F32(); math.Float32bits(v) != 0x7FC00001 {
+		t.Fatalf("F32 NaN bits %#x", math.Float32bits(v))
+	}
+	if v := r.F32(); v != 0 || !math.Signbit(float64(v)) {
+		t.Fatalf("F32=%v, want -0", v)
+	}
+	if v := r.F64(); !math.IsInf(v, -1) {
+		t.Fatalf("F64=%v, want -Inf", v)
+	}
+	if r.Remaining() != 10 {
+		t.Fatalf("Remaining=%d with one float64 and two bools left", r.Remaining())
+	}
+	if v := r.F64(); math.Float64bits(v) != 0x7FF8000000000123 {
+		t.Fatalf("F64 NaN bits %#x", math.Float64bits(v))
+	}
+	if !r.Bool() || r.Bool() {
+		t.Fatal("Bool did not read true then false")
+	}
+	if err := r.Done(); err != nil || r.Remaining() != 0 {
+		t.Fatalf("Done=%v, Remaining=%d on a consumed payload", err, r.Remaining())
+	}
+}
+
+// TestReaderFailsOnTruncation: a read past the end returns zero, fails
+// the reader, and every later read returns zero even where bytes are
+// left, so Done reports the truncation once at the end.
+func TestReaderFailsOnTruncation(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	if v := r.U32(); v != 0 {
+		t.Fatalf("U32 past the end=%#x, want 0", v)
+	}
+	if v := r.U8(); v != 0 {
+		t.Fatalf("U8 after a failed read=%d, want 0", v)
+	}
+	if err := r.Done(); err == nil {
+		t.Fatal("Done accepted a truncated payload")
+	}
+}
+
+func TestReaderRejectsNonCanonicalBool(t *testing.T) {
+	r := NewReader([]byte{2})
+	if r.Bool() {
+		t.Fatal("byte 2 read as true")
+	}
+	if err := r.Done(); err == nil {
+		t.Fatal("Done accepted a bool byte of 2")
+	}
+}
+
+func TestReaderDoneReportsTrailingBytes(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	r.U8()
+	if err := r.Done(); err == nil || r.Remaining() != 2 {
+		t.Fatalf("Done=%v, Remaining=%d with two bytes unread", err, r.Remaining())
+	}
+}
+
+func TestExpectExactSections(t *testing.T) {
+	secs := sampleSections()
+	if err := Expect(secs, "meta", "net", "rng"); err != nil {
+		t.Fatalf("Expect on the exact set: %v", err)
+	}
+	if err := Expect(secs, "meta", "net", "rng", "opt"); err == nil {
+		t.Fatal("Expect accepted a missing section")
+	}
+	if err := Expect(secs, "meta", "net"); err == nil {
+		t.Fatal("Expect accepted an extra section")
+	}
+}
+
+func TestRunClearRemovesCheckpoints(t *testing.T) {
+	run := NewStore(t.TempDir(), 3, true, nil).Run("r")
+	if _, _, err := run.Save(map[string][]byte{"meta": {1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(run.Dir()); !os.IsNotExist(err) {
+		t.Fatalf("run directory still there after Clear: %v", err)
+	}
+	if _, _, ok := run.Load(); ok {
+		t.Fatal("Load found a checkpoint after Clear")
+	}
+	if err := run.Clear(); err != nil {
+		t.Fatalf("clearing a cleared run: %v", err)
 	}
 }

@@ -76,3 +76,31 @@ func TestDecodeRejectsVersionSkew(t *testing.T) {
 		t.Fatal("decoded a frame from protocol version 99")
 	}
 }
+
+// TestSameJobComparesEveryField: a worker rebuilds its evaluator when
+// a job differs from the last one in any field, rates included.
+func TestSameJobComparesEveryField(t *testing.T) {
+	base := Job{Preset: "smoke", Dataset: "c10", Scenario: "chen", Rates: []float64{0, 0.02}, Runs: 6, Seed: 42, Batch: 32}
+	same := base
+	same.Rates = append([]float64(nil), base.Rates...)
+	if !sameJob(base, same) {
+		t.Fatal("equal jobs compared different")
+	}
+	for name, edit := range map[string]func(*Job){
+		"preset":     func(j *Job) { j.Preset = "quick" },
+		"dataset":    func(j *Job) { j.Dataset = "c100" },
+		"scenario":   func(j *Job) { j.Scenario = "cluster" },
+		"runs":       func(j *Job) { j.Runs = 7 },
+		"seed":       func(j *Job) { j.Seed = 43 },
+		"batch":      func(j *Job) { j.Batch = 64 },
+		"rate count": func(j *Job) { j.Rates = j.Rates[:1] },
+		"rate value": func(j *Job) { j.Rates[1] = 0.03 },
+	} {
+		j := base
+		j.Rates = append([]float64(nil), base.Rates...)
+		edit(&j)
+		if sameJob(base, j) || sameJob(j, base) {
+			t.Errorf("jobs differing in %s compared equal", name)
+		}
+	}
+}

@@ -378,3 +378,34 @@ func TestRegisterRejectsBadNames(t *testing.T) {
 		}()
 	}
 }
+
+// TestStuckAtCustomMix: a stuck-at scenario built from NewModel keeps
+// its mix through its spec and draws faults at that SA0/SA1 split.
+func TestStuckAtCustomMix(t *testing.T) {
+	sc := StuckAt(NewModel(1, 3))
+	if sc.Spec() != "chen:r0=1,r1=3" || sc.Transient() || sc.Validate() != nil {
+		t.Fatalf("StuckAt(1:3): spec %q, transient %t, validate %v", sc.Spec(), sc.Transient(), sc.Validate())
+	}
+	parsed, err := Parse(sc.Spec())
+	if err != nil || parsed.Spec() != sc.Spec() {
+		t.Fatalf("Parse(%q) = %v, %v", sc.Spec(), parsed, err)
+	}
+	r := tensor.NewRNG(12)
+	l := sc.NewInjector(randTensors(r, 200_000)).InjectRun(12, 0, 0.05)
+	sa0, sa1 := l.Counts()
+	if p1 := float64(sa1) / float64(sa0+sa1); p1 < 0.73 || p1 > 0.77 {
+		t.Fatalf("SA1 share %v, want ≈0.75", p1)
+	}
+	l.Undo()
+}
+
+// TestStuckAtModelValidation: an unset model resolves to the Chen
+// mix, and a negative ratio fails validation instead of drawing.
+func TestStuckAtModelValidation(t *testing.T) {
+	if got, want := StuckAt(NewModel(0, 0)).Spec(), Chen().Spec(); got != want {
+		t.Fatalf("StuckAt(zero model).Spec() = %q, want %q", got, want)
+	}
+	if err := StuckAt(NewModel(-1, 1)).Validate(); err == nil {
+		t.Fatal("a negative SA0 ratio passed validation")
+	}
+}

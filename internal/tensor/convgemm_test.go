@@ -319,6 +319,43 @@ func seededEpilogue(seed uint64, outC int, res []float32) *ConvEpilogue {
 	return ep
 }
 
+// TestConvEpilogueApplyUsesEachChannelsConstants: Apply over an NCHW
+// batch (the training forward's normalize pass) gives every element
+// its own channel's constants and residual, with and without the ReLU,
+// bit for bit the epilogue's operation sequence.
+func TestConvEpilogueApplyUsesEachChannelsConstants(t *testing.T) {
+	const n, c, area = 3, 5, 7
+	r := NewRNG(0xA9)
+	src, res, consts := New(n, c, area), New(n, c, area), New(4, c)
+	FillNormal(src, r, 0, 2)
+	FillNormal(res, r, 0, 1)
+	FillNormal(consts, r, 0, 1)
+	cd := consts.Data()
+	for _, withRes := range []bool{false, true} {
+		for _, noReLU := range []bool{false, true} {
+			ep := &ConvEpilogue{Mean: cd[:c], Mul1: cd[c : 2*c], Mul2: cd[2*c : 3*c], Beta: cd[3*c:], NoReLU: noReLU}
+			if withRes {
+				ep.Residual = res.Data()
+			}
+			got := make([]float32, n*c*area)
+			ep.Apply(got, src.Data(), n, c, area)
+			for j, x := range src.Data() {
+				oc := (j / area) % c
+				v := float32(float32((x-ep.Mean[oc])*ep.Mul1[oc])*ep.Mul2[oc]) + ep.Beta[oc]
+				if withRes {
+					v += res.Data()[j]
+				}
+				if !noReLU && !(v > 0) {
+					v = 0
+				}
+				if math.Float32bits(got[j]) != math.Float32bits(v) {
+					t.Fatalf("residual=%t noReLU=%t: element %d (channel %d) = %v, want %v", withRes, noReLU, j, oc, got[j], v)
+				}
+			}
+		}
+	}
+}
+
 // TestConvGemmForwardEpilogueMatchesLayers pins the epilogue on every
 // forward path (zero-copy 1×1, stride-1 planes, gathered panels) to
 // the conv followed by the separate layers, with and without a
