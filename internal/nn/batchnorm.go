@@ -145,7 +145,7 @@ func (bn *BatchNorm2D) forwardTrain(x, r *tensor.Tensor, relu bool) *tensor.Tens
 
 // evalInv fills invStd with the inference scale 1/√(running var + ε)
 // of every channel, as the inference forward and a fused conv
-// epilogue (Conv2D.forwardBNReLU) apply it, and returns it.
+// epilogue (Conv2D.fusedForward) apply it, and returns it.
 func (bn *BatchNorm2D) evalInv() []float32 {
 	if len(bn.invStd) < bn.C {
 		bn.invStd = make([]float32, bn.C)

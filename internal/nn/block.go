@@ -25,6 +25,9 @@ type BasicBlock struct {
 	// ws slots: 0 shortcut out; 1 shortcut dX; 2 the gradient through
 	// the final ReLU.
 	ws tensor.Workspace
+	// mid holds conv2's input plane when the block runs inference on
+	// its own; inside a Sequential the trunk's planes hold it.
+	mid planePool
 }
 
 // NewBasicBlock builds a residual block mapping inC→outC channels with
@@ -42,46 +45,66 @@ func NewBasicBlock(name string, inC, outC, stride int, rng *tensor.RNG) *BasicBl
 
 // Forward runs the residual block as two convs, each followed by one
 // pass that applies its batch norm, the shortcut (second conv only) and
-// the ReLU. At inference that pass is the conv's epilogue
-// (Conv2D.forwardBNReLU); in training it is the batch norm's normalize
-// pass (BatchNorm2D.forwardTrain). Either way it holds the bits of the
-// layers run one after another. The block's convs have no bias and its
-// batch norms match their channels, by construction.
+// the ReLU. At inference that pass is the conv's epilogue (infer, with
+// x copied into conv1's planes once and the output dense); in training
+// it is the batch norm's normalize pass (BatchNorm2D.forwardTrain).
+// Either way it holds the bits of the layers run one after another.
+// The block's convs have no bias and its batch norms match their
+// channels, by construction.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.lastInShape = append(b.lastInShape[:0], x.Shape()...)
 	if !train {
-		h := b.Conv1.forwardBNReLU(x, b.BN1, nil)
-		return b.Conv2.forwardBNReLU(h, b.BN2, b.shortcut(x))
+		b.Conv1.checkInput(x)
+		src := densePlane(x)
+		oh, ow := b.Conv1.outSize(src.H, src.W)
+		out := b.Conv2.outputFor(src.N, oh, ow)
+		b.infer(densePlane(out), src, b.mid.get(src.N, b.outC, oh, ow, b.Conv2.Pad, nil, nil))
+		return out
 	}
 	h := b.BN1.forwardTrain(b.Conv1.Forward(x, true), nil, true)
 	return b.BN2.forwardTrain(b.Conv2.Forward(h, true), b.shortcut(x), true)
+}
+
+// infer is the block's inference forward on planes: conv1, BN1 and the
+// first ReLU store into the interior of mid, conv2's zero-bordered
+// input plane, which conv2, BN2, the shortcut and the final ReLU read
+// in place to store into out. The identity shortcut is x itself, read
+// where it lies; option A first gathers x's subsampled values into a
+// dense buffer. out may alias neither x nor mid.
+func (b *BasicBlock) infer(out, x, mid tensor.Plane) {
+	b.Conv1.fusedForward(mid, x, b.BN1, nil, 0)
+	if b.downsample {
+		b.Conv2.fusedForward(out, mid, b.BN2, b.shortcutForward(x).Data(), 0)
+		return
+	}
+	b.Conv2.fusedForward(out, mid, b.BN2, x.Data, x.Pad)
 }
 
 // shortcut returns the shortcut branch's output: x itself, or its
 // option-A image when the block changes shape.
 func (b *BasicBlock) shortcut(x *tensor.Tensor) *tensor.Tensor {
 	if b.downsample {
-		return b.shortcutForward(x)
+		return b.shortcutForward(densePlane(x))
 	}
 	return x
 }
 
-// shortcutForward implements option-A: spatial subsample + channel pad.
-func (b *BasicBlock) shortcutForward(x *tensor.Tensor) *tensor.Tensor {
-	n, _, hIn, wIn := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	hOut := (hIn + b.stride - 1) / b.stride
-	wOut := (wIn + b.stride - 1) / b.stride
+// shortcutForward implements option-A: spatial subsample + channel pad,
+// from the interior of the plane x into a dense batch.
+func (b *BasicBlock) shortcutForward(x tensor.Plane) *tensor.Tensor {
+	hOut := (x.H + b.stride - 1) / b.stride
+	wOut := (x.W + b.stride - 1) / b.stride
 	// Zero-padded channels [inC, outC) are never written below, so the
 	// reused buffer must start zeroed.
-	out := b.ws.GetZeroed(0, n, b.outC, hOut, wOut)
-	xd, od := x.Data(), out.Data()
-	for i := 0; i < n; i++ {
+	out := b.ws.GetZeroed(0, x.N, b.outC, hOut, wOut)
+	od := out.Data()
+	for i := 0; i < x.N; i++ {
 		for c := 0; c < b.inC; c++ {
-			inBase := (i*b.inC + c) * hIn * wIn
 			outBase := (i*b.outC + c) * hOut * wOut
 			for y := 0; y < hOut; y++ {
+				row := x.Data[x.Offset(i, c, y*b.stride, 0):]
 				for xcol := 0; xcol < wOut; xcol++ {
-					od[outBase+y*wOut+xcol] = xd[inBase+y*b.stride*wIn+xcol*b.stride]
+					od[outBase+y*wOut+xcol] = row[xcol*b.stride]
 				}
 			}
 		}

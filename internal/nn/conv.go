@@ -9,15 +9,15 @@ import (
 // Conv2D is a 2-D convolution over NCHW inputs, lowered to GEMM
 // implicitly (tensor.ConvGemmForward/Backward): the whole batch runs as
 // one OutC × (InC·kh·kw) × (N·outH·outW) product whose tiles read the
-// input in place — a stride-1 conv through a table of tap offsets into
-// a zero-bordered copy of each sample, a strided one from column
-// panels gathered one at a time — so no column matrix is ever
-// materialized. At inference a conv followed by batch norm and a ReLU
-// (Sequential, BasicBlock) runs them in the conv's epilogue
-// (forwardBNReLU). Weights are stored flat as (outC, inC·kh·kw), which
-// is also the layout mapped onto ReRAM crossbar columns by
-// internal/reram. Bias is optional and off by default (batch norm
-// follows every conv in the ResNet models).
+// input in place, through a table of tap offsets into each sample's
+// zero-bordered plane (split into parity phase planes when strided),
+// so no column matrix is ever materialized. At inference a conv
+// followed by batch norm and a ReLU (Sequential, BasicBlock) runs them
+// in the conv's epilogue (fusedForward), which can store straight into
+// the plane the next conv reads. Weights are stored flat as
+// (outC, inC·kh·kw), which is also the layout mapped onto ReRAM
+// crossbar columns by internal/reram. Bias is optional and off by
+// default (batch norm follows every conv in the ResNet models).
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -27,7 +27,7 @@ type Conv2D struct {
 	lastIn      *tensor.Tensor
 	// ws slots: 0 forward out; 1 backward dX; 2 per-sample dW chunks.
 	ws         tensor.Workspace
-	ep         tensor.ConvEpilogue // forwardBNReLU's epilogue
+	ep         tensor.ConvEpilogue // fusedForward's epilogue
 	inH, inW   int
 	outH, outW int
 }
@@ -84,49 +84,81 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // every element is written by the GEMM, so Get (unspecified contents)
 // is safe.
 func (c *Conv2D) output(x *tensor.Tensor) *tensor.Tensor {
+	c.checkInput(x)
+	return c.outputFor(x.Dim(0), x.Dim(2), x.Dim(3))
+}
+
+// outputFor is output for n inputs of h×w, checked by the caller.
+func (c *Conv2D) outputFor(n, h, w int) *tensor.Tensor {
+	oh, ow := c.outSize(h, w)
+	return c.ws.Get(0, n, c.OutC, oh, ow)
+}
+
+// checkInput panics unless x is an (N, InC, H, W) batch.
+func (c *Conv2D) checkInput(x *tensor.Tensor) {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (N,%d,H,W)", x.Shape(), c.InC))
 	}
-	c.inH, c.inW = x.Dim(2), x.Dim(3)
-	c.outH = tensor.ConvOutSize(c.inH, c.KH, c.Stride, c.Pad)
-	c.outW = tensor.ConvOutSize(c.inW, c.KW, c.Stride, c.Pad)
-	return c.ws.Get(0, x.Dim(0), c.OutC, c.outH, c.outW)
 }
 
-// fuses reports whether forwardBNReLU can run the conv with bn: the
+// outSize records the geometry of an h×w input and returns the
+// output's height and width.
+func (c *Conv2D) outSize(h, w int) (int, int) {
+	c.inH, c.inW = h, w
+	c.outH = tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
+	c.outW = tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
+	return c.outH, c.outW
+}
+
+// fuses reports whether fusedForward can run the conv with bn: the
 // conv has no bias and bn normalizes its output channels.
 func (c *Conv2D) fuses(bn *BatchNorm2D) bool {
 	return c.Bias == nil && bn.C == c.OutC
 }
 
-// forwardBNReLU is the inference forward of the conv, bn, the residual
-// r (nil for none) and a ReLU in one pass: the conv's epilogue
-// (tensor.ConvEpilogue) applies bn's running-statistics transform, adds
-// r and applies the ReLU to each output run while it is cache-hot, in
-// the operation sequence of the separate layers, so the result holds
-// the bits of Forward(x, false), bn.Forward, AddInPlace(r) and
-// ReLU.Forward run one after another. It needs fuses(bn): Sequential
-// checks that before each call, and a BasicBlock (and the int8
-// calibration walking one) meets it by construction, its convs having
-// no bias and its batch norms their output channels. The result lives
-// in the conv's workspace; bn's and the ReLU's are not touched.
+// forwardBNReLU is fusedForward from and into dense batches: the
+// result lives in the conv's workspace; bn's and the ReLU's are not
+// touched. The int8 calibration walk, which observes the dense
+// activations, runs a block's convs through it.
 func (c *Conv2D) forwardBNReLU(x *tensor.Tensor, bn *BatchNorm2D, r *tensor.Tensor) *tensor.Tensor {
 	out := c.output(x)
-	c.ep = tensor.ConvEpilogue{
-		Mean: bn.RunningMean.Data(), Mul1: bn.Gamma.W.Data(),
-		Mul2: bn.evalInv(), Beta: bn.Beta.W.Data(),
-	}
+	var rd []float32
 	if r != nil {
 		if !r.SameShape(out) {
 			panic(fmt.Sprintf("nn: residual shape %v, conv output %v", r.Shape(), out.Shape()))
 		}
-		c.ep.Residual = r.Data()
+		rd = r.Data()
 	}
-	tensor.ConvGemmForwardEpilogue(out.Data(), c.Weight.W.Data(), x.Data(),
-		x.Dim(0), c.InC, c.inH, c.inW, c.OutC, c.KH, c.KW, c.Stride, c.Pad, &c.ep)
-	c.ep.Residual = nil // the caller's tensor; not retained
-	c.lastIn, bn.lastIn, bn.gate = nil, nil, nil
+	c.fusedForward(densePlane(out), densePlane(x), bn, rd, 0)
 	return out
+}
+
+// fusedForward is the inference forward of the conv, bn, the residual
+// r (nil for none) and a ReLU in one pass, from the plane src into the
+// interior of the plane dst: the conv's epilogue (tensor.ConvEpilogue)
+// applies bn's running-statistics transform, adds r and applies the
+// ReLU to each output run while it is cache-hot, in the operation
+// sequence of the separate layers, so the result holds the bits of
+// Forward(x, false), bn.Forward, AddInPlace(r) and ReLU.Forward run one
+// after another. r lies in the layout of a plane of dst's shape with a
+// border of rPad (0: dense). It needs fuses(bn): Sequential checks that
+// before each call, and a BasicBlock (and the int8 calibration walking
+// one) meets it by construction, its convs having no bias and its
+// batch norms their output channels.
+func (c *Conv2D) fusedForward(dst, src tensor.Plane, bn *BatchNorm2D, r []float32, rPad int) {
+	c.ep = tensor.ConvEpilogue{
+		Mean: bn.RunningMean.Data(), Mul1: bn.Gamma.W.Data(),
+		Mul2: bn.evalInv(), Beta: bn.Beta.W.Data(),
+		Residual: r, ResidualPad: rPad,
+	}
+	tensor.ConvPlaneForward(dst, c.Weight.W.Data(), src, c.KH, c.KW, c.Stride, c.Pad, &c.ep)
+	c.ep.Residual = nil // the caller's buffer; not retained
+	c.lastIn, bn.lastIn, bn.gate = nil, nil, nil
+}
+
+// densePlane views the NCHW batch x as a plane without a border.
+func densePlane(x *tensor.Tensor) tensor.Plane {
+	return tensor.Plane{Data: x.Data(), N: x.Dim(0), C: x.Dim(1), H: x.Dim(2), W: x.Dim(3)}
 }
 
 // Backward accumulates dW (and db) and returns dX. Column rows are
@@ -145,9 +177,8 @@ func (c *Conv2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	outArea := c.outH * c.outW
 	colRows := c.InC * c.KH * c.KW
 
-	// The fused col2im consumer accumulates into dX, so it must start
-	// zeroed; the chunk buffer is fully written by the batched call.
-	dX := c.ws.GetZeroed(1, x.Shape()...)
+	// The batched call writes every element of dX and of the chunks.
+	dX := c.ws.Get(1, x.Shape()...)
 	chunks := c.ws.Get(2, n, c.OutC, colRows)
 	tensor.ConvGemmBackward(dX.Data(), chunks.Data(), c.Weight.W.Data(),
 		x.Data(), dOut.Data(), n, c.InC, c.inH, c.inW, c.OutC, c.KH, c.KW,

@@ -11,9 +11,10 @@ import (
 
 // At inference a conv followed by batch norm and a ReLU runs as one
 // fused conv whose epilogue applies the batch norm, the residual and
-// the ReLU (Conv2D.forwardBNReLU). It must store the bits of the
-// separate layers, Conv2D, BatchNorm2D and ReLU Forward(x, false), and
-// the block's AddInPlace, run one at a time.
+// the ReLU (Conv2D.fusedForward), and a Sequential hands the fused
+// steps' activations to each other in zero-bordered planes. It must
+// store the bits of the separate layers, Conv2D, BatchNorm2D and ReLU
+// Forward(x, false), and the block's AddInPlace, run one at a time.
 
 // seedBN gives bn non-trivial running statistics, γ (of both signs)
 // and β. A fresh batch norm (mean 0, var 1, γ 1, β 0) would hide a
@@ -77,6 +78,21 @@ func seedBNs(l Layer, rng *tensor.RNG) {
 	}
 }
 
+// trunkNet returns stem → identity block → stride-2 block → identity
+// block → pool → linear: every plane handoff of the inference trunk
+// (stem into a block, block into a stride-2 block's phase planes, a
+// stride-2 block into an identity block, the last block's dense output
+// into the pool).
+func trunkNet(rng *tensor.RNG) *Sequential {
+	return NewSequential(
+		NewConv2D("stem", 3, 4, 3, 3, 1, 1, false, rng), NewBatchNorm2D("bn", 4), NewReLU(),
+		NewBasicBlock("b1", 4, 4, 1, rng), NewBasicBlock("b2", 4, 8, 2, rng),
+		NewBasicBlock("b3", 8, 8, 1, rng), NewGlobalAvgPool2D(), NewLinear("fc", 8, 10, rng))
+}
+
+// TestFusedInferenceMatchesLayerByLayer runs each block on its own with
+// a dense batch (its input copied into conv1's planes once, its output
+// dense) and Sequentials whose steps hand planes to each other.
 func TestFusedInferenceMatchesLayerByLayer(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	cases := []struct {
@@ -95,6 +111,12 @@ func TestFusedInferenceMatchesLayerByLayer(t *testing.T) {
 			NewConv2D("stem2", 3, 4, 3, 3, 1, 1, false, rng), NewBatchNorm2D("bn2", 4), NewReLU(),
 			NewBasicBlock("b1", 4, 4, 1, rng), NewBasicBlock("b2", 4, 8, 2, rng),
 			NewBasicBlock("b3", 8, 16, 2, rng), NewGlobalAvgPool2D(), NewFlatten(), NewLinear("fc", 16, 10, rng))},
+		{"trunk_identity_stride2_identity", 3, 12, 12, trunkNet(rng)},
+		{"fused_convs_stride2", 3, 9, 12, NewSequential(
+			NewConv2D("c1", 3, 4, 3, 3, 1, 1, false, rng), NewBatchNorm2D("bn1", 4), NewReLU(),
+			NewConv2D("c2", 4, 6, 3, 3, 2, 1, false, rng), NewBatchNorm2D("bn2", 6), NewReLU(),
+			NewGlobalAvgPool2D(), NewLinear("fc", 6, 5, rng))},
+		{"trunk_odd_plane", 3, 9, 7, trunkNet(rng)},
 	}
 	for _, tc := range cases {
 		seedBNs(tc.layer, rng)
@@ -143,4 +165,43 @@ func TestFusedInferenceFallsBack(t *testing.T) {
 		}
 	}()
 	mismatched.Forward(x, false)
+}
+
+// TestInferencePlanesStayClean: a forward over a batch of NaN and ±Inf
+// leaves nothing in the trunk's reused planes that a later forward
+// reads. Junk in a border or past the last sample would reach the
+// outputs of the next forward, so after the junk batch a clean batch
+// must give the bits a fresh clone gives on it, including when the
+// clean batch is smaller than the junk one.
+func TestInferencePlanesStayClean(t *testing.T) {
+	rng := tensor.NewRNG(33)
+	base := trunkNet(rng)
+	seedBNs(base, rng)
+	junk := func(n int) *tensor.Tensor {
+		x := tensor.New(n, 3, 12, 12)
+		specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30}
+		for i, d := 0, x.Data(); i < len(d); i++ {
+			d[i] = specials[i%len(specials)]
+		}
+		return x
+	}
+	for _, workers := range []int{1, 2} {
+		for _, sizes := range [][2]int{{1, 1}, {7, 7}, {128, 128}, {128, 7}, {7, 1}} {
+			t.Run(fmt.Sprintf("workers%d/junk%d_clean%d", workers, sizes[0], sizes[1]), func(t *testing.T) {
+				prev := tensor.SetWorkers(workers)
+				defer tensor.SetWorkers(prev)
+				clean := specialInput(uint64(77+sizes[1]), sizes[1], 3, 12, 12)
+				want := base.CloneLayer().Forward(clean, false).Clone()
+				net := base.CloneLayer()
+				net.Forward(junk(sizes[0]), false)
+				got := net.Forward(clean, false)
+				gd, wd := got.Data(), want.Data()
+				for i := range wd {
+					if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
+						t.Fatalf("element %d: after a junk batch %v, fresh clone %v", i, gd[i], wd[i])
+					}
+				}
+			})
+		}
+	}
 }

@@ -93,6 +93,7 @@ type Layer interface {
 // Sequential chains layers.
 type Sequential struct {
 	Layers []Layer
+	planes planePool // the inference trunk's planes (trunk.go)
 }
 
 // NewSequential builds a Sequential from the given layers.
@@ -100,22 +101,15 @@ func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: lay
 
 // Forward applies every layer in order. At inference a bias-free
 // Conv2D followed by a BatchNorm2D of its channels and a ReLU (the
-// ResNet stem) runs as one fused conv (Conv2D.forwardBNReLU), with the
-// bits of the three layers.
+// ResNet stem) runs as one fused conv (Conv2D.fusedForward), with the
+// bits of the three layers, and the fused convs and the blocks hand
+// their activations to each other in zero-bordered planes (infer).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	ls := s.Layers
-	for i := 0; i < len(ls); i++ {
-		if !train && i+2 < len(ls) {
-			conv, isConv := ls[i].(*Conv2D)
-			bn, isBN := ls[i+1].(*BatchNorm2D)
-			_, isReLU := ls[i+2].(*ReLU)
-			if isConv && isBN && isReLU && conv.fuses(bn) {
-				x = conv.forwardBNReLU(x, bn, nil)
-				i += 2
-				continue
-			}
-		}
-		x = ls[i].Forward(x, train)
+	if !train {
+		return s.infer(x)
+	}
+	for _, l := range s.Layers {
+		x = l.Forward(x, true)
 	}
 	return x
 }

@@ -12,15 +12,18 @@ package tensor
 //     outC × (C·kh·kw) × (N·outH·outW), run panel by panel through the
 //     exact tiles (exactTile2/exactTile1) — the standalone column
 //     matrix is never materialized, and each panel is consumed while
-//     still cache-hot. A stride-1 panel is a block of output rows
-//     whose tap rows the tiles read in place from a zero-bordered copy
-//     of the sample, through a table of row offsets, with no gather and
-//     no copy (convForwardPlanes); strided convolutions gather their
-//     patches (im2colSeg). Work parallelizes across panels, not only
+//     still cache-hot. A panel is a block of output rows whose tap rows
+//     the tiles read in place, through a table of row offsets, from
+//     the sample's zero-bordered plane (Plane), split by row and column
+//     parity into phase planes when the stride is 2 or more
+//     (convForwardPhases). A stride-1 conv reads a plane of its own pad
+//     where it lies; any other input is copied into pooled phase planes
+//     one sample at a time. Work parallelizes across panels, not only
 //     across samples. At inference an optional epilogue (ConvEpilogue)
 //     applies batch norm, a residual and a ReLU to each output run as
-//     it is stored; batch norm's training forward runs the same
-//     epilogue over the conv's output (ConvEpilogue.Apply).
+//     it is stored, into a dense batch or into the interior of the
+//     plane the next conv reads; batch norm's training forward runs
+//     the same epilogue over the conv's output (ConvEpilogue.Apply).
 //   - Backward streams per sample: dX stages Wᵀ·dY in a pooled scratch
 //     block, computed by the exact GemmTA's register-resident kernel,
 //     and a fused col2im consumer scatters it row by row into the
@@ -35,60 +38,44 @@ package tensor
 // Bit-identity contract (§6/§7 of DESIGN.md): every output element's
 // floating-point accumulation order is exactly that of the
 // Im2Col+Gemm / GemmTB / GemmTA+Col2Im composition it replaced.
-// Batching, panel regrouping and the extended stride-1 panels only
-// change which elements are computed together, never the operands or
-// the operation sequence of one element; the epilogue runs the
+// Batching, panel regrouping and the extended panels only change which
+// elements are computed together, never the operands or the operation
+// sequence of one element; the epilogue runs the
 // operation sequence of the separate layers it replaces.
 // convgemm_test.go pins this against the materialized composition as
 // the bitwise oracle across a shape grid, a fuzz target, and several
 // worker counts.
 
-// im2colSeg lowers output positions [q0, q1) of one CHW image: row p of
-// the column matrix lands at dst[p*rowStride : p*rowStride+(q1-q0)].
-// It is im2colRow restricted to a position range, split into full
-// output-row runs so the inner loops stay branch-light.
-func im2colSeg(dst []float32, rowStride int, src []float32, c, h, w, kh, kw, stride, pad, outH, outW, q0, q1 int) {
-	oy0, ox0 := q0/outW, q0%outW
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		chBase := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				d := dst[row*rowStride:]
-				row++
-				di := 0
-				oy, ox := oy0, ox0
-				for q := q0; q < q1; {
-					run := outW - ox
-					if run > q1-q {
-						run = q1 - q
-					}
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						for x := 0; x < run; x++ {
-							d[di] = 0
-							di++
-						}
-					} else {
-						rowBase := chBase + iy*w
-						ix := ox*stride - pad + kx
-						for x := 0; x < run; x++ {
-							if ix >= 0 && ix < w {
-								d[di] = src[rowBase+ix]
-							} else {
-								d[di] = 0
-							}
-							di++
-							ix += stride
-						}
-					}
-					q += run
-					oy++
-					ox = 0
-				}
-			}
-		}
-	}
+// Plane is an n×c×h×w batch in which each channel's h×w image sits
+// inside a border of Pad values on every side: element (i, ch, y, x) is
+// Data[Offset(i, ch, y, x)] = Data[((i·C + ch)·hp + y+Pad)·wp + x+Pad],
+// with hp = H+2·Pad and wp = W+2·Pad. With Pad 0 it is the dense NCHW
+// batch. A convolution reads a plane whose border is its own pad in
+// place, which needs the border to hold +0, and ConvPlaneForward
+// stores only into a plane's interior, so a border of +0 stays +0. A
+// plane read in place should be PlaneLen long: the tiles run the last
+// block of the last sample up to 7 values past it, into columns that
+// are dropped.
+type Plane struct {
+	Data       []float32
+	N, C, H, W int
+	Pad        int
+}
+
+// PlaneLen returns the length of a buffer for an n×c×h×w plane with a
+// border of pad, including the 7 values past the last sample.
+func PlaneLen(n, c, h, w, pad int) int {
+	return n*c*(h+2*pad)*(w+2*pad) + 7
+}
+
+// Offset returns the index of element (i, ch, y, x) in p.Data.
+func (p Plane) Offset(i, ch, y, x int) int {
+	return ((i*p.C+ch)*(p.H+2*p.Pad)+y+p.Pad)*(p.W+2*p.Pad) + x + p.Pad
+}
+
+// sampleLen returns the number of values one sample spans.
+func (p Plane) sampleLen() int {
+	return p.C * (p.H + 2*p.Pad) * (p.W + 2*p.Pad)
 }
 
 // ConvGemmForward computes the NCHW convolution output
@@ -97,19 +84,7 @@ func im2colSeg(dst []float32, rowStride int, src []float32, c, h, w, kh, kw, str
 // wd is outC×(c·kh·kw) row-major, src is n×c×h×w. Above
 // matMulShardFlops the work is sharded across Workers() goroutines.
 // Results are bit-identical to the per-sample Im2Col+Gemm composition
-// at any worker count.
-//
-// Three paths, by geometry:
-//
-//   - 1×1/stride-1/pad-0: zero-copy. The input already is the column
-//     matrix, so the tile kernels read src directly.
-//   - Other stride-1 convolutions with outW <= gemmJTile: gather-free
-//     (convForwardPlanes). Each sample is copied once into a
-//     zero-bordered plane in which every tap's patch row is one
-//     contiguous run, which the tiles read in place.
-//   - Strided convolutions, and stride-1 ones with wider output rows:
-//     input patches are gathered into pooled column panels
-//     (im2colSeg) and consumed while cache-hot.
+// at any worker count. It is ConvPlaneForward on dense planes.
 func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, pad int) {
 	ConvGemmForwardEpilogue(dst, wd, src, n, c, h, w, outC, kh, kw, stride, pad, nil)
 }
@@ -129,174 +104,227 @@ func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, p
 // otherwise (-0 and NaN included); NoReLU leaves it out.
 type ConvEpilogue struct {
 	Mean, Mul1, Mul2, Beta []float32 // one per output channel
-	// Residual, when not nil, holds r in dst's n×outC×outH×outW
-	// layout.
-	Residual []float32
-	NoReLU   bool
+	// Residual, when not nil, holds r in the layout of an
+	// n×outC×outH×outW plane with a border of ResidualPad (0: dense).
+	Residual    []float32
+	ResidualPad int
+	NoReLU      bool
 }
 
 // ConvGemmForwardEpilogue is ConvGemmForward whose output runs pass
 // through ep before they are stored, while still cache-hot; a nil ep
-// stores the convolution itself. ep.Mean, Gamma, Inv and Beta hold outC
-// values and ep.Residual, when not nil, n×outC×outH×outW.
+// stores the convolution itself. ep.Mean, Mul1, Mul2 and Beta hold
+// outC values.
 func ConvGemmForwardEpilogue(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, pad int, ep *ConvEpilogue) {
 	outH := ConvOutSize(h, kh, stride, pad)
 	outW := ConvOutSize(w, kw, stride, pad)
+	ConvPlaneForward(Plane{Data: dst, N: n, C: outC, H: outH, W: outW}, wd,
+		Plane{Data: src, N: n, C: c, H: h, W: w}, kh, kw, stride, pad, ep)
+}
+
+// ConvPlaneForward is ConvGemmForwardEpilogue from the plane src into
+// the plane dst, whose shape must be the conv's output's; only dst's
+// interior is written. Two paths, by geometry:
+//
+//   - 1×1/stride-1/pad-0 from and into dense batches: zero-copy. The
+//     input already is the column matrix, so the tile kernels read src
+//     directly.
+//   - Everything else runs on phase planes (convForwardPhases). A
+//     stride-1 conv reads src in place when its border is the conv's
+//     pad; otherwise each sample is copied once into pooled
+//     zero-bordered planes, split into stride² phase planes when the
+//     stride is 2 or more.
+func ConvPlaneForward(dst Plane, wd []float32, src Plane, kh, kw, stride, pad int, ep *ConvEpilogue) {
+	n, c, outC := src.N, src.C, dst.C
+	outH := ConvOutSize(src.H, kh, stride, pad)
+	outW := ConvOutSize(src.W, kw, stride, pad)
+	if dst.N != n || dst.H != outH || dst.W != outW {
+		panic("tensor: ConvPlaneForward dst is not the conv's output shape")
+	}
 	if n == 0 || outC == 0 {
 		return
 	}
 	if outH <= 0 || outW <= 0 {
 		panic("tensor: ConvGemmForward empty output")
 	}
-	outArea := outH * outW
 	k := c * kh * kw
-	if len(src) < n*c*h*w {
+	if len(src.Data) < n*src.sampleLen() {
 		panic("tensor: ConvGemmForward src too small")
 	}
 	if len(wd) < outC*k {
 		panic("tensor: ConvGemmForward weight too small")
 	}
-	if len(dst) < n*outC*outArea {
+	if len(dst.Data) < n*dst.sampleLen() {
 		panic("tensor: ConvGemmForward dst too small")
 	}
 	if ep != nil {
 		if len(ep.Mean) < outC || len(ep.Mul1) < outC || len(ep.Mul2) < outC || len(ep.Beta) < outC {
 			panic("tensor: ConvGemmForward epilogue constants too short")
 		}
-		if ep.Residual != nil && len(ep.Residual) < n*outC*outArea {
+		res := Plane{Data: ep.Residual, N: n, C: outC, H: outH, W: outW, Pad: ep.ResidualPad}
+		if ep.Residual != nil && len(ep.Residual) < n*res.sampleLen() {
 			panic("tensor: ConvGemmForward residual too small")
 		}
 	}
-	if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
-		convForward1x1(dst, wd, src, n, c, outArea, outC, ep)
+	if kh == 1 && kw == 1 && stride == 1 && pad == 0 && src.Pad == 0 && dst.Pad == 0 && (ep == nil || ep.ResidualPad == 0) {
+		convForward1x1(dst.Data, wd, src.Data, n, c, outH*outW, outC, ep)
 		return
 	}
-	parallel := n*k*outArea*outC >= matMulShardFlops && Workers() > 1
-	if stride == 1 && outW <= gemmJTile {
-		// Blocks of output rows whose extended panel, (rows-1)·wp +
-		// outW columns rounded up to whole vectors, fits gemmJTile;
-		// spread evenly over outH.
-		wp := w + 2*pad
-		rows := min((gemmJTile-outW)/wp+1, outH)
-		blocks := (outH + rows - 1) / rows
-		rows = (outH + blocks - 1) / blocks
-		units := n * blocks
-		if units >= 2 && parallel {
-			ParallelFor(units, func(_, lo, hi int) {
-				convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi, ep)
-			})
-			return
-		}
-		convForwardPlanes(dst, wd, src, c, h, w, outC, kh, kw, pad, rows, blocks, 0, units, ep)
-		return
-	}
-	perSample := (outArea + gemmJTile - 1) / gemmJTile
-	units := n * perSample
-	if units >= 2 && parallel {
+	g := newPhaseGeom(src, kh, kw, stride, pad)
+	units := n * g.blocks * g.chunks
+	if units >= 2 && n*k*outH*outW*outC >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(units, func(_, lo, hi int) {
-			convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi, ep)
+			convForwardPhases(dst, wd, src, ep, g, lo, hi)
 		})
 		return
 	}
-	convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, 0, units, ep)
+	convForwardPhases(dst, wd, src, ep, g, 0, units)
 }
 
-// convForwardPlanes computes units [lo, hi) of a stride-1 forward; a
-// unit is a block of at most rows output rows of one sample, and each
-// sample has blocks of them. There is no gather and no copy: the sample
-// is copied once into a zero-bordered plane (c × hp × wp, hp = h+2·pad,
-// wp = w+2·pad), and there the patch row of tap (ch, ky, kx) for
-// output rows [oy0, oy1) is the contiguous run of ext =
-// (oy1-oy0-1)·wp + outW plane values starting at oy0·wp +
-// (ch·hp + ky)·wp + kx. The tiles read those runs in place, through a
-// table of the k tap offsets (ch·hp + ky)·wp + kx that every block of
-// the layer shares, from the block's plane row oy0·wp on. They run ext
-// rounded up to a multiple of 8 columns wide, so they meet no masked
-// tail, whose masked load of an output row waits for the previous
-// quad's masked store to retire; the plane's 7 floats of +0 slack
-// keep the last tap's rounded-up run inside the buffer. Extended
-// column e is output (oy0 + e/wp, e mod wp) when e mod wp < outW and
-// e < ext; the other columns straddle the border or pad the width, and
-// are dropped when the outW useful columns of each row are stored into
-// dst, through the epilogue when ep is not nil. The border holds +0,
-// exactly what im2colSeg writes for an out-of-image tap, so every
-// useful output element meets the operands of the gathered path in
-// the same order and keeps its bits.
-func convForwardPlanes(dst, wd, src []float32, c, h, w, outC, kh, kw, pad, rows, blocks, lo, hi int, ep *ConvEpilogue) {
-	hp, wp := h+2*pad, w+2*pad
-	outH, outW := hp-kh+1, wp-kw+1
-	outArea := outH * outW
-	k := c * kh * kw
-	chw := c * h * w
-	planeLen := c*hp*wp + 7
-	extMax := ((rows-1)*wp + outW + 7) &^ 7
-	buf := getPanel(planeLen + outC*extMax)
+// phaseGeom is the geometry of a convolution run on phase planes. With
+// stride s, the zero-bordered plane of a channel (hp × wp, hp = h+2·pad,
+// wp = w+2·pad) splits into s² phase planes of hq × wq (hq = ⌈hp/s⌉,
+// wq = ⌈wp/s⌉): phase (a, b) holds the plane values at rows ≡ a and
+// columns ≡ b (mod s), +0 past the plane. Tap (ky, kx) of output
+// (oy, ox) reads plane value (s·oy + ky, s·ox + kx), which is value
+// (oy + ky/s, ox + kx/s) of phase (ky mod s, kx mod s), so every tap
+// reads a run of its phase plane as a stride-1 tap reads the plane.
+// With stride 1 the one phase plane is the plane.
+type phaseGeom struct {
+	kh, kw, s, pad int
+	hq, wq         int
+	outH, outW     int
+	rows, blocks   int // output rows per unit, row blocks per sample
+	cols, chunks   int // output columns per unit, column chunks per row block
+	extMax         int // the widest unit's extended columns, rounded up to 8
+	inPlace        bool
+}
+
+// newPhaseGeom sizes the units of a conv over src. A unit is a block of
+// output rows of one sample whose extended run, (rows-1)·wq + outW
+// columns rounded up to whole vectors, fits gemmJTile, spread evenly
+// over outH; an output row wider than gemmJTile is cut into even chunks
+// of columns, one row per unit.
+func newPhaseGeom(src Plane, kh, kw, stride, pad int) phaseGeom {
+	g := phaseGeom{kh: kh, kw: kw, s: stride, pad: pad,
+		hq:      (src.H + 2*pad + stride - 1) / stride,
+		wq:      (src.W + 2*pad + stride - 1) / stride,
+		outH:    ConvOutSize(src.H, kh, stride, pad),
+		outW:    ConvOutSize(src.W, kw, stride, pad),
+		inPlace: stride == 1 && src.Pad == pad,
+	}
+	if g.outW <= gemmJTile {
+		g.rows = min((gemmJTile-g.outW)/g.wq+1, g.outH)
+		g.blocks = (g.outH + g.rows - 1) / g.rows
+		g.rows = (g.outH + g.blocks - 1) / g.blocks
+		g.cols, g.chunks = g.outW, 1
+	} else {
+		g.rows, g.blocks = 1, g.outH
+		g.chunks = (g.outW + gemmJTile - 1) / gemmJTile
+		g.cols = (g.outW + g.chunks - 1) / g.chunks
+	}
+	g.extMax = ((g.rows-1)*g.wq + g.cols + 7) &^ 7
+	return g
+}
+
+// convForwardPhases computes units [lo, hi) of a forward on phase
+// planes; unit u covers output rows [oy0, oy1) and columns [ox0, ox1)
+// of sample u / (blocks·chunks). There is no gather: in a sample's
+// phase planes (channel-major, then row phase, then column phase), the
+// patch row of tap (ch, ky, kx) for the unit is the contiguous run of
+// ext = (oy1-oy0-1)·wq + (ox1-ox0) values starting at oy0·wq + ox0 +
+// offs[p], offs[p] = ((ch·s + ky mod s)·s + kx mod s)·hq·wq +
+// (ky/s)·wq + kx/s. The tiles read those runs in place, through that
+// table of the k tap offsets, which every unit of the layer shares.
+// They run ext rounded up to a multiple of 8 columns wide, so they meet
+// no masked tail, whose masked load of an output row waits for the
+// previous quad's masked store to retire; a buffer too short for the
+// rounded-up run of its last unit (a dense src without slack) runs that
+// unit ext wide. Extended column e is output (oy0 + e/wq, ox0 + e mod
+// wq) when e mod wq < ox1-ox0 and e < ext; the other columns straddle
+// the border or pad the width, and are dropped when the useful columns
+// of each row are stored into dst's interior, through the epilogue when
+// ep is not nil. The border holds +0, exactly what the Im2Col gather
+// writes for an out-of-image tap, so every useful output element meets
+// the operands of the gathered composition in the same order and keeps
+// its bits.
+func convForwardPhases(dst Plane, wd []float32, src Plane, ep *ConvEpilogue, g phaseGeom, lo, hi int) {
+	c, outC, s := src.C, dst.C, g.s
+	k := c * g.kh * g.kw
+	phaseLen := g.hq * g.wq
+	sampleLen := c * s * s * phaseLen
+	planeLen := 0
+	if !g.inPlace {
+		planeLen = sampleLen + 7
+	}
+	buf := getPanel(planeLen + outC*g.extMax)
 	plane := buf.f[:planeLen]
-	ext := buf.f[planeLen:]
+	blk := buf.f[planeLen:]
 	clear(plane) // the border and the slack; each sample rewrites only the interior
 	offs := buf.table(k)
+	maxOff := 0
 	p := 0
 	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				offs[p] = (ch*hp+ky)*wp + kx
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				offs[p] = ((ch*s+ky%s)*s+kx%s)*phaseLen + ky/s*g.wq + kx/s
+				maxOff = max(maxOff, offs[p])
 				p++
 			}
 		}
 	}
+	var res Plane
+	if ep != nil && ep.Residual != nil {
+		res = Plane{Data: ep.Residual, C: outC, H: g.outH, W: g.outW, Pad: ep.ResidualPad}
+	}
+	dwp, rwp := dst.W+2*dst.Pad, res.W+2*res.Pad
+	per := g.blocks * g.chunks
 	filled := -1
 	for u := lo; u < hi; u++ {
-		i, oy0 := u/blocks, (u%blocks)*rows
-		oy1 := min(oy0+rows, outH)
-		if i != filled {
-			toPlane(plane, src[i*chw:(i+1)*chw], c, h, w, pad)
-			filled = i
+		i, b := u/per, u%per
+		oy0, ox0 := b/g.chunks*g.rows, b%g.chunks*g.cols
+		oy1, ox1 := min(oy0+g.rows, g.outH), min(ox0+g.cols, g.outW)
+		var pb []float32
+		if g.inPlace {
+			pb = src.Data[i*sampleLen:]
+		} else {
+			if i != filled {
+				x := src.Data[i*src.sampleLen():]
+				if s == 1 {
+					toPlane(plane, x, src.Pad, c, src.H, src.W, g.pad)
+				} else {
+					toPhases(plane, x, src.Pad, c, src.H, src.W, s, g.pad, g.hq, g.wq)
+				}
+				filled = i
+			}
+			pb = plane
 		}
-		jw := ((oy1-oy0-1)*wp + outW + 7) &^ 7
-		convPanelRows(ext, wd, plane[oy0*wp:], offs, outC, jw, 0, jw)
+		pb = pb[oy0*g.wq+ox0:]
+		rows, cols := oy1-oy0, ox1-ox0
+		ext := (rows-1)*g.wq + cols
+		jw := (ext + 7) &^ 7
+		if maxOff+jw > len(pb) {
+			jw = ext
+		}
+		_ = pb[maxOff+jw-1] // every tap's run; the table does not ascend when s > 1
+		convPanelRows(blk, wd, pb, offs, outC, jw, 0, jw)
 		for oc := 0; oc < outC; oc++ {
-			o := (i*outC+oc)*outArea + oy0*outW
-			run := ext[oc*jw:]
-			if ep != nil {
-				ep.apply(dst[o:], run, ep.residual(o), oc, oy1-oy0, outW, wp)
+			run := blk[oc*jw:]
+			o := dst.Offset(i, oc, oy0, ox0)
+			if ep == nil {
+				for y := 0; y < rows; y++ {
+					copy(dst.Data[o+y*dwp:][:cols], run[y*g.wq:])
+				}
 				continue
 			}
-			for y := 0; y < oy1-oy0; y++ {
-				copy(dst[o+y*outW:][:outW], run[y*wp:])
+			var r []float32
+			if res.Data != nil {
+				r = res.Data[res.Offset(i, oc, oy0, ox0):]
 			}
+			ep.apply(dst.Data[o:], run, r, oc, rows, cols, dwp, g.wq, rwp)
 		}
 	}
 	panelPool.Put(buf)
-}
-
-// convForwardUnits packs and consumes panel units [lo, hi). A unit is
-// one column panel of one sample — panels are sample-aligned, so every
-// panel's output rows are contiguous dst segments and the tiles write
-// straight into the batch output, where the epilogue, when ep is not
-// nil, then runs over them in place. Each panel is lowered into a
-// pooled k×gemmJTile buffer and multiplied while still cache-hot; the
-// column matrix as a whole never exists.
-func convForwardUnits(dst, wd, src []float32, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi int, ep *ConvEpilogue) {
-	outArea := outH * outW
-	k := c * kh * kw
-	chw := c * h * w
-	outStride := outC * outArea
-	pbuf := getPanel(k * gemmJTile)
-	for u := lo; u < hi; u++ {
-		i, pi := u/perSample, u%perSample
-		j0 := pi * gemmJTile
-		jw := outArea - j0
-		if jw > gemmJTile {
-			jw = gemmJTile
-		}
-		im2colSeg(pbuf.f, jw, src[i*chw:(i+1)*chw], c, h, w, kh, kw, stride, pad, outH, outW, j0, j0+jw)
-		base := i*outStride + j0
-		convPanelRows(dst, wd, pbuf.f, pbuf.strideTable(k, jw), outC, jw, base, outArea)
-		if ep != nil {
-			ep.applyInPlace(dst, base, outC, jw, outArea)
-		}
-	}
-	panelPool.Put(pbuf)
 }
 
 // convPanelRows runs the 2-row register tiles of matmul.go over all
@@ -342,7 +370,10 @@ func convForward1x1(dst, wd, src []float32, n, c, area, outC int, ep *ConvEpilog
 			base := i*outC*area + j0
 			convPanelRows(dst, wd, src[i*c*area+j0:(i+1)*c*area], offs, outC, jw, base, area)
 			if ep != nil {
-				ep.applyInPlace(dst, base, outC, jw, area)
+				for oc := 0; oc < outC; oc++ {
+					o := base + oc*area
+					ep.apply(dst[o:], dst[o:], ep.residual(o), oc, 1, jw, jw, jw, jw)
+				}
 			}
 		}
 		panelPool.Put(tb)
@@ -354,8 +385,8 @@ func convForward1x1(dst, wd, src []float32, n, c, area, outC int, ep *ConvEpilog
 	body(0, units)
 }
 
-// residual returns the residual from element o on, or nil when there
-// is none.
+// residual returns the dense residual from element o on, or nil when
+// there is none.
 func (ep *ConvEpilogue) residual(o int) []float32 {
 	if ep.Residual == nil {
 		return nil
@@ -364,27 +395,33 @@ func (ep *ConvEpilogue) residual(o int) []float32 {
 }
 
 // apply stores rows runs of n epilogue outputs of channel oc: run y
-// reads src[y·ss:] and writes dst[y·n:], adding res[y·n:] when res is
-// not nil. src may be dst (ss = n).
-func (ep *ConvEpilogue) apply(dst, src, res []float32, oc, rows, n, ss int) {
+// reads src[y·ss:] and writes dst[y·ds:], adding res[y·rs:] when res is
+// not nil. src may be dst (ss = ds).
+func (ep *ConvEpilogue) apply(dst, src, res []float32, oc, rows, n, ds, ss, rs int) {
 	if avxSupported {
-		avxEpilogue(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Mul1[oc], ep.Mul2[oc], ep.Beta[oc], !ep.NoReLU)
+		avxEpilogue(dst, src, res, rows, n, ds, ss, rs, ep.Mean[oc], ep.Mul1[oc], ep.Mul2[oc], ep.Beta[oc], !ep.NoReLU)
 		return
 	}
-	epilogueLoop(dst, src, res, rows, n, ss, ep.Mean[oc], ep.Mul1[oc], ep.Mul2[oc], ep.Beta[oc], !ep.NoReLU)
+	epilogueLoop(dst, src, res, rows, n, ds, ss, rs, ep.Mean[oc], ep.Mul1[oc], ep.Mul2[oc], ep.Beta[oc], !ep.NoReLU)
 }
 
 // epilogueLoop is the epilogue in Go: the reference the AVX kernel is
-// tested against, and the path of builds and CPUs without AVX. Each
-// product is converted to float32 before the next operation, so no
-// compiler fuses ·mul2 + beta into one rounding.
-func epilogueLoop(dst, src, res []float32, rows, n, ss int, mean, mul1, mul2, beta float32, relu bool) {
+// tested against, and the path of builds and CPUs without AVX. Run y
+// reads src[y·ss:], adds res[y·rs:] when res is not nil and writes
+// dst[y·ds:], n values each. Each product is converted to float32
+// before the next operation, so no compiler fuses ·mul2 + beta into one
+// rounding.
+func epilogueLoop(dst, src, res []float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool) {
 	for y := 0; y < rows; y++ {
-		d := dst[y*n:][:n]
+		d := dst[y*ds:][:n]
+		var r []float32
+		if res != nil {
+			r = res[y*rs:][:n]
+		}
 		for x, v := range src[y*ss:][:n] {
 			v = float32(float32((v-mean)*mul1)*mul2) + beta
-			if res != nil {
-				v += res[y*n+x]
+			if r != nil {
+				v += r[x]
 			}
 			if relu && !(v > 0) {
 				v = 0
@@ -395,29 +432,23 @@ func epilogueLoop(dst, src, res []float32, rows, n, ss int, mean, mul1, mul2, be
 }
 
 // Apply stores the epilogue of the n×c×area batch src into dst, one
-// (sample, channel) run at a time, adding the Residual (in src's
+// (sample, channel) run at a time, adding the Residual (dense, in src's
 // layout) when it is not nil: the normalize pass of nn.BatchNorm2D's
 // training forward. Mean, Mul1, Mul2 and Beta hold c values.
 func (ep *ConvEpilogue) Apply(dst, src []float32, n, c, area int) {
 	checkBatch("ConvEpilogue.Apply", src, n, c, area, len(ep.Mean), len(ep.Mul1), len(ep.Mul2), len(ep.Beta))
 	checkBatch("ConvEpilogue.Apply", dst, n, c, area)
 	if ep.Residual != nil {
+		if ep.ResidualPad != 0 {
+			panic("tensor: ConvEpilogue.Apply residual must be dense")
+		}
 		checkBatch("ConvEpilogue.Apply", ep.Residual, n, c, area)
 	}
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
 			o := (i*c + ch) * area
-			ep.apply(dst[o:], src[o:], ep.residual(o), ch, 1, area, area)
+			ep.apply(dst[o:], src[o:], ep.residual(o), ch, 1, area, area, area, area)
 		}
-	}
-}
-
-// applyInPlace runs the epilogue over the jw-long output segments of
-// the outC channels that start at dst[base] and lie orStride apart.
-func (ep *ConvEpilogue) applyInPlace(dst []float32, base, outC, jw, orStride int) {
-	for oc := 0; oc < outC; oc++ {
-		o := base + oc*orStride
-		ep.apply(dst[o:], dst[o:], ep.residual(o), oc, 1, jw, jw)
 	}
 }
 
@@ -437,7 +468,7 @@ func (ep *ConvEpilogue) applyInPlace(dst []float32, base, outC, jw, orStride int
 //     left, from +0: GemmTB's dot, skipping nothing. Without AVX
 //     convSampleDW's dot loops run over column rows generated on the
 //     fly.
-//   - dX (n×c×h×w, pre-zeroed by the caller) receives the col2im of
+//   - dX (n×c×h×w, any contents on entry) receives the col2im of
 //     Wᵀ·dY: each sample's dcol block is computed into pooled scratch
 //     by the exact GemmTA's kernel (exactTAShard) and scattered in
 //     ascending row order — exactly Col2Im's accumulation order —
@@ -486,7 +517,9 @@ func ConvGemmBackward(dX, dwChunks, wd, src, dY []float32, n, c, h, w, outC, kh,
 }
 
 // convBackwardSamples processes samples [lo, hi): the dW chunk and the
-// dX of each sample in turn.
+// dX of each sample in turn. A sample's dX is written whole: a stride-1
+// conv copies it out of its dX plane, and a strided one clears it,
+// cache-hot, just before its scatter adds into it.
 func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW, lo, hi int) {
 	outArea := outH * outW
 	k := c * kh * kw
@@ -528,18 +561,19 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 
 // convSampleDX computes one sample's input gradient: the dcol block
 // Wᵀ·dY_i goes into the pooled scratch dcol (k × outArea) and is
-// scattered into the pre-zeroed dxi in ascending row order, exactly
-// Col2Im's accumulation order. A stride-1 convolution scatters into
-// the zero-bordered dxPlane, one outW-long run add per output row, and
-// copies its interior out; the out-of-image taps land in the border,
-// which is Col2Im dropping them. Strided convolutions scatter with
-// col2imRow.
+// scattered in ascending row order, exactly Col2Im's accumulation
+// order. A stride-1 convolution scatters into the zero-bordered
+// dxPlane, one outW-long run add per output row, and copies its
+// interior over dxi; the out-of-image taps land in the border, which is
+// Col2Im dropping them. Strided convolutions clear dxi and scatter into
+// it with col2imRow.
 func convSampleDX(dxi, wd, dyi, dcol, dxPlane []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int) {
 	outArea := outH * outW
 	k := c * kh * kw
 	exactTAShard(dcol, wd, dyi, outC, k, outArea, 0, k)
 	if stride != 1 {
 		kk := kh * kw
+		clear(dxi)
 		for r := 0; r < k; r++ {
 			col2imRow(dxi, dcol[r*outArea:(r+1)*outArea], (r/kk)*h*w, (r%kk)/kw, r%kw, h, w, outH, outW, stride, pad)
 		}
@@ -559,14 +593,48 @@ func convSampleDX(dxi, wd, dyi, dcol, dxPlane []float32, c, h, w, outC, kh, kw, 
 	fromPlane(dxi, dxPlane, c, h, w, pad)
 }
 
-// toPlane copies the c×h×w sample x into the interior of the
-// zero-bordered plane (c × (h+2·pad) × (w+2·pad)), leaving the border
-// as it is.
-func toPlane(plane, x []float32, c, h, w, pad int) {
+// toPlane copies the c×h×w sample x, whose images have a border of
+// xPad (0: dense), into the interior of the zero-bordered plane
+// (c × (h+2·pad) × (w+2·pad)), leaving the border as it is.
+func toPlane(plane, x []float32, xPad, c, h, w, pad int) {
 	hp, wp := h+2*pad, w+2*pad
+	xh, xw := h+2*xPad, w+2*xPad
 	for ch := 0; ch < c; ch++ {
 		for y := 0; y < h; y++ {
-			copy(plane[(ch*hp+y+pad)*wp+pad:][:w], x[(ch*h+y)*w:][:w])
+			copy(plane[(ch*hp+y+pad)*wp+pad:][:w], x[(ch*xh+y+xPad)*xw+xPad:][:w])
+		}
+	}
+}
+
+// toPhases is toPlane for a stride-s conv (s ≥ 2): it copies the
+// sample's values into the interiors of the s² phase planes of its
+// zero-bordered plane (see phaseGeom), each hq × wq, channel-major,
+// then by row phase, then by column phase. Plane value (r, q) =
+// (y+pad, x+pad) lands in phase plane (r mod s, q mod s) at (r/s, q/s).
+// The positions it writes are the same for every sample, so a border
+// cleared once stays +0.
+func toPhases(ph, x []float32, xPad, c, h, w, s, pad, hq, wq int) {
+	xh, xw := h+2*xPad, w+2*xPad
+	phaseLen := hq * wq
+	for b := 0; b < s; b++ {
+		x0 := ((b-pad)%s + s) % s // the first column whose plane column is ≡ b
+		if x0 >= w {
+			continue
+		}
+		cnt := (w - x0 + s - 1) / s
+		q0 := b*phaseLen + (x0+pad)/s
+		for ch := 0; ch < c; ch++ {
+			a, qy := pad%s, pad/s // row y's row phase and phase row
+			for y := 0; y < h; y++ {
+				row := x[(ch*xh+y+xPad)*xw+xPad+x0:]
+				d := ph[(ch*s+a)*s*phaseLen+qy*wq+q0:][:cnt]
+				for j := range d {
+					d[j] = row[j*s]
+				}
+				if a++; a == s {
+					a, qy = 0, qy+1
+				}
+			}
 		}
 	}
 }
@@ -664,7 +732,7 @@ func convSampleDWTiles(chunk, srci, dyi, panel, tc, plane []float32, offs []int,
 	k := c * kh * kw
 	kp := (k + 7) &^ 7
 	if stride == 1 {
-		toPlane(plane, srci, c, h, w, pad)
+		toPlane(plane, srci, 0, c, h, w, pad)
 		planePatches(panel, kp, plane, c, h+2*pad, w+2*pad, kh, kw, outH, outW)
 	} else {
 		for q := 0; q < outArea; q++ {

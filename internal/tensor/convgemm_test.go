@@ -23,8 +23,8 @@ type convShape struct {
 // non-square 5×5, 2×2 and 2×3 kernels, k%4 tails, small planes
 // (outArea ≪ gemmJTile), stride-1 planes split into several row blocks
 // (outArea > gemmJTile, the 32×32 paper shape among them), and a
-// stride-1 output row wider than gemmJTile, which takes the gathered
-// path.
+// stride-1 output row wider than gemmJTile, which is cut into column
+// chunks.
 var convShapes = []convShape{
 	{1, 1, 3, 3, 1, 1, 1, 1, 0},     // minimal 1×1 fast path
 	{2, 3, 8, 8, 4, 1, 1, 1, 0},     // 1×1 fast path, k%4 tail (c=3)
@@ -39,7 +39,9 @@ var convShapes = []convShape{
 	{2, 2, 20, 20, 3, 3, 3, 1, 1},   // outArea=400: ragged in-sample panels
 	{4, 16, 32, 32, 16, 3, 3, 1, 1}, // paper shape (batch trimmed)
 	{2, 3, 9, 7, 5, 2, 3, 1, 1},     // 2×3 kernel, stride 1
-	{1, 2, 3, 260, 3, 3, 3, 1, 1},   // outW=260 > gemmJTile: gathered
+	{1, 2, 3, 260, 3, 3, 3, 1, 1},   // outW=260 > gemmJTile: column chunks
+	{2, 3, 9, 7, 4, 3, 3, 2, 1},     // stride 2 on odd planes: phase planes
+	{1, 2, 5, 520, 3, 3, 3, 2, 1},   // stride 2, outW=260 > gemmJTile
 }
 
 // convOracleData builds deterministic (weight, src, dY) buffers for a
@@ -391,25 +393,26 @@ func TestConvGemmForwardEpilogueMatchesLayers(t *testing.T) {
 	}
 }
 
-// TestConv1x1FastPathMatchesGeneralPath runs the general panel-packing
-// path on a 1×1/stride-1/pad-0 shape (which ConvGemmForward would
-// normally route to the zero-copy path) and requires bitwise equality.
+// TestConv1x1FastPathMatchesGeneralPath pins both forward paths of a
+// 1×1/stride-1/pad-0 shape to the Im2Col+Gemm oracle: ConvGemmForward
+// takes the zero-copy path, and a bordered destination plane sends
+// ConvPlaneForward down the phase-plane path.
 func TestConv1x1FastPathMatchesGeneralPath(t *testing.T) {
 	s := convShape{3, 5, 9, 9, 4, 1, 1, 1, 0}
 	wd, src, dY := convOracleData(0x1F1, s)
+	convSkipWitnesses(0x1F1, wd, src, s)
 	area := s.h * s.w
-	perSample := (area + gemmJTile - 1) / gemmJTile
+	want := refConvForward(wd, src, s)
 	for _, w := range []int{1, 3} {
 		withWorkers(w, func() {
 			fast := make([]float32, s.n*s.outC*area)
 			ConvGemmForward(fast, wd, src, s.n, s.c, s.h, s.w, s.outC, 1, 1, 1, 0)
-			general := make([]float32, len(fast))
-			convForwardUnits(general, wd, src, s.c, s.h, s.w, 1, 1, 1, 0, s.h, s.w, s.outC, perSample, 0, s.n*perSample, nil)
-			for i := range fast {
-				if fast[i] != general[i] {
-					t.Fatalf("workers=%d: 1x1 fast path differs from general path at %d", w, i)
-				}
+			if i := exactMismatch(want, fast); i >= 0 {
+				t.Fatalf("workers=%d: 1x1 fast path differs from the oracle at %d", w, i)
 			}
+			general := borderedPlane(make([]float32, len(fast)), s.n, s.outC, s.h, s.w, 1, planeSentinel)
+			ConvPlaneForward(general, wd, Plane{Data: src, N: s.n, C: s.c, H: s.h, W: s.w}, 1, 1, 1, 0, nil)
+			checkPlaneOut(t, fmt.Sprintf("workers=%d: 1x1 phase-plane path", w), want, general)
 		})
 	}
 	// Backward: the pointwise flag is chosen inside convBackwardSamples,
@@ -470,6 +473,8 @@ func FuzzConvGemmOracle(f *testing.F) {
 		if i := exactMismatch(want, got); i >= 0 {
 			t.Fatalf("epilogue mismatch at %d for %v seed %d", i, s, seed)
 		}
+		pads := int(seed>>8) % 27
+		runPlaneForward(t, fmt.Sprintf("%v seed %d", s, seed), s, fwdW, fwdSrc, ep, want, pads%3, pads/3%3, pads/9)
 		backwardSkipWitnesses(seed, wd, src, dY, s)
 		wantDW, wantDX := refConvBackward(wd, src, dY, s)
 		k := s.c * s.kh * s.kw
@@ -619,3 +624,137 @@ func BenchmarkConvFwdFused1x1(b *testing.B) { benchConvFwd(b, benchConv1x1, true
 func BenchmarkConvFwdRef1x1(b *testing.B)   { benchConvFwd(b, benchConv1x1, false) }
 func BenchmarkConvBwdFused1x1(b *testing.B) { benchConvBwd(b, benchConv1x1, true) }
 func BenchmarkConvBwdRef1x1(b *testing.B)   { benchConvBwd(b, benchConv1x1, false) }
+
+// planeSentinel fills the parts of a plane no conv may write: a NaN
+// whose payload no arithmetic produces.
+var planeSentinel = math.Float32frombits(0x7fc0dead)
+
+// borderedPlane returns the n×c×h×w dense batch x as a plane with a
+// border of pad holding fill, and +0 in the slack past its last sample.
+func borderedPlane(x []float32, n, c, h, w, pad int, fill float32) Plane {
+	p := Plane{Data: make([]float32, PlaneLen(n, c, h, w, pad)), N: n, C: c, H: h, W: w, Pad: pad}
+	body := p.Data[:n*p.sampleLen()]
+	for i := range body {
+		body[i] = fill
+	}
+	for i := 0; i < n; i++ {
+		for ch := 0; ch < c; ch++ {
+			for y := 0; y < h; y++ {
+				copy(p.Data[p.Offset(i, ch, y, 0):][:w], x[((i*c+ch)*h+y)*w:][:w])
+			}
+		}
+	}
+	return p
+}
+
+// checkPlaneOut fails unless the interior of the plane got holds want's
+// bits and every value outside it still holds planeSentinel's.
+func checkPlaneOut(t *testing.T, what string, want []float32, got Plane) {
+	t.Helper()
+	interior := make([]bool, got.N*got.sampleLen())
+	for i := 0; i < got.N; i++ {
+		for ch := 0; ch < got.C; ch++ {
+			for y := 0; y < got.H; y++ {
+				for x := 0; x < got.W; x++ {
+					o := got.Offset(i, ch, y, x)
+					interior[o] = true
+					j := ((i*got.C+ch)*got.H+y)*got.W + x
+					if math.Float32bits(got.Data[o]) != math.Float32bits(want[j]) {
+						t.Fatalf("%s: element %d is %v, oracle %v", what, j, got.Data[o], want[j])
+					}
+				}
+			}
+		}
+	}
+	for o, in := range interior {
+		if !in && math.Float32bits(got.Data[o]) != math.Float32bits(planeSentinel) {
+			t.Fatalf("%s: wrote %v outside the interior at %d", what, got.Data[o], o)
+		}
+	}
+}
+
+// runPlaneForward runs ConvPlaneForward from a plane of border srcPad
+// into a plane of border dstPad, with ep (when not nil) reading its
+// residual, ep.Residual in dense layout, from a plane of border resPad,
+// and checks the result against want. A border the conv reads in place
+// (stride 1, srcPad = pad) holds +0; every other border holds NaN,
+// which a correct conv never reads.
+func runPlaneForward(t *testing.T, what string, s convShape, wd, src []float32, ep *ConvEpilogue, want []float32, srcPad, dstPad, resPad int) {
+	t.Helper()
+	outH := ConvOutSize(s.h, s.kh, s.stride, s.pad)
+	outW := ConvOutSize(s.w, s.kw, s.stride, s.pad)
+	fill := float32(math.NaN())
+	if s.stride == 1 && srcPad == s.pad {
+		fill = 0
+	}
+	in := borderedPlane(src, s.n, s.c, s.h, s.w, srcPad, fill)
+	out := borderedPlane(make([]float32, s.n*s.outC*outH*outW), s.n, s.outC, outH, outW, dstPad, planeSentinel)
+	var pe *ConvEpilogue
+	if ep != nil {
+		e := *ep
+		if e.Residual != nil {
+			e.Residual = borderedPlane(ep.Residual, s.n, s.outC, outH, outW, resPad, float32(math.NaN())).Data
+			e.ResidualPad = resPad
+		}
+		pe = &e
+	}
+	ConvPlaneForward(out, wd, in, s.kh, s.kw, s.stride, s.pad, pe)
+	checkPlaneOut(t, fmt.Sprintf("%s src pad %d dst pad %d residual pad %d", what, srcPad, dstPad, resPad), want, out)
+}
+
+// TestConvPlaneForwardMatchesOracle runs the plane entry on every grid
+// shape from planes of several borders (the conv's own pad, read in
+// place at stride 1, and others, copied in) into bordered planes, with
+// and without the epilogue and a bordered residual, at several worker
+// counts: the interior must hold the oracle's bits and nothing outside
+// it may be written.
+func TestConvPlaneForwardMatchesOracle(t *testing.T) {
+	for _, s := range convShapes {
+		t.Run(s.String(), func(t *testing.T) {
+			wd, src, res := convOracleData(0x91A, s)
+			convSkipWitnesses(0x91A, wd, src, s)
+			var want []float32
+			withWorkers(1, func() { want = refConvForward(wd, src, s) })
+			ep := seededEpilogue(0x91B, s.outC, res)
+			wantEp := append([]float32(nil), want...)
+			refEpilogue(wantEp, ep, s.outC, len(want)/(s.n*s.outC))
+			for _, w := range []int{1, 2} {
+				withWorkers(w, func() {
+					for _, pads := range [][3]int{{s.pad, 1, 0}, {0, 0, 2}, {s.pad + 1, 2, 1}, {1, s.pad, s.pad}} {
+						what := fmt.Sprintf("workers=%d", w)
+						runPlaneForward(t, what, s, wd, src, nil, want, pads[0], pads[1], pads[2])
+						runPlaneForward(t, what+" epilogue", s, wd, src, ep, wantEp, pads[0], pads[1], pads[2])
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestConvGemmBackwardOverwritesDX: ConvGemmBackward writes every dX
+// element, so dX may hold anything on entry. Stride 1 copies dX out of
+// its plane, and a strided conv clears each sample's dX before its
+// scatter adds into it; a dX filled with NaN must come out with the
+// oracle's bits either way.
+func TestConvGemmBackwardOverwritesDX(t *testing.T) {
+	for _, s := range []convShape{{3, 2, 7, 7, 3, 3, 3, 1, 1}, {3, 2, 7, 7, 3, 3, 3, 2, 1}, {4, 3, 9, 8, 4, 2, 2, 2, 0}} {
+		t.Run(s.String(), func(t *testing.T) {
+			wd, src, dY := convOracleData(0xD1, s)
+			backwardSkipWitnesses(0xD1, wd, src, dY, s)
+			_, wantDX := refConvBackward(wd, src, dY, s)
+			for _, w := range []int{1, 2} {
+				withWorkers(w, func() {
+					dX := make([]float32, len(wantDX))
+					for i := range dX {
+						dX[i] = float32(math.NaN())
+					}
+					chunks := make([]float32, s.n*s.outC*s.c*s.kh*s.kw)
+					ConvGemmBackward(dX, chunks, wd, src, dY, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
+					if i := exactMismatch(wantDX, dX); i >= 0 {
+						t.Fatalf("workers=%d: dX over NaN differs from GemmTA+Col2Im at %d: %v, want %v", w, i, dX[i], wantDX[i])
+					}
+				})
+			}
+		})
+	}
+}

@@ -198,16 +198,16 @@ func FuzzExactTilesAVXVsGo(f *testing.F) {
 // (avxEpilogue, epilogueLoop).
 
 // epilogueOperands builds one epilogue call's inputs: rows runs of n
-// values in a source of row stride ss, and a residual, holding ±0,
-// ±Inf, NaN and subnormals, and batch-norm constants from the seed.
-// Every other seed sets beta to -0 and plants the mean in the source,
-// so that batch norm yields exact zeros of both signs, which the ReLU
-// must map to +0.
-func epilogueOperands(seed uint64, rows, n, ss int) (src, res []float32, mean, gamma, inv, beta float32) {
+// values in a source of row stride ss, and a residual of row stride
+// rs, holding ±0, ±Inf, NaN and subnormals, and batch-norm constants
+// from the seed. Every other seed sets beta to -0 and plants the mean
+// in the source, so that batch norm yields exact zeros of both signs,
+// which the ReLU must map to +0.
+func epilogueOperands(seed uint64, rows, n, ss, rs int) (src, res []float32, mean, gamma, inv, beta float32) {
 	rng := NewRNG(seed)
 	st := New(max(0, (rows-1)*ss+n) + 1)
 	FillNormal(st, rng, 0, 2)
-	rt := New(rows*n + 1)
+	rt := New(max(0, (rows-1)*rs+n) + 1)
 	FillNormal(rt, rng, 0, 2)
 	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
 		float32(math.NaN()), math.Float32frombits(1), -math.Float32frombits(0x7fffff)}
@@ -232,22 +232,37 @@ func epilogueOperands(seed uint64, rows, n, ss int) (src, res []float32, mean, g
 }
 
 // checkEpilogue runs the AVX and Go epilogues on one input, with and
-// without the residual and the ReLU, and fails on the first difference
-// in bits or on a write outside the rows·n outputs.
-func checkEpilogue(t *testing.T, seed uint64, rows, n, ss int) {
+// without the residual and the ReLU, storing runs ds apart, and fails
+// on the first difference in bits or on a write outside the rows runs
+// of n outputs, into the gaps between them included.
+func checkEpilogue(t *testing.T, seed uint64, rows, n, ds, ss, rs int) {
 	t.Helper()
-	src, res, mean, gamma, inv, beta := epilogueOperands(seed, rows, n, ss)
+	const gap = -777.25
+	src, res, mean, gamma, inv, beta := epilogueOperands(seed, rows, n, ss, rs)
+	span := max(0, (rows-1)*ds+n)
+	inGap := func(i int) bool { return i%ds >= n }
 	for _, r := range [][]float32{nil, res} {
 		for _, relu := range []bool{true, false} {
-			want, okw := guardedRow(rows * n)
-			got, okg := guardedRow(rows * n)
-			epilogueLoop(want, src, r, rows, n, ss, mean, gamma, inv, beta, relu)
-			avxEpilogue(got, src, r, rows, n, ss, mean, gamma, inv, beta, relu)
-			if !okw() || !okg() {
-				t.Fatalf("rows=%d n=%d ss=%d residual=%t relu=%t: epilogue wrote outside its runs", rows, n, ss, r != nil, relu)
+			want, okw := guardedRow(span)
+			got, okg := guardedRow(span)
+			for i := range span {
+				if inGap(i) {
+					want[i], got[i] = gap, gap
+				}
+			}
+			epilogueLoop(want, src, r, rows, n, ds, ss, rs, mean, gamma, inv, beta, relu)
+			avxEpilogue(got, src, r, rows, n, ds, ss, rs, mean, gamma, inv, beta, relu)
+			intact := okw() && okg()
+			for i := range span {
+				if inGap(i) && (want[i] != gap || got[i] != gap) {
+					intact = false
+				}
+			}
+			if !intact {
+				t.Fatalf("rows=%d n=%d ds=%d ss=%d rs=%d residual=%t relu=%t: epilogue wrote outside its runs", rows, n, ds, ss, rs, r != nil, relu)
 			}
 			if i := exactMismatch(want, got); i >= 0 {
-				t.Fatalf("rows=%d n=%d ss=%d residual=%t relu=%t: avxEpilogue differs at %d: %v, Go loop %v", rows, n, ss, r != nil, relu, i, got[i], want[i])
+				t.Fatalf("rows=%d n=%d ds=%d ss=%d rs=%d residual=%t relu=%t: avxEpilogue differs at %d: %v, Go loop %v", rows, n, ds, ss, rs, r != nil, relu, i, got[i], want[i])
 			}
 		}
 	}
@@ -259,26 +274,31 @@ func TestConvEpilogueAVXMatchesGoLoop(t *testing.T) {
 	}
 	for _, rows := range []int{1, 2, 3, 12} {
 		for n := 0; n <= 40; n++ {
-			checkEpilogue(t, uint64(rows*100+n), rows, n, n)
-			checkEpilogue(t, uint64(rows*100+n), rows, n, n+2)
+			seed := uint64(rows*100 + n)
+			checkEpilogue(t, seed, rows, n, max(n, 1), n, n)
+			checkEpilogue(t, seed, rows, n, max(n, 1), n+2, n)
+			// Into and from a plane interior: runs n+2 apart.
+			checkEpilogue(t, seed, rows, n, n+2, n+5, n+2)
+			checkEpilogue(t, seed, rows, n, n+2, n, n+4)
 		}
 	}
 }
 
 // FuzzConvEpilogueAVXVsGo drives the AVX epilogue against its Go loop
-// on fuzz-chosen run lengths 0–40, run counts and source strides, with
-// and without a residual and the ReLU.
+// on fuzz-chosen run lengths 0–40, run counts and destination, source
+// and residual strides, with and without a residual and the ReLU.
 func FuzzConvEpilogueAVXVsGo(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint8(12), uint8(2))
-	f.Add(uint64(2), uint8(1), uint8(40), uint8(0))
-	f.Add(uint64(3), uint8(12), uint8(3), uint8(11))
-	f.Add(uint64(4), uint8(2), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, rowsRaw, nRaw, gapRaw uint8) {
+	f.Add(uint64(1), uint8(3), uint8(12), uint8(2), uint8(0), uint8(2))
+	f.Add(uint64(2), uint8(1), uint8(40), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(12), uint8(3), uint8(11), uint8(2), uint8(5))
+	f.Add(uint64(4), uint8(2), uint8(0), uint8(0), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, rowsRaw, nRaw, gapRaw, dGapRaw, rGapRaw uint8) {
 		if !avxSupported {
 			t.Skip("no AVX kernels in this build or on this CPU")
 		}
 		n := int(nRaw) % 41
-		checkEpilogue(t, seed, int(rowsRaw)%13+1, n, n+int(gapRaw)%16)
+		ds := max(n+int(dGapRaw)%9, 1)
+		checkEpilogue(t, seed, int(rowsRaw)%13+1, n, ds, n+int(gapRaw)%16, n+int(rGapRaw)%9)
 	})
 }
 

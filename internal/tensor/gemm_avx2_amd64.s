@@ -729,31 +729,33 @@ p3_ch:
 	JNZ  p3_row
 	RET
 
-// func epilogueAVX(dst, src, res *float32, rows, n, ss int, mean, mul1, mul2, beta float32, relu bool)
+// func epilogueAVX(dst, src, res *float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool)
 // epilogueLoop on eight lanes: for y < rows and x < n, with
-// v = src[y·ss + x] and r = res[y·n + x],
-//   dst[y·n + x] = ReLU((((v − mean)·mul1)·mul2 + beta) + r),
+// v = src[y·ss + x] and r = res[y·rs + x],
+//   dst[y·ds + x] = ReLU((((v − mean)·mul1)·mul2 + beta) + r),
 // every operation rounded on its own (VSUBPS, VMULPS, VMULPS, VADDPS,
 // VADDPS) and the ReLU a mask: VCMPPS GT_OQ against +0 is all ones
 // exactly when the value is > 0, so -0 and NaN give +0, as in
 // nn.ReLU. A nil res adds nothing, and relu false stores the value
 // itself. Each run goes 8 elements at a time, its last n mod 8 under
 // the mask in Y14.
-TEXT ·epilogueAVX(SB), NOSPLIT, $0-65
+TEXT ·epilogueAVX(SB), NOSPLIT, $0-81
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ res+16(FP), R9
 	MOVQ rows+24(FP), R8
 	MOVQ n+32(FP), CX
-	MOVQ ss+40(FP), DX
-	SHLQ $2, DX
-	MOVQ CX, R10
+	MOVQ ds+40(FP), R10
 	SHLQ $2, R10
-	VBROADCASTSS mean+48(FP), Y10
-	VBROADCASTSS mul1+52(FP), Y11
-	VBROADCASTSS mul2+56(FP), Y12
-	VBROADCASTSS beta+60(FP), Y13
-	MOVBQZX relu+64(FP), R12
+	MOVQ ss+48(FP), DX
+	SHLQ $2, DX
+	MOVQ rs+56(FP), R13
+	SHLQ $2, R13
+	VBROADCASTSS mean+64(FP), Y10
+	VBROADCASTSS mul1+68(FP), Y11
+	VBROADCASTSS mul2+72(FP), Y12
+	VBROADCASTSS beta+76(FP), Y13
+	MOVBQZX relu+80(FP), R12
 	VXORPS Y15, Y15, Y15
 	MOVQ CX, AX
 	ANDQ $7, AX
@@ -818,7 +820,7 @@ epi_next:
 	ADDQ R10, DI
 	TESTQ R9, R9
 	JZ    epi_next_row
-	ADDQ R10, R9
+	ADDQ R13, R9
 
 epi_next_row:
 	DECQ R8

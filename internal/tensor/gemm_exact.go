@@ -28,7 +28,7 @@ func addRunsAVX(dst, src *float32, rows, n, ds int)
 func patches3x3AVX(dst, src *float32, c, outH, outW, hpwp, wp, ps int)
 
 //go:noescape
-func epilogueAVX(dst, src, res *float32, rows, n, ss int, mean, mul1, mul2, beta float32, relu bool)
+func epilogueAVX(dst, src, res *float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool)
 
 //go:noescape
 func bnDXAVX(dx, dy, gate, x *float32, rows, n, stride int, mean, inv float32, k, meanDy, meanDyXh float64)
@@ -41,9 +41,10 @@ func bnGradSums4AVX(dy, gate, x *float32, n, area, stride int, mean, inv *float3
 
 // avxTile2 is gemmTile2 on the AVX kernel. With skips false it skips
 // no coefficient: o = o + (((a0·b0 + a1·b1) + a2·b2) + a3·b3) runs for
-// every quad, zeros included, and o = o + a·b for every single. The
-// offsets ascend (see gemmTile2), so the first and the last panel row
-// bound every row the kernel reads.
+// every quad, zeros included, and o = o + a·b for every single. Where
+// the offsets ascend (see gemmTile2), the first and the last panel row
+// bound every row the kernel reads; convForwardPhases, whose strided
+// tables do not ascend, checks its largest offset's row itself.
 func avxTile2(o0, o1, a0, a1, pb []float32, offs []int, jw int, skips bool) {
 	o0, o1 = o0[:jw], o1[:jw]
 	k := len(a0)
@@ -112,18 +113,18 @@ func avxPatches3x3(panel []float32, ps int, plane []float32, c, hp, wp, outH, ou
 }
 
 // avxEpilogue is epilogueLoop on the AVX kernel.
-func avxEpilogue(dst, src, res []float32, rows, n, ss int, mean, mul1, mul2, beta float32, relu bool) {
+func avxEpilogue(dst, src, res []float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool) {
 	if rows == 0 || n == 0 {
 		return
 	}
 	_ = src[(rows-1)*ss+n-1]
-	_ = dst[rows*n-1]
+	_ = dst[(rows-1)*ds+n-1]
 	var r *float32
 	if res != nil {
-		_ = res[rows*n-1]
+		_ = res[(rows-1)*rs+n-1]
 		r = &res[0]
 	}
-	epilogueAVX(&dst[0], &src[0], r, rows, n, ss, mean, mul1, mul2, beta, relu)
+	epilogueAVX(&dst[0], &src[0], r, rows, n, ds, ss, rs, mean, mul1, mul2, beta, relu)
 }
 
 // avxBNDX is bnDXLoop on the AVX kernel.
