@@ -7,7 +7,9 @@ package ftpim
 // run (inject → evaluate → undo, exactly the EvalDefect serial loop
 // body) must stay within 2 heap allocations. Excluded under -race (the
 // race runtime changes allocation behavior); tensor workers are pinned
-// to 1 because spawning shard goroutines allocates.
+// to 1 because a sharded kernel call allocates its body's closure and
+// its pool job (internal/tensor's TestConvGemmPoolWarmAllocs bounds
+// that cost).
 
 import (
 	"testing"

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/ftpim/ftpim/internal/nn"
@@ -67,8 +68,12 @@ func stateDigest(net *nn.Network) string {
 	return hashFloats(s...)
 }
 
+// digestWorkers are the kernel worker counts the digests hold at: the
+// serial path, the pool's helpers, and counts above the core count.
+var digestWorkers = []int{1, 2, 3, 8}
+
 func TestExactForwardDigests(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, workers := range digestWorkers {
 		old := tensor.SetWorkers(workers)
 		net := BuildResNet(ResNet20(10).Scaled(0.25))
 		for _, n := range []int{1, 7, 32, 128} {
@@ -81,23 +86,52 @@ func TestExactForwardDigests(t *testing.T) {
 	}
 }
 
+// trainStepDigest runs one SGD step at batch 32 on a fresh net and
+// returns the state digest.
+func trainStepDigest() string {
+	net := BuildResNet(ResNet20(10).Scaled(0.25))
+	labels := make([]int, 32)
+	rng := tensor.NewRNG(77)
+	for i := range labels {
+		labels[i] = int(rng.Uint64() % 10)
+	}
+	opt := optim.NewSGD(net.Params(), 0.1, 0.9, 5e-4)
+	opt.ZeroGrad()
+	_, dLogits := nn.SoftmaxCrossEntropy(net.Forward(digestInput(32), true), labels)
+	net.Backward(dLogits)
+	opt.Step()
+	return stateDigest(net)
+}
+
 func TestExactTrainStepDigest(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, workers := range digestWorkers {
 		old := tensor.SetWorkers(workers)
-		net := BuildResNet(ResNet20(10).Scaled(0.25))
-		labels := make([]int, 32)
-		rng := tensor.NewRNG(77)
-		for i := range labels {
-			labels[i] = int(rng.Uint64() % 10)
-		}
-		opt := optim.NewSGD(net.Params(), 0.1, 0.9, 5e-4)
-		opt.ZeroGrad()
-		_, dLogits := nn.SoftmaxCrossEntropy(net.Forward(digestInput(32), true), labels)
-		net.Backward(dLogits)
-		opt.Step()
-		if got := stateDigest(net); got != stepDigest {
+		if got := trainStepDigest(); got != stepDigest {
 			t.Errorf("workers=%d: state digest after one SGD step %s, want %s", workers, got, stepDigest)
 		}
 		tensor.SetWorkers(old)
+	}
+}
+
+// TestExactTrainStepDigestConcurrent runs two train steps at once on
+// separate networks, as Monte-Carlo workers and serve executors share
+// the kernel pool: each must keep the serial bits.
+func TestExactTrainStepDigestConcurrent(t *testing.T) {
+	old := tensor.SetWorkers(2)
+	defer tensor.SetWorkers(old)
+	var got [2]string
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = trainStepDigest()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != stepDigest {
+			t.Errorf("step %d of 2 at once: state digest %s, want %s", i, g, stepDigest)
+		}
 	}
 }

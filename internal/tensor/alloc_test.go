@@ -1,9 +1,10 @@
 //go:build !race
 
 // Allocation-regression tests. Excluded under -race: the race runtime
-// instruments allocations differently, and the parallel paths are
-// pinned to one worker here anyway (spawned goroutines allocate, which
-// is why every test below forces Workers=1).
+// instruments allocations differently. The tests below force Workers=1,
+// where a warm kernel allocates nothing; a sharded call allocates its
+// body's closure and its pool job, which TestConvGemmPoolWarmAllocs
+// bounds.
 
 package tensor
 
@@ -124,4 +125,34 @@ func TestReseedAllocs(t *testing.T) {
 	}); avg > 0 {
 		t.Fatalf("Reseed path allocates %.1f/op, want 0", avg)
 	}
+}
+
+// TestConvGemmPoolWarmAllocs bounds what the kernel pool costs a warm
+// sharded conv at workers 2: at most the 6 allocations per call that
+// spawning a goroutine per shard took. The pool takes 2, the body's
+// closure and the job record, however many chunks the helpers run.
+func TestConvGemmPoolWarmAllocs(t *testing.T) {
+	withWorkers(2, func() {
+		s := benchConv32
+		wd, src, dY := convOracleData(9, s)
+		dst := make([]float32, s.n*s.outC*s.h*s.w)
+		fwd := func() {
+			ConvGemmForward(dst, wd, src, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
+		}
+		dX := make([]float32, s.n*s.c*s.h*s.w)
+		chunks := make([]float32, s.n*s.outC*s.c*s.kh*s.kw)
+		bwd := func() {
+			ConvGemmBackward(dX, chunks, wd, src, dY, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad)
+		}
+		for i := 0; i < 3; i++ { // warm the panel pool and start the helpers
+			fwd()
+			bwd()
+		}
+		if avg := testing.AllocsPerRun(50, fwd); avg > 6 {
+			t.Errorf("warm ConvGemmForward at workers 2 allocates %.1f/op, want at most 6", avg)
+		}
+		if avg := testing.AllocsPerRun(50, bwd); avg > 6 {
+			t.Errorf("warm ConvGemmBackward at workers 2 allocates %.1f/op, want at most 6", avg)
+		}
+	})
 }

@@ -721,12 +721,13 @@ func addRunsLoop(dst, src []float32, rows, n, ds int) {
 // (h+2·pad) × (w+2·pad), border +0), which receives the sample first;
 // a strided one is gathered by im2rowPatch. The panel's rows lie kp =
 // k rounded up to 8 apart (offs holds q·kp for each of the outArea
-// rows), and the tiles run kp wide into the outC × kp scratch tc, whose
-// first k columns are then the chunk: at a width of whole vectors the
-// tiles run no masked tail, whose masked load of an output row would
-// wait for the previous quad's masked store to retire. The padding
-// columns hold stale values and give stale results, which are not
-// copied out.
+// rows), and the tiles run kp wide: at a width of whole vectors they
+// run no masked tail, whose masked load of an output row would wait for
+// the previous quad's masked store to retire. When k is a multiple of 8
+// the tiles store straight into the chunk; otherwise they store into
+// the outC × kp scratch tc, whose first k columns are then copied to
+// the chunk. The padding columns hold stale values and give stale
+// results, which are not copied out.
 func convSampleDWTiles(chunk, srci, dyi, panel, tc, plane []float32, offs []int, c, h, w, outC, kh, kw, stride, pad, outH, outW int) {
 	outArea := outH * outW
 	k := c * kh * kw
@@ -739,13 +740,20 @@ func convSampleDWTiles(chunk, srci, dyi, panel, tc, plane []float32, offs []int,
 			im2rowPatch(panel[q*kp:q*kp+k], srci, c, h, w, kh, kw, stride, pad, q/outW, q%outW)
 		}
 	}
+	out := tc
+	if kp == k {
+		out = chunk
+	}
 	oc := 0
 	for ; oc+2 <= outC; oc += 2 {
-		avxTile2(tc[oc*kp:(oc+1)*kp], tc[(oc+1)*kp:(oc+2)*kp],
+		avxTile2(out[oc*kp:(oc+1)*kp], out[(oc+1)*kp:(oc+2)*kp],
 			dyi[oc*outArea:(oc+1)*outArea], dyi[(oc+1)*outArea:(oc+2)*outArea], panel, offs, kp, false)
 	}
 	if oc < outC {
-		avxTile1(tc[oc*kp:(oc+1)*kp], dyi[oc*outArea:(oc+1)*outArea], panel, offs, kp, false)
+		avxTile1(out[oc*kp:(oc+1)*kp], dyi[oc*outArea:(oc+1)*outArea], panel, offs, kp, false)
+	}
+	if kp == k {
+		return
 	}
 	for oc := 0; oc < outC; oc++ {
 		copy(chunk[oc*k:(oc+1)*k], tc[oc*kp:])

@@ -380,7 +380,10 @@ func dwTileData(seed uint64, s convShape) (src, dY []float32) {
 }
 
 // checkDWTiles runs the dW tiles with their skips off and the dW dot
-// loop on the first sample of s and fails on the first difference.
+// loop on the first sample of s and fails on the first difference. The
+// chunk and the tiles' scratch start poisoned: the tiles store into the
+// chunk when k is a multiple of 8 and into the scratch otherwise, and
+// either way must overwrite what was there.
 func checkDWTiles(t *testing.T, seed uint64, s convShape) {
 	t.Helper()
 	src, dY := dwTileData(seed, s)
@@ -393,13 +396,19 @@ func checkDWTiles(t *testing.T, seed uint64, s convShape) {
 	want := make([]float32, s.outC*k)
 	convSampleDW(want, srci, dyi, make([]float32, 4*outArea), s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, outH, outW,
 		s.kh == 1 && s.kw == 1 && s.stride == 1 && s.pad == 0)
-	got := make([]float32, s.outC*k)
+	got, tc := make([]float32, s.outC*k), make([]float32, s.outC*kp)
+	for i := range got {
+		got[i] = 12345.5
+	}
+	for i := range tc {
+		tc[i] = 12345.5
+	}
 	plane := make([]float32, s.c*(s.h+2*s.pad)*(s.w+2*s.pad))
 	panel := make([]float32, kp*outArea)
 	for i := range panel {
 		panel[i] = float32(math.NaN()) // the padding columns' stale values
 	}
-	convSampleDWTiles(got, srci, dyi, panel, make([]float32, s.outC*kp), plane, strideOffsets(outArea, kp, 0),
+	convSampleDWTiles(got, srci, dyi, panel, tc, plane, strideOffsets(outArea, kp, 0),
 		s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, outH, outW)
 	if i := exactMismatch(want, got); i >= 0 {
 		t.Fatalf("%v: dW tiles differ from the dot loop at %d: %v, dot %v", s, i, got[i], want[i])
@@ -472,10 +481,11 @@ func TestExactBackwardAVXMatchesGoLoops(t *testing.T) {
 		{1, 3, 12, 12, 4, 3, 3, 1, 1}, // the stem: k=27
 		{1, 4, 12, 12, 5, 3, 3, 1, 1}, // odd outC, k=36
 		{1, 2, 5, 7, 3, 3, 3, 1, 0},   // outArea=15: a single tail
-		{1, 8, 6, 6, 8, 3, 3, 2, 1},   // strided: im2rowPatch panel
+		{1, 8, 6, 6, 8, 3, 3, 2, 1},   // strided: im2rowPatch panel, k=72
+		{1, 8, 6, 6, 7, 3, 3, 1, 1},   // stride 1, k=72, odd outC
 		{1, 16, 3, 3, 16, 3, 3, 1, 1}, // outArea=9, k=144
 		{1, 5, 4, 4, 3, 1, 1, 1, 0},   // 1×1
-		{1, 2, 6, 5, 3, 2, 4, 1, 2},   // kw=4, pad 2
+		{1, 2, 6, 5, 3, 2, 4, 1, 2},   // kw=4, pad 2, k=16
 	}, convShapes...) {
 		checkDWTiles(t, 0xD0, s)
 	}

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -108,37 +110,162 @@ func TestMatMulTAParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelForNCoverage checks the chunking contract: every index
-// covered exactly once, shard indices dense and below min(w, n).
+// checkParallelForN runs ParallelForN(w, n) and checks its contract:
+// every index runs exactly once, shard indices are dense and below
+// min(w, n), and no shard index runs two chunks at once. It reports
+// through t.Errorf, so any goroutine may call it.
+func checkParallelForN(t *testing.T, w, n int) {
+	seen := make([]atomic.Int32, n)
+	limit := min(w, n)
+	busy := make([]atomic.Bool, max(limit, 1))
+	used := make([]atomic.Bool, max(limit, 1))
+	ParallelForN(w, n, func(shard, lo, hi int) {
+		if shard < 0 || shard >= limit {
+			t.Errorf("w=%d n=%d: shard index %d outside [0, %d)", w, n, shard, limit)
+			return
+		}
+		if !busy[shard].CompareAndSwap(false, true) {
+			t.Errorf("w=%d n=%d: shard %d runs two chunks at once", w, n, shard)
+			return
+		}
+		used[shard].Store(true)
+		for i := lo; i < hi; i++ {
+			seen[i].Add(1)
+		}
+		runtime.Gosched() // hold the shard while others may run
+		busy[shard].Store(false)
+	})
+	for i := range seen {
+		if c := seen[i].Load(); c != 1 {
+			t.Errorf("w=%d n=%d: index %d ran %d times", w, n, i, c)
+			return
+		}
+	}
+	for s := 1; s < len(used); s++ {
+		if used[s].Load() && !used[s-1].Load() {
+			t.Errorf("w=%d n=%d: shard %d ran but shard %d did not", w, n, s, s-1)
+		}
+	}
+}
+
+// parallelForCases spans the serial path (w or n at most 1), n below,
+// at and above w, and w above the pool's helper count.
+var parallelForCases = []struct{ w, n int }{
+	{1, 1}, {1, 10}, {4, 10}, {10, 4}, {3, 7}, {8, 8}, {16, 1}, {5, 0}, {7, 100}, {2, 2}, {2, 33}, {64, 1000},
+}
+
+// TestParallelForNCoverage checks the chunking contract on one caller.
 func TestParallelForNCoverage(t *testing.T) {
-	for _, tc := range []struct{ w, n int }{
-		{1, 1}, {1, 10}, {4, 10}, {10, 4}, {3, 7}, {8, 8}, {16, 1}, {5, 0}, {7, 100},
-	} {
-		var mu sync.Mutex
-		seen := make([]int, tc.n)
-		maxShard := -1
-		ParallelForN(tc.w, tc.n, func(shard, lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if shard > maxShard {
-				maxShard = shard
+	for _, tc := range parallelForCases {
+		checkParallelForN(t, tc.w, tc.n)
+	}
+}
+
+// TestParallelForNConcurrentCallers runs the contract from several
+// goroutines at once: at most one job holds the pool, and the others
+// must finish on their own goroutines.
+func TestParallelForNConcurrentCallers(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for _, tc := range parallelForCases {
+					checkParallelForN(t, tc.w, tc.n)
+				}
 			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestParallelForNNested calls ParallelForN from inside a body, on the
+// caller and on helpers alike.
+func TestParallelForNNested(t *testing.T) {
+	for r := 0; r < 100; r++ {
+		var outer atomic.Int32
+		ParallelForN(2, 16, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				seen[i]++
+				checkParallelForN(t, 2, 9+i)
+				outer.Add(1)
 			}
 		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("w=%d n=%d: index %d visited %d times", tc.w, tc.n, i, c)
+		if c := outer.Load(); c != 16 {
+			t.Fatalf("round %d: outer ran %d units, want 16", r, c)
+		}
+	}
+}
+
+// TestParallelForNAboveHelpers asks for far more workers than the pool
+// has helpers: no more goroutines than the helpers and the caller may
+// take a shard.
+func TestParallelForNAboveHelpers(t *testing.T) {
+	limit := poolHelpers() + 1
+	var top atomic.Int64
+	for r := 0; r < 20; r++ {
+		checkParallelForN(t, 64, 1000)
+		ParallelForN(64, 1000, func(shard, _, _ int) {
+			for {
+				m := top.Load()
+				if int64(shard) <= m || top.CompareAndSwap(m, int64(shard)) {
+					break
+				}
 			}
-		}
-		limit := tc.w
-		if tc.n < limit {
-			limit = tc.n
-		}
-		if tc.n > 0 && maxShard >= limit {
-			t.Fatalf("w=%d n=%d: shard index %d >= min(w,n)=%d", tc.w, tc.n, maxShard, limit)
-		}
+		})
+	}
+	if m := top.Load(); m >= int64(limit) {
+		t.Fatalf("shard index %d with %d helpers", m, limit-1)
+	}
+}
+
+// TestParallelForNOneP runs the contract, serial and concurrent, with
+// GOMAXPROCS 1: a helper and the caller then take turns on one P.
+func TestParallelForNOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range parallelForCases {
+		checkParallelForN(t, tc.w, tc.n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, tc := range parallelForCases {
+				checkParallelForN(t, tc.w, tc.n)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestParallelForLateHelperRunsNothing joins a helper to a job after
+// the call that posted it returned: it must take no seat and run no
+// chunk.
+func TestParallelForLateHelperRunsNothing(t *testing.T) {
+	if poolHelpers() == 0 {
+		t.Skip("one CPU: no pool")
+	}
+	var j *job
+	for r := 0; j == nil && r < 100; r++ {
+		var mu sync.Mutex
+		ParallelForN(2, 8, func(_, _, _ int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if j == nil {
+				j = posted.Load()
+			}
+		})
+	}
+	if j == nil {
+		t.Fatal("no call ran with its job posted")
+	}
+	ran := j.next.Load()
+	if j.help() {
+		t.Fatal("a helper joined a finished job")
+	}
+	if j.next.Load() != ran || j.body != nil {
+		t.Fatal("a late helper took a chunk of a finished job")
 	}
 }
 
