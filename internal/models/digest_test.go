@@ -82,6 +82,15 @@ func TestExactForwardDigests(t *testing.T) {
 				t.Errorf("workers=%d batch=%d: logits digest %s, want %s", workers, n, got, forwardDigests[n])
 			}
 		}
+		// Largest batch first: the smaller ones then run in planes sized
+		// for 128 samples.
+		net = BuildResNet(ResNet20(10).Scaled(0.25))
+		for i, n := range []int{128, 32, 7, 1, 128} {
+			got := hashFloats(net.Forward(digestInput(n), false).Data())
+			if got != forwardDigests[n] {
+				t.Errorf("workers=%d descending run %d, batch=%d: logits digest %s, want %s", workers, i, n, got, forwardDigests[n])
+			}
+		}
 		tensor.SetWorkers(old)
 	}
 }

@@ -109,12 +109,23 @@ func TestWarmEvalForwardAllocs(t *testing.T) {
 	}
 	x := tensor.New(2, 3, 8, 8)
 	tensor.FillNormal(x, rng, 0, 1)
+	one := tensor.New(1, 3, 8, 8)
+	copy(one.Data(), x.Data())
 	for name, net := range nets {
 		for i := 0; i < 3; i++ {
 			net.Forward(x, false)
 		}
 		if avg := testing.AllocsPerRun(30, func() { net.Forward(x, false) }); avg > 0 {
 			t.Fatalf("%s: warm eval forward allocates %.1f/op, want 0", name, avg)
+		}
+		// A smaller batch runs in the planes the larger one sized.
+		alternate := func() {
+			net.Forward(x, false)
+			net.Forward(one, false)
+			net.Forward(x, false)
+		}
+		if avg := testing.AllocsPerRun(10, alternate); avg > 0 {
+			t.Fatalf("%s: warm eval forwards at batches 2, 1 and 2 allocate %.1f/op, want 0", name, avg)
 		}
 	}
 }
