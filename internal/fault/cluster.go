@@ -235,14 +235,6 @@ func (inj *clusterInjector) InjectStep(seed uint64, run, step int, psa float64) 
 	return inj.inject(psa)
 }
 
-func (inj *clusterInjector) NumWeights() int {
-	n := 0
-	for _, t := range inj.tensors {
-		n += t.Len()
-	}
-	return n
-}
-
 func init() {
 	Register("cluster", func(params map[string]string) (Scenario, error) {
 		burstLen, err := popInt(params, "len", defaultClusterLen)

@@ -171,14 +171,6 @@ func TestInjectBadRatePanics(t *testing.T) {
 	}
 }
 
-func TestNumWeights(t *testing.T) {
-	r := tensor.NewRNG(8)
-	inj := NewInjector(ChenModel(), randTensors(r, 10, 20, 30))
-	if inj.NumWeights() != 60 {
-		t.Fatalf("NumWeights=%d", inj.NumWeights())
-	}
-}
-
 func TestDeviceMapStableAcrossApplies(t *testing.T) {
 	r := tensor.NewRNG(9)
 	ts := randTensors(r, 2000)

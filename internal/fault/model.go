@@ -284,12 +284,3 @@ func (inj *StuckAtInjector) InjectStep(seed uint64, run, step int, psa float64) 
 	inj.runRNG.Reseed(stepSeed(seed, run, step))
 	return inj.Inject(inj.runRNG, psa)
 }
-
-// NumWeights returns the total number of weight elements covered.
-func (inj *StuckAtInjector) NumWeights() int {
-	n := 0
-	for _, t := range inj.Tensors {
-		n += t.Len()
-	}
-	return n
-}

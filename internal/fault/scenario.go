@@ -75,9 +75,6 @@ type Injector interface {
 	// position is well-defined), but the engine only calls it when
 	// Scenario.Transient() is true.
 	InjectStep(seed uint64, run, step int, psa float64) *Lesion
-
-	// NumWeights returns the total number of weight elements covered.
-	NumWeights() int
 }
 
 // stepSeed derives the positional stream seed of forward pass `step`

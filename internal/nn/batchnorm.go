@@ -132,10 +132,10 @@ func (bn *BatchNorm2D) forwardTrain(x, r *tensor.Tensor, relu bool) *tensor.Tens
 		if !r.SameShape(x) {
 			panic(fmt.Sprintf("nn: residual shape %v, batch norm input %v", r.Shape(), x.Shape()))
 		}
-		bn.ep.Residual = r.Data()
+		bn.ep.Residual = densePlane(r)
 	}
 	bn.ep.Apply(out.Data(), x.Data(), n, bn.C, area)
-	bn.ep.Residual = nil // the caller's tensor; not retained
+	bn.ep.Residual = tensor.Plane{} // the caller's tensor; not retained
 	bn.lastIn, bn.gate = x, nil
 	if relu {
 		bn.gate = out.Data()

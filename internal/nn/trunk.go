@@ -6,13 +6,15 @@ import (
 
 // The inference trunk. At inference the fused steps of a Sequential (a
 // bias-free Conv2D → BatchNorm2D → ReLU, and each BasicBlock) hand
-// their activations to each other in zero-bordered planes
-// (tensor.Plane): a step's epilogue stores its output into the interior
-// of the plane the next step's first conv reads, with that conv's pad
-// as its border, so a stride-1 conv reads it in place and a stride-2
-// one splits it into its phase planes. Only the first step copies its
-// dense input into planes, and only a step followed by another layer
-// (the pool) writes a dense tensor.
+// their activations to each other in batch-row planes (tensor.Plane):
+// each row of a channel holds that row of every sample, one border
+// apart, so a conv runs the batch as one wide image per channel. A
+// step's epilogue stores its output into the interior of the plane the
+// next step's first conv reads, with that conv's pad as its border, so
+// a stride-1 conv reads it in place and a stride-2 one copies it into
+// its phase rows. The first step reads its dense input where it lies,
+// and only a step followed by another layer (the pool) writes a dense
+// tensor.
 
 // fusedStep is a run of layers that inference executes as fused convs:
 // conv → bn → ReLU when block is nil, or a BasicBlock.
@@ -117,18 +119,19 @@ func (s fusedStep) run(out, src, mid tensor.Plane) {
 		s.block.infer(out, src, mid)
 		return
 	}
-	s.conv.fusedForward(out, src, s.bn, nil, 0)
+	s.conv.fusedForward(out, src, s.bn, tensor.Plane{})
 }
 
-// planePool holds zero-bordered planes, up to three per geometry
+// planePool holds batch-row planes, up to three per geometry
 // (channels, height, width and border), so that a block can read one
-// plane and the shortcut's while it writes a third. A buffer is zeroed
-// when it is allocated, and a conv stores only into plane interiors, at
-// the same positions for every batch of one geometry, so the border
-// stays +0 for as long as the buffer lives. A batch larger than any
-// before reallocates; after a smaller one, the values past its last
-// sample, which a conv reads into columns it drops, are those of a
-// sample of the larger batch.
+// plane and the shortcut's while it writes a third. A buffer's rows
+// hold as many samples as the largest batch it has held (its span); a
+// smaller batch uses the leading samples of each row, and the samples
+// past it, which a conv reads only into columns it drops, are those of
+// an earlier batch. So the layout of a buffer never changes: it is
+// zeroed when it is allocated, and a conv stores only into plane
+// interiors and puts +0 back in the gap columns between samples it
+// writes, so its borders and gaps stay +0 for as long as it lives.
 type planePool struct {
 	sets []planeSet
 }
@@ -136,22 +139,24 @@ type planePool struct {
 type planeSet struct {
 	c, h, w, pad int
 	bufs         [3][]float32
+	spans        [3]int
 }
 
 // get returns a plane of n samples of the geometry in a buffer that
 // holds neither a nor b.
 func (p *planePool) get(n, c, h, w, pad int, a, b []float32) tensor.Plane {
 	set := p.set(c, h, w, pad)
-	need := tensor.PlaneLen(n, c, h, w, pad)
 	for i, buf := range set.bufs {
 		if sameBuffer(buf, a) || sameBuffer(buf, b) {
 			continue
 		}
-		if len(buf) < need {
-			buf = make([]float32, need)
-			set.bufs[i] = buf
+		pl := tensor.Plane{Data: buf, N: n, C: c, H: h, W: w, Pad: pad, Span: set.spans[i]}
+		if pl.Span < n {
+			pl.Span = n
+			pl.Data = make([]float32, pl.Len())
+			set.bufs[i], set.spans[i] = pl.Data, n
 		}
-		return tensor.Plane{Data: buf[:need], N: n, C: c, H: h, W: w, Pad: pad}
+		return pl
 	}
 	panic("nn: every plane of the geometry is in use")
 }

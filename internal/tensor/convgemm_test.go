@@ -295,9 +295,9 @@ func refEpilogue(out []float32, ep *ConvEpilogue, outC, outArea int) {
 		oc := (j / outArea) % outC
 		out[j] = float32(ep.Mul1[oc]*(out[j]-ep.Mean[oc])*ep.Mul2[oc]) + ep.Beta[oc]
 	}
-	if ep.Residual != nil {
+	if r := ep.Residual.Data; r != nil {
 		for j := range out {
-			out[j] += ep.Residual[j]
+			out[j] += r[j]
 		}
 	}
 	for j, v := range out {
@@ -307,14 +307,16 @@ func refEpilogue(out []float32, ep *ConvEpilogue, outC, outArea int) {
 	}
 }
 
-// seededEpilogue returns seeded batch-norm constants for outC channels
-// and the residual res, with ±Inf and NaN planted in it.
-func seededEpilogue(seed uint64, outC int, res []float32) *ConvEpilogue {
+// seededEpilogue returns seeded batch-norm constants for the output
+// channels of s and the dense residual res, with ±Inf and NaN planted
+// in it.
+func seededEpilogue(seed uint64, s convShape, res []float32) *ConvEpilogue {
 	plantPerSample(seed, res, 1, len(res))
+	outC := s.outC
 	consts := New(4, outC)
 	FillNormal(consts, NewRNG(seed^0xE9), 0, 1)
 	cd := consts.Data()
-	ep := &ConvEpilogue{Mean: cd[:outC], Mul1: cd[outC : 2*outC], Mul2: cd[2*outC : 3*outC], Beta: cd[3*outC:], Residual: res}
+	ep := &ConvEpilogue{Mean: cd[:outC], Mul1: cd[outC : 2*outC], Mul2: cd[2*outC : 3*outC], Beta: cd[3*outC:], Residual: s.outPlane(res)}
 	for oc, v := range ep.Mul2 {
 		ep.Mul2[oc] = float32(1 / math.Sqrt(float64(v*v)+1e-5))
 	}
@@ -337,7 +339,7 @@ func TestConvEpilogueApplyUsesEachChannelsConstants(t *testing.T) {
 		for _, noReLU := range []bool{false, true} {
 			ep := &ConvEpilogue{Mean: cd[:c], Mul1: cd[c : 2*c], Mul2: cd[2*c : 3*c], Beta: cd[3*c:], NoReLU: noReLU}
 			if withRes {
-				ep.Residual = res.Data()
+				ep.Residual = Plane{Data: res.Data(), N: n, C: c, H: 1, W: area}
 			}
 			got := make([]float32, n*c*area)
 			ep.Apply(got, src.Data(), n, c, area)
@@ -368,8 +370,8 @@ func TestConvGemmForwardEpilogueMatchesLayers(t *testing.T) {
 			wd, src, res := convOracleData(0xE91, s)
 			convSkipWitnesses(0xE91, wd, src, s)
 			outArea := len(res) / (s.n * s.outC)
-			ep := seededEpilogue(0xE92, s.outC, res)
-			for _, r := range [][]float32{nil, res} {
+			ep := seededEpilogue(0xE92, s, res)
+			for _, r := range []Plane{{}, s.outPlane(res)} {
 				ep.Residual = r
 				want := make([]float32, len(res))
 				withWorkers(1, func() {
@@ -384,7 +386,7 @@ func TestConvGemmForwardEpilogueMatchesLayers(t *testing.T) {
 						}
 						ConvGemmForwardEpilogue(got, wd, src, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, ep)
 						if i := exactMismatch(want, got); i >= 0 {
-							t.Fatalf("workers=%d residual=%t: fused epilogue differs from the layers at %d: %v, want %v", w, r != nil, i, got[i], want[i])
+							t.Fatalf("workers=%d residual=%t: fused epilogue differs from the layers at %d: %v, want %v", w, r.Data != nil, i, got[i], want[i])
 						}
 					})
 				}
@@ -410,9 +412,10 @@ func TestConv1x1FastPathMatchesGeneralPath(t *testing.T) {
 			if i := exactMismatch(want, fast); i >= 0 {
 				t.Fatalf("workers=%d: 1x1 fast path differs from the oracle at %d", w, i)
 			}
-			general := borderedPlane(make([]float32, len(fast)), s.n, s.outC, s.h, s.w, 1, planeSentinel)
+			general := layoutPlane(make([]float32, len(fast)), s.n, s.outC, s.h, s.w, planeLayout{pad: 1}, planeSentinel, 0)
+			before := append([]float32(nil), general.Data...)
 			ConvPlaneForward(general, wd, Plane{Data: src, N: s.n, C: s.c, H: s.h, W: s.w}, 1, 1, 1, 0, nil)
-			checkPlaneOut(t, fmt.Sprintf("workers=%d: 1x1 phase-plane path", w), want, general)
+			checkPlaneOut(t, fmt.Sprintf("workers=%d: 1x1 phase-plane path", w), want, general, before)
 		})
 	}
 	// Backward: the pointwise flag is chosen inside convBackwardSamples,
@@ -467,14 +470,22 @@ func FuzzConvGemmOracle(f *testing.F) {
 		if i := exactMismatch(want, got); i >= 0 {
 			t.Fatalf("forward mismatch at %d for %v seed %d", i, s, seed)
 		}
-		ep := seededEpilogue(seed, s.outC, append([]float32(nil), dY...))
+		ep := seededEpilogue(seed, s, append([]float32(nil), dY...))
 		refEpilogue(want, ep, s.outC, len(want)/(s.n*s.outC))
 		ConvGemmForwardEpilogue(got, fwdW, fwdSrc, s.n, s.c, s.h, s.w, s.outC, s.kh, s.kw, s.stride, s.pad, ep)
 		if i := exactMismatch(want, got); i >= 0 {
 			t.Fatalf("epilogue mismatch at %d for %v seed %d", i, s, seed)
 		}
 		pads := int(seed>>8) % 27
-		runPlaneForward(t, fmt.Sprintf("%v seed %d", s, seed), s, fwdW, fwdSrc, ep, want, pads%3, pads/3%3, pads/9)
+		spans := int(seed>>16) % 8 // the batch-row bits of src, dst and the residual
+		layout := func(pad, bit int) planeLayout {
+			if spans>>bit&1 == 0 {
+				return planeLayout{pad: pad}
+			}
+			return planeLayout{pad: pad, span: s.n + bit}
+		}
+		runPlaneForward(t, fmt.Sprintf("%v seed %d", s, seed), s, fwdW, fwdSrc, ep, want,
+			layout(pads%3, 0), layout(pads/3%3, 1), layout(pads/9, 2), false)
 		backwardSkipWitnesses(seed, wd, src, dY, s)
 		wantDW, wantDX := refConvBackward(wd, src, dY, s)
 		k := s.c * s.kh * s.kw
@@ -629,18 +640,44 @@ func BenchmarkConvBwdRef1x1(b *testing.B)   { benchConvBwd(b, benchConv1x1, fals
 // whose payload no arithmetic produces.
 var planeSentinel = math.Float32frombits(0x7fc0dead)
 
-// borderedPlane returns the n×c×h×w dense batch x as a plane with a
-// border of pad holding fill, and +0 in the slack past its last sample.
-func borderedPlane(x []float32, n, c, h, w, pad int, fill float32) Plane {
-	p := Plane{Data: make([]float32, PlaneLen(n, c, h, w, pad)), N: n, C: c, H: h, W: w, Pad: pad}
-	body := p.Data[:n*p.sampleLen()]
+// outPlane views the dense output batch out of s as a plane.
+func (s convShape) outPlane(out []float32) Plane {
+	return Plane{Data: out, N: s.n, C: s.outC,
+		H: ConvOutSize(s.h, s.kh, s.stride, s.pad), W: ConvOutSize(s.w, s.kw, s.stride, s.pad)}
+}
+
+// planeLayout is a plane's border and, when not 0, its span: the
+// samples a row of a batch-row plane holds.
+type planeLayout struct{ pad, span int }
+
+func (l planeLayout) String() string {
+	if l.span == 0 {
+		return fmt.Sprintf("pad %d", l.pad)
+	}
+	return fmt.Sprintf("pad %d span %d", l.pad, l.span)
+}
+
+// layoutPlane returns the n×c×h×w dense batch x as a plane of layout l
+// whose borders (and gaps between samples) hold fill, whose samples
+// past n hold stale, and whose 7 values past its last row hold +0.
+func layoutPlane(x []float32, n, c, h, w int, l planeLayout, fill, stale float32) Plane {
+	p := Plane{N: n, C: c, H: h, W: w, Pad: l.pad, Span: l.span}
+	p.Data = make([]float32, p.Len())
+	body := p.Data[:p.bodyLen()]
 	for i := range body {
 		body[i] = fill
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < max(n, l.span); i++ {
 		for ch := 0; ch < c; ch++ {
 			for y := 0; y < h; y++ {
-				copy(p.Data[p.Offset(i, ch, y, 0):][:w], x[((i*c+ch)*h+y)*w:][:w])
+				row := p.Data[p.Offset(i, ch, y, 0):][:w]
+				if i >= n {
+					for j := range row {
+						row[j] = stale
+					}
+					continue
+				}
+				copy(row, x[((i*c+ch)*h+y)*w:][:w])
 			}
 		}
 	}
@@ -648,10 +685,11 @@ func borderedPlane(x []float32, n, c, h, w, pad int, fill float32) Plane {
 }
 
 // checkPlaneOut fails unless the interior of the plane got holds want's
-// bits and every value outside it still holds planeSentinel's.
-func checkPlaneOut(t *testing.T, what string, want []float32, got Plane) {
+// bits and every value outside it still holds the bits it held in
+// before.
+func checkPlaneOut(t *testing.T, what string, want []float32, got Plane, before []float32) {
 	t.Helper()
-	interior := make([]bool, got.N*got.sampleLen())
+	interior := make([]bool, len(got.Data))
 	for i := 0; i < got.N; i++ {
 		for ch := 0; ch < got.C; ch++ {
 			for y := 0; y < got.H; y++ {
@@ -667,47 +705,70 @@ func checkPlaneOut(t *testing.T, what string, want []float32, got Plane) {
 		}
 	}
 	for o, in := range interior {
-		if !in && math.Float32bits(got.Data[o]) != math.Float32bits(planeSentinel) {
-			t.Fatalf("%s: wrote %v outside the interior at %d", what, got.Data[o], o)
+		if !in && math.Float32bits(got.Data[o]) != math.Float32bits(before[o]) {
+			t.Fatalf("%s: wrote %v over %v outside the interior at %d", what, got.Data[o], before[o], o)
 		}
 	}
 }
 
-// runPlaneForward runs ConvPlaneForward from a plane of border srcPad
-// into a plane of border dstPad, with ep (when not nil) reading its
-// residual, ep.Residual in dense layout, from a plane of border resPad,
-// and checks the result against want. A border the conv reads in place
-// (stride 1, srcPad = pad) holds +0; every other border holds NaN,
-// which a correct conv never reads.
-func runPlaneForward(t *testing.T, what string, s convShape, wd, src []float32, ep *ConvEpilogue, want []float32, srcPad, dstPad, resPad int) {
+// runPlaneForward runs ConvPlaneForward from a plane of layout in into
+// a plane of layout out, with ep (when not nil) reading its residual,
+// ep.Residual in dense layout, from a plane of layout res, or from the
+// output plane itself when alias is set, and checks the result against
+// want. A border the conv reads in place (stride 1, the src's border
+// the conv's pad) holds +0, as do a batch-row output's borders and gaps,
+// which the conv may store +0 into; every other border, and the samples
+// past the batch in each batch-row plane, hold NaN or planeSentinel,
+// which a correct conv neither reads into an output nor writes over.
+func runPlaneForward(t *testing.T, what string, s convShape, wd, src []float32, ep *ConvEpilogue, want []float32, in, out, res planeLayout, alias bool) {
 	t.Helper()
 	outH := ConvOutSize(s.h, s.kh, s.stride, s.pad)
 	outW := ConvOutSize(s.w, s.kw, s.stride, s.pad)
-	fill := float32(math.NaN())
-	if s.stride == 1 && srcPad == s.pad {
+	nan := float32(math.NaN())
+	fill := nan
+	if s.stride == 1 && in.pad == s.pad {
 		fill = 0
 	}
-	in := borderedPlane(src, s.n, s.c, s.h, s.w, srcPad, fill)
-	out := borderedPlane(make([]float32, s.n*s.outC*outH*outW), s.n, s.outC, outH, outW, dstPad, planeSentinel)
+	inP := layoutPlane(src, s.n, s.c, s.h, s.w, in, fill, nan)
+	outFill := planeSentinel
+	if out.span != 0 {
+		outFill = 0
+	}
+	outData := make([]float32, s.n*s.outC*outH*outW)
+	if alias {
+		outData = ep.Residual.Data
+	}
+	outP := layoutPlane(outData, s.n, s.outC, outH, outW, out, outFill, planeSentinel)
 	var pe *ConvEpilogue
 	if ep != nil {
 		e := *ep
-		if e.Residual != nil {
-			e.Residual = borderedPlane(ep.Residual, s.n, s.outC, outH, outW, resPad, float32(math.NaN())).Data
-			e.ResidualPad = resPad
+		if alias {
+			e.Residual = outP
+		} else if e.Residual.Data != nil {
+			e.Residual = layoutPlane(ep.Residual.Data, s.n, s.outC, outH, outW, res, nan, nan)
 		}
 		pe = &e
 	}
-	ConvPlaneForward(out, wd, in, s.kh, s.kw, s.stride, s.pad, pe)
-	checkPlaneOut(t, fmt.Sprintf("%s src pad %d dst pad %d residual pad %d", what, srcPad, dstPad, resPad), want, out)
+	before := append([]float32(nil), outP.Data...)
+	ConvPlaneForward(outP, wd, inP, s.kh, s.kw, s.stride, s.pad, pe)
+	resWhat := res.String()
+	if alias {
+		resWhat = "the dst"
+	}
+	checkPlaneOut(t, fmt.Sprintf("%s src %v dst %v residual %s", what, in, out, resWhat), want, outP, before)
 }
 
 // TestConvPlaneForwardMatchesOracle runs the plane entry on every grid
-// shape from planes of several borders (the conv's own pad, read in
-// place at stride 1, and others, copied in) into bordered planes, with
-// and without the epilogue and a bordered residual, at several worker
-// counts: the interior must hold the oracle's bits and nothing outside
-// it may be written.
+// shape from planes of several layouts into planes of several layouts,
+// with and without the epilogue and a residual in a third layout or in
+// dst itself, at several worker counts: the interior of each sample
+// must hold the oracle's bits, and nothing outside it may change. Per
+// sample, src is read in place (stride 1, the conv's own pad) or copied.
+// Batch-row planes run the batch as one wide image: their dst's
+// borders and gaps must still hold +0 afterwards, whether the store
+// skips the gaps (a dense or differently spaced dst or residual) or
+// stores whole rows and resets them (a dst whose samples lie as far
+// apart as in the conv's phase rows: border wide below).
 func TestConvPlaneForwardMatchesOracle(t *testing.T) {
 	for _, s := range convShapes {
 		t.Run(s.String(), func(t *testing.T) {
@@ -715,15 +776,42 @@ func TestConvPlaneForwardMatchesOracle(t *testing.T) {
 			convSkipWitnesses(0x91A, wd, src, s)
 			var want []float32
 			withWorkers(1, func() { want = refConvForward(wd, src, s) })
-			ep := seededEpilogue(0x91B, s.outC, res)
+			ep := seededEpilogue(0x91B, s, res)
 			wantEp := append([]float32(nil), want...)
 			refEpilogue(wantEp, ep, s.outC, len(want)/(s.n*s.outC))
+			// The border that spaces an output's samples as the phase
+			// rows space them: w + pad apart at stride 1, ⌈(w+2·pad)/s⌉
+			// apart otherwise.
+			q := s.w + s.pad
+			if s.stride > 1 {
+				q = (s.w + 2*s.pad + s.stride - 1) / s.stride
+			}
+			wide := max(q-ConvOutSize(s.w, s.kw, s.stride, s.pad), 0)
+			n := s.n
+			type layouts struct {
+				in, out, res planeLayout
+				alias        bool
+			}
+			cases := []layouts{
+				{in: planeLayout{pad: s.pad}, out: planeLayout{pad: 1}},
+				{in: planeLayout{}, out: planeLayout{}, res: planeLayout{pad: 2}},
+				{in: planeLayout{pad: s.pad + 1}, out: planeLayout{pad: 2}, res: planeLayout{pad: 1}},
+				{in: planeLayout{pad: 1}, out: planeLayout{pad: s.pad}, res: planeLayout{pad: s.pad}},
+				{in: planeLayout{s.pad, n + 1}, out: planeLayout{wide, n + 2}, res: planeLayout{wide, n}},
+				{in: planeLayout{s.pad + 1, n}, out: planeLayout{wide, n}, res: planeLayout{pad: 1}},
+				{in: planeLayout{}, out: planeLayout{wide, n + 3}, res: planeLayout{wide + 1, n + 1}},
+				{in: planeLayout{s.pad, n + 2}, out: planeLayout{}, res: planeLayout{}},
+				{in: planeLayout{s.pad, n}, out: planeLayout{wide + 1, n + 1}},
+				{in: planeLayout{s.pad, n}, out: planeLayout{wide, n + 1}, alias: true},
+			}
 			for _, w := range []int{1, 2} {
 				withWorkers(w, func() {
-					for _, pads := range [][3]int{{s.pad, 1, 0}, {0, 0, 2}, {s.pad + 1, 2, 1}, {1, s.pad, s.pad}} {
+					for _, l := range cases {
 						what := fmt.Sprintf("workers=%d", w)
-						runPlaneForward(t, what, s, wd, src, nil, want, pads[0], pads[1], pads[2])
-						runPlaneForward(t, what+" epilogue", s, wd, src, ep, wantEp, pads[0], pads[1], pads[2])
+						if !l.alias {
+							runPlaneForward(t, what, s, wd, src, nil, want, l.in, l.out, l.res, false)
+						}
+						runPlaneForward(t, what+" epilogue", s, wd, src, ep, wantEp, l.in, l.out, l.res, l.alias)
 					}
 				})
 			}
