@@ -26,7 +26,7 @@ func avxAddRuns(dst, src []float32, rows, n, ds int)                        { un
 func avxPatches3x3(panel []float32, ps int, plane []float32, c, hp, wp, outH, outW int) {
 	unreachableAsm()
 }
-func avxEpilogue(dst, src, res []float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool) {
+func avxEpilogue(dst, src, res []float32, keep []uint32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool) {
 	unreachableAsm()
 }
 func avxBNDX(dx, dy, gate, x []float32, rows, n, stride int, mean, inv float32, k, meanDy, meanDyXh float64) {

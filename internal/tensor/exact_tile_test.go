@@ -232,37 +232,52 @@ func epilogueOperands(seed uint64, rows, n, ss, rs int) (src, res []float32, mea
 }
 
 // checkEpilogue runs the AVX and Go epilogues on one input, with and
-// without the residual and the ReLU, storing runs ds apart, and fails
-// on the first difference in bits or on a write outside the rows runs
-// of n outputs, into the gaps between them included.
+// without the residual, the ReLU and a keep mask that clears every
+// third column, storing runs ds apart, and fails on the first
+// difference in bits or on a write outside the rows runs of n outputs,
+// into the gaps between them included.
 func checkEpilogue(t *testing.T, seed uint64, rows, n, ds, ss, rs int) {
 	t.Helper()
 	const gap = -777.25
 	src, res, mean, gamma, inv, beta := epilogueOperands(seed, rows, n, ss, rs)
 	span := max(0, (rows-1)*ds+n)
 	inGap := func(i int) bool { return i%ds >= n }
-	for _, r := range [][]float32{nil, res} {
-		for _, relu := range []bool{true, false} {
-			want, okw := guardedRow(span)
-			got, okg := guardedRow(span)
-			for i := range span {
-				if inGap(i) {
-					want[i], got[i] = gap, gap
+	thirds := make([]uint32, n)
+	for x := range thirds {
+		if x%3 != int(seed%3) {
+			thirds[x] = ^uint32(0)
+		}
+	}
+	for _, keep := range [][]uint32{nil, thirds} {
+		for _, r := range [][]float32{nil, res} {
+			for _, relu := range []bool{true, false} {
+				what := fmt.Sprintf("rows=%d n=%d ds=%d ss=%d rs=%d residual=%t relu=%t keep=%t", rows, n, ds, ss, rs, r != nil, relu, keep != nil)
+				want, okw := guardedRow(span)
+				got, okg := guardedRow(span)
+				for i := range span {
+					if inGap(i) {
+						want[i], got[i] = gap, gap
+					}
 				}
-			}
-			epilogueLoop(want, src, r, rows, n, ds, ss, rs, mean, gamma, inv, beta, relu)
-			avxEpilogue(got, src, r, rows, n, ds, ss, rs, mean, gamma, inv, beta, relu)
-			intact := okw() && okg()
-			for i := range span {
-				if inGap(i) && (want[i] != gap || got[i] != gap) {
-					intact = false
+				epilogueLoop(want, src, r, keep, rows, n, ds, ss, rs, mean, gamma, inv, beta, relu)
+				avxEpilogue(got, src, r, keep, rows, n, ds, ss, rs, mean, gamma, inv, beta, relu)
+				intact := okw() && okg()
+				for i := range span {
+					if inGap(i) && (want[i] != gap || got[i] != gap) {
+						intact = false
+					}
 				}
-			}
-			if !intact {
-				t.Fatalf("rows=%d n=%d ds=%d ss=%d rs=%d residual=%t relu=%t: epilogue wrote outside its runs", rows, n, ds, ss, rs, r != nil, relu)
-			}
-			if i := exactMismatch(want, got); i >= 0 {
-				t.Fatalf("rows=%d n=%d ds=%d ss=%d rs=%d residual=%t relu=%t: avxEpilogue differs at %d: %v, Go loop %v", rows, n, ds, ss, rs, r != nil, relu, i, got[i], want[i])
+				if !intact {
+					t.Fatalf("%s: epilogue wrote outside its runs", what)
+				}
+				if i := exactMismatch(want, got); i >= 0 {
+					t.Fatalf("%s: avxEpilogue differs at %d: %v, Go loop %v", what, i, got[i], want[i])
+				}
+				for i := range span {
+					if keep != nil && !inGap(i) && keep[i%ds] == 0 && math.Float32bits(want[i]) != 0 {
+						t.Fatalf("%s: column %d of the keep mask's zeros holds %v, want +0", what, i%ds, want[i])
+					}
+				}
 			}
 		}
 	}

@@ -729,33 +729,34 @@ p3_ch:
 	JNZ  p3_row
 	RET
 
-// func epilogueAVX(dst, src, res *float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool)
+// func epilogueAVX(dst, src, res *float32, keep *uint32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool)
 // epilogueLoop on eight lanes: for y < rows and x < n, with
 // v = src[y·ss + x] and r = res[y·rs + x],
-//   dst[y·ds + x] = ReLU((((v − mean)·mul1)·mul2 + beta) + r),
+//   dst[y·ds + x] = ReLU((((v − mean)·mul1)·mul2 + beta) + r) & keep[x],
 // every operation rounded on its own (VSUBPS, VMULPS, VMULPS, VADDPS,
 // VADDPS) and the ReLU a mask: VCMPPS GT_OQ against +0 is all ones
 // exactly when the value is > 0, so -0 and NaN give +0, as in
-// nn.ReLU. A nil res adds nothing, and relu false stores the value
-// itself. Each run goes 8 elements at a time, its last n mod 8 under
-// the mask in Y14.
-TEXT ·epilogueAVX(SB), NOSPLIT, $0-81
+// nn.ReLU. A nil res adds nothing, relu false stores the value itself,
+// and a keep that is not nil ANDs each value with its column's mask
+// (VANDPS), all ones or +0. Each run goes 8 elements at a time, its
+// last n mod 8 under the mask in Y14.
+TEXT ·epilogueAVX(SB), NOSPLIT, $0-89
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ res+16(FP), R9
-	MOVQ rows+24(FP), R8
-	MOVQ n+32(FP), CX
-	MOVQ ds+40(FP), R10
+	MOVQ rows+32(FP), R8
+	MOVQ n+40(FP), CX
+	MOVQ ds+48(FP), R10
 	SHLQ $2, R10
-	MOVQ ss+48(FP), DX
+	MOVQ ss+56(FP), DX
 	SHLQ $2, DX
-	MOVQ rs+56(FP), R13
+	MOVQ rs+64(FP), R13
 	SHLQ $2, R13
-	VBROADCASTSS mean+64(FP), Y10
-	VBROADCASTSS mul1+68(FP), Y11
-	VBROADCASTSS mul2+72(FP), Y12
-	VBROADCASTSS beta+76(FP), Y13
-	MOVBQZX relu+80(FP), R12
+	VBROADCASTSS mean+72(FP), Y10
+	VBROADCASTSS mul1+76(FP), Y11
+	VBROADCASTSS mul2+80(FP), Y12
+	VBROADCASTSS beta+84(FP), Y13
+	MOVBQZX relu+88(FP), R12
 	VXORPS Y15, Y15, Y15
 	MOVQ CX, AX
 	ANDQ $7, AX
@@ -764,6 +765,7 @@ TEXT ·epilogueAVX(SB), NOSPLIT, $0-81
 	NEGQ AX
 	VMOVUPS 32(BX)(AX*4), Y14
 	ANDQ $-8, CX
+	MOVQ keep+24(FP), AX
 
 epi_row:
 	TESTQ R8, R8
@@ -784,9 +786,14 @@ epi_8:
 
 epi_8_relu:
 	TESTQ R12, R12
-	JZ    epi_8_store
+	JZ    epi_8_keep
 	VCMPPS  $0x1e, Y15, Y0, Y1
 	VANDPS  Y1, Y0, Y0
+
+epi_8_keep:
+	TESTQ AX, AX
+	JZ    epi_8_store
+	VANDPS  (AX)(BX*4), Y0, Y0
 
 epi_8_store:
 	VMOVUPS Y0, (DI)(BX*4)
@@ -808,9 +815,15 @@ epi_tail:
 
 epi_tail_relu:
 	TESTQ R12, R12
-	JZ    epi_tail_store
+	JZ    epi_tail_keep
 	VCMPPS  $0x1e, Y15, Y0, Y1
 	VANDPS  Y1, Y0, Y0
+
+epi_tail_keep:
+	TESTQ AX, AX
+	JZ    epi_tail_store
+	MASKLOAD((AX)(BX*4), Y2)
+	VANDPS  Y2, Y0, Y0
 
 epi_tail_store:
 	VMASKMOVPS Y0, Y14, (DI)(BX*4)

@@ -28,7 +28,7 @@ func addRunsAVX(dst, src *float32, rows, n, ds int)
 func patches3x3AVX(dst, src *float32, c, outH, outW, hpwp, wp, ps int)
 
 //go:noescape
-func epilogueAVX(dst, src, res *float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool)
+func epilogueAVX(dst, src, res *float32, keep *uint32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool)
 
 //go:noescape
 func bnDXAVX(dx, dy, gate, x *float32, rows, n, stride int, mean, inv float32, k, meanDy, meanDyXh float64)
@@ -113,7 +113,7 @@ func avxPatches3x3(panel []float32, ps int, plane []float32, c, hp, wp, outH, ou
 }
 
 // avxEpilogue is epilogueLoop on the AVX kernel.
-func avxEpilogue(dst, src, res []float32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool) {
+func avxEpilogue(dst, src, res []float32, keep []uint32, rows, n, ds, ss, rs int, mean, mul1, mul2, beta float32, relu bool) {
 	if rows == 0 || n == 0 {
 		return
 	}
@@ -124,7 +124,12 @@ func avxEpilogue(dst, src, res []float32, rows, n, ds, ss, rs int, mean, mul1, m
 		_ = res[(rows-1)*rs+n-1]
 		r = &res[0]
 	}
-	epilogueAVX(&dst[0], &src[0], r, rows, n, ds, ss, rs, mean, mul1, mul2, beta, relu)
+	var k *uint32
+	if keep != nil {
+		_ = keep[n-1]
+		k = &keep[0]
+	}
+	epilogueAVX(&dst[0], &src[0], r, k, rows, n, ds, ss, rs, mean, mul1, mul2, beta, relu)
 }
 
 // avxBNDX is bnDXLoop on the AVX kernel.

@@ -52,6 +52,7 @@ const gemmJTile = 256
 type panelBuf struct {
 	f    []float32
 	offs []int
+	keep []uint32
 }
 
 var panelPool = sync.Pool{New: func() any { return new(panelBuf) }}
@@ -74,6 +75,16 @@ func (p *panelBuf) table(k int) []int {
 	}
 	p.offs = p.offs[:k]
 	return p.offs
+}
+
+// mask returns the buffer's column mask resized to n entries, with
+// unspecified contents.
+func (p *panelBuf) mask(n int) []uint32 {
+	if cap(p.keep) < n {
+		p.keep = make([]uint32, n)
+	}
+	p.keep = p.keep[:n]
+	return p.keep
 }
 
 // strideTable returns the buffer's table for a panel whose rows lie
