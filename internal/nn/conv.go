@@ -9,15 +9,16 @@ import (
 // Conv2D is a 2-D convolution over NCHW inputs, lowered to GEMM
 // implicitly (tensor.ConvGemmForward/Backward): the whole batch runs as
 // one OutC × (InC·kh·kw) × (N·outH·outW) product whose tiles read the
-// input in place, through a table of tap offsets into each sample's
-// zero-bordered plane (split into parity phase planes when strided),
-// so no column matrix is ever materialized. At inference a conv
-// followed by batch norm and a ReLU (Sequential, BasicBlock) runs them
-// in the conv's epilogue (fusedForward), which can store straight into
-// the plane the next conv reads. Weights are stored flat as
-// (outC, inC·kh·kw), which is also the layout mapped onto ReRAM
-// crossbar columns by internal/reram. Bias is optional and off by
-// default (batch norm follows every conv in the ResNet models).
+// input through a table of tap offsets into zero-bordered batch-row
+// phase rows, in which a row of a channel holds that row of every
+// sample (split by parity when strided), so no column matrix is ever
+// materialized. At inference a conv followed by batch norm and a ReLU
+// (Sequential, BasicBlock) runs them in the conv's epilogue
+// (fusedForward), which can store straight into the plane the next
+// conv reads. Weights are stored flat as (outC, inC·kh·kw), which is
+// also the layout mapped onto ReRAM crossbar columns by
+// internal/reram. Bias is optional and off by default (batch norm
+// follows every conv in the ResNet models).
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -48,9 +49,8 @@ func NewConv2D(name string, inC, outC, kh, kw, stride, pad int, bias bool, rng *
 }
 
 // Forward computes the convolution for an NCHW batch as one implicit
-// GEMM over the whole batch; panel sharding inside ConvGemmForward
-// parallelizes across output columns, bit-identical at any worker
-// count.
+// GEMM over the whole batch; ConvGemmForward shards it across groups of
+// samples, bit-identical at any worker count.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out, n := c.output(x), x.Dim(0)
 	tensor.ConvGemmForward(out.Data(), c.Weight.W.Data(), x.Data(),

@@ -43,8 +43,8 @@ func bnGradSums4AVX(dy, gate, x *float32, n, area, stride int, mean, inv *float3
 // no coefficient: o = o + (((a0·b0 + a1·b1) + a2·b2) + a3·b3) runs for
 // every quad, zeros included, and o = o + a·b for every single. Where
 // the offsets ascend (see gemmTile2), the first and the last panel row
-// bound every row the kernel reads; convForwardPhases, whose strided
-// tables do not ascend, checks its largest offset's row itself.
+// bound every row the kernel reads; convRowUnits, whose strided tables
+// do not ascend, checks its largest offset's row itself (runWidth).
 func avxTile2(o0, o1, a0, a1, pb []float32, offs []int, jw int, skips bool) {
 	o0, o1 = o0[:jw], o1[:jw]
 	k := len(a0)

@@ -207,10 +207,10 @@ func exactTile1(orow, arow, pb []float32, offs []int, jw int) {
 // with coefficient rows a0, a1 (len k each) against a B panel whose
 // row p lives at pb[offs[p] : +jw]. Rows may overlap: a packed panel's
 // rows lie jw apart (offs[p] = p·jw), a zero-copy view into a wider
-// matrix's lie its row length apart, and a conv's taps are runs of one
-// zero-bordered plane, one element apart within a kernel row
-// (convForwardPhases). Every table but a strided conv's ascends; that
-// one visits the phase planes of each channel in tap order. The two rows
+// matrix's lie its row length apart, and a conv's taps are runs of
+// zero-bordered phase rows, one element apart within a kernel row
+// (convRowUnits). Every table but a strided conv's ascends; that one
+// visits the phase planes of each channel in tap order. The two rows
 // share each loaded B quad; every row's own update statement and
 // skip-zero check are those of the reference kernel, so each output
 // element sees the identical operation sequence. Two rows (8 A
